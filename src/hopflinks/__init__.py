@@ -2,64 +2,20 @@
 
 Closed forms come from the eigenvalues of the two encircling operators
 on the skein of the annulus; an independent skein-recursion oracle on
-planar diagrams arbitrates every formula.
+planar diagrams arbitrates every formula.  Every name not imported
+here is imported from its submodule.
 """
 
-from .basis import (
-    BASIS_EIGEN,
-    BASIS_PRODUCT,
-    SkeinVector,
-    eigen_to_product,
-    monomial_to_eigen,
-    pair_multiplicity,
-    plane_eval_eigen,
-    product_to_eigen,
-    single_multiplicity,
-)
 from .hopf import (
     Decoration,
     DecorationTerm,
     HopfSpec,
-    SymmetryReport,
     check_symmetries,
     homfly_decorated,
     homfly_general,
-    homfly_positive,
 )
-from .meridian import (
-    EigenRecord,
-    ccw_eigenvalue,
-    cw_eigenvalue,
-    eigen_record,
-    opposite_sense_eigenvalue,
-    plane_eval_product,
-    plane_eval_single,
-    same_sense_eigenvalue,
-)
-from .oracle import (
-    CrossingLimitError,
-    Crossing,
-    DEFAULT_MAX_CROSSINGS,
-    MalformedDiagramError,
-    PlanarDiagram,
-    build_diagram,
-    canonical_key,
-    homfly_of_diagram,
-    mirror_diagram,
-)
-from .partitions import (
-    BasisLabel,
-    Partition,
-    basis_labels,
-    cells,
-    conjugate,
-    contents,
-    hook_length,
-    lr_coeff,
-    partitions_of,
-    syt_count,
-)
-from .render import parse_scalar, render_scalar, scalar_to_latex
-from .ring import DenomFactor, LaurentPoly, SkeinScalar, all_distinct, delta, exact_div_factor
+from .oracle import PlanarDiagram, build_diagram, homfly_of_diagram
+from .render import parse_scalar, render_scalar
+from .ring import LaurentPoly, SkeinScalar, delta
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ from math import comb, factorial
 from .meridian import plane_eval_product
 from .partitions import (
     BasisLabel,
-    Partition,
     basis_labels,
     label_sort_key,
     lr_coeff,
@@ -30,7 +29,6 @@ __all__ = [
     "BASIS_EIGEN",
     "BASIS_PRODUCT",
     "SkeinVector",
-    "single_multiplicity",
     "pair_multiplicity",
     "monomial_to_eigen",
     "product_to_eigen",
@@ -98,11 +96,6 @@ class SkeinVector:
         return cls(obj["basis"], coeffs)
 
 
-def single_multiplicity(lam: Partition) -> int:
-    """Multiplicity of a single shape in the one-sided string monomial."""
-    return syt_count(tuple(lam))
-
-
 def pair_multiplicity(label: BasisLabel, n1: int, n2: int) -> int:
     """Coefficient of `label` in the expansion of n1 ccw + n2 cw strings.
 
@@ -122,7 +115,7 @@ def monomial_to_eigen(n1: int, n2: int) -> SkeinVector:
     if n1 < 0 or n2 < 0:
         raise ValueError("string counts must be nonnegative")
     coeffs = {
-        label: SkeinScalar.from_int(pair_multiplicity(label, n1, n2))
+        label: SkeinScalar(pair_multiplicity(label, n1, n2))
         for label in basis_labels(n2, n1)
     }
     return SkeinVector(BASIS_EIGEN, coeffs)
@@ -176,7 +169,7 @@ def product_to_eigen(label: BasisLabel) -> SkeinVector:
     leading coefficient 1 on the label itself.
     """
     coeffs = {
-        lab: SkeinScalar.from_int(c) for lab, c in _product_to_eigen_int(label)
+        lab: SkeinScalar(c) for lab, c in _product_to_eigen_int(label)
     }
     return SkeinVector(BASIS_EIGEN, coeffs)
 
@@ -184,7 +177,7 @@ def product_to_eigen(label: BasisLabel) -> SkeinVector:
 def eigen_to_product(label: BasisLabel) -> SkeinVector:
     """Expansion of one eigenbasis element over the product basis."""
     coeffs = {
-        lab: SkeinScalar.from_int(c) for lab, c in _eigen_to_product_int(label)
+        lab: SkeinScalar(c) for lab, c in _eigen_to_product_int(label)
     }
     return SkeinVector(BASIS_PRODUCT, coeffs)
 

@@ -34,16 +34,6 @@ from .ring import all_distinct
 __all__ = ["main", "run"]
 
 
-def _default_cap() -> int:
-    env = os.environ.get("HOPF_MAX_CROSSINGS")
-    if env is None:
-        return DEFAULT_MAX_CROSSINGS
-    try:
-        return int(env)
-    except ValueError:
-        return DEFAULT_MAX_CROSSINGS
-
-
 def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -77,13 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p_oracle.add_mutually_exclusive_group(required=True)
     src.add_argument("--pd", metavar="FILE", help="planar-diagram JSON file")
     src.add_argument("--family", metavar="K1,K2,N1,N2", help="build the standard diagram")
-    p_oracle.add_argument("--max-crossings", type=int, default=None)
+    p_oracle.add_argument("--max-crossings", type=_nonneg, default=None)
     add_format(p_oracle)
 
     p_verify = sub.add_parser("verify", help="closed form vs oracle plus invariants")
     p_verify.add_argument("--max-encircling", type=_nonneg, default=2)
     p_verify.add_argument("--max-core", type=_nonneg, default=3)
-    p_verify.add_argument("--max-crossings", type=int, default=None)
+    p_verify.add_argument("--max-crossings", type=_nonneg, default=None)
 
     p_table = sub.add_parser("table", help="eigenvalue and evaluation table")
     p_table.add_argument("--max-size", type=_nonneg, required=True)
@@ -115,7 +105,6 @@ def _cmd_eval_decoration(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    cap = args.max_crossings if args.max_crossings is not None else _default_cap()
     try:
         if args.pd is not None:
             with open(args.pd, encoding="utf-8") as fh:
@@ -130,7 +119,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        value = homfly_of_diagram(diagram, max_crossings=cap)
+        value = homfly_of_diagram(diagram, max_crossings=args.max_crossings)
     except CrossingLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -149,7 +138,7 @@ def _grid(max_encircling: int, max_core: int) -> list[HopfSpec]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cap = args.max_crossings if args.max_crossings is not None else _default_cap()
+    cap = args.max_crossings
     failures = 0
     memo: dict = {}
     specs = _grid(args.max_encircling, args.max_core)
@@ -239,6 +228,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # An absent --max-crossings falls back to HOPF_MAX_CROSSINGS, then to the default.
+    if getattr(args, "max_crossings", 0) is None:
+        env = os.environ.get("HOPF_MAX_CROSSINGS")
+        try:
+            args.max_crossings = DEFAULT_MAX_CROSSINGS if env is None else _nonneg(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"error: HOPF_MAX_CROSSINGS={env!r} is not a nonnegative integer", file=sys.stderr)
+            return 2
     return _COMMANDS[args.command](args)
 
 

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .basis import monomial_to_eigen, plane_eval_eigen
-from .meridian import ccw_eigenvalue, cw_eigenvalue, plane_eval_single, same_sense_eigenvalue, opposite_sense_eigenvalue
-from .partitions import partitions_of, syt_count
-from .ring import SkeinScalar, delta
+from .meridian import ccw_eigenvalue, cw_eigenvalue
+from .ring import SkeinScalar
 
 __all__ = [
     "HopfSpec",
     "DecorationTerm",
     "Decoration",
-    "homfly_positive",
     "homfly_general",
     "homfly_decorated",
     "SymmetryReport",
@@ -52,26 +50,6 @@ class HopfSpec:
 
     def __str__(self) -> str:
         return f"H({self.k1},{self.k2};{self.n1},{self.n2})"
-
-
-def homfly_positive(k1: int, k2: int, n: int) -> SkeinScalar:
-    """Value for a core of n parallel counterclockwise strings.
-
-    Sum over shapes of size n of the tableau count times both eigenvalue
-    powers times the hook-content evaluation.
-    """
-    if min(k1, k2, n) < 0:
-        raise ValueError("string counts must be nonnegative")
-    out = SkeinScalar.zero()
-    for lam in partitions_of(n):
-        term = (
-            same_sense_eigenvalue(lam) ** k1
-            * opposite_sense_eigenvalue(lam) ** k2
-            * plane_eval_single(lam)
-            * syt_count(lam)
-        )
-        out = out + term
-    return out
 
 
 def homfly_general(spec: HopfSpec) -> SkeinScalar:

@@ -9,24 +9,20 @@ weighted by v^{-1} or -v, plus the unknot value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .partitions import BasisLabel, Partition, cells, contents, hook_length
-from .ring import LaurentPoly, SkeinScalar, delta
+from .ring import Z, LaurentPoly, SkeinScalar, delta
 
 __all__ = [
-    "EigenRecord",
     "ccw_eigenvalue",
     "cw_eigenvalue",
     "same_sense_eigenvalue",
     "opposite_sense_eigenvalue",
     "plane_eval_single",
     "plane_eval_product",
-    "eigen_record",
 ]
 
-_Z = LaurentPoly({(0, 1): 1, (0, -1): -1})  # s - s^{-1}
 _V = LaurentPoly.term(1, v=1)
 _V_INV = LaurentPoly.term(1, v=-1)
 
@@ -43,7 +39,7 @@ def ccw_eigenvalue(label: BasisLabel) -> SkeinScalar:
     (s - s^{-1}) (-v * sum_neg s^{-2c} + v^{-1} * sum_pos s^{2c}) + delta
     """
     lam, mu = label
-    body = _Z * (-(_V * _content_sum(lam, -1)) + _V_INV * _content_sum(mu, +1))
+    body = Z * (-(_V * _content_sum(lam, -1)) + _V_INV * _content_sum(mu, +1))
     return SkeinScalar(body) + delta()
 
 
@@ -54,7 +50,7 @@ def cw_eigenvalue(label: BasisLabel) -> SkeinScalar:
     Equals the counterclockwise eigenvalue of the swapped label.
     """
     lam, mu = label
-    body = _Z * (_V_INV * _content_sum(lam, +1) - _V * _content_sum(mu, -1))
+    body = Z * (_V_INV * _content_sum(lam, +1) - _V * _content_sum(mu, -1))
     return SkeinScalar(body) + delta()
 
 
@@ -79,7 +75,7 @@ def plane_eval_single(lam: Partition) -> SkeinScalar:
     out = SkeinScalar.one()
     for i, j in cells(lam):
         num = LaurentPoly({(-1, j - i): 1, (1, i - j): -1})
-        out = out * SkeinScalar.fraction(num, ((hook_length(lam, i, j), 1),))
+        out = out * SkeinScalar(num, ((hook_length(lam, i, j), 1),))
     return out
 
 
@@ -92,15 +88,3 @@ def plane_eval_product(label: BasisLabel) -> SkeinScalar:
     """
     return plane_eval_single(label.neg) * plane_eval_single(label.pos)
 
-
-@dataclass(frozen=True)
-class EigenRecord:
-    """Both encircling eigenvalues attached to one basis label."""
-
-    label: BasisLabel
-    ccw: SkeinScalar
-    cw: SkeinScalar
-
-
-def eigen_record(label: BasisLabel) -> EigenRecord:
-    return EigenRecord(label, ccw_eigenvalue(label), cw_eigenvalue(label))

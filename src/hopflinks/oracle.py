@@ -32,14 +32,13 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .hopf import HopfSpec
-from .ring import LaurentPoly, SkeinScalar, delta
+from .ring import Z, LaurentPoly, SkeinScalar, delta
 
 __all__ = [
     "MalformedDiagramError",
     "CrossingLimitError",
     "Crossing",
     "PlanarDiagram",
-    "SkeinNodeKey",
     "build_diagram",
     "mirror_diagram",
     "canonical_key",
@@ -48,8 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_CROSSINGS = 16
-
-_Z = LaurentPoly({(0, 1): 1, (0, -1): -1})
 
 
 class MalformedDiagramError(ValueError):
@@ -65,9 +62,6 @@ class Crossing(NamedTuple):
     ends: tuple[int, int, int, int]
 
 
-SkeinNodeKey = tuple
-
-
 def _over_in(sign: int) -> int:
     return 3 if sign > 0 else 1
 
@@ -78,6 +72,11 @@ def _over_out(sign: int) -> int:
 
 def _is_in_position(sign: int, pos: int) -> bool:
     return pos == 0 or pos == _over_in(sign)
+
+
+def _next_arc(cr: Crossing, pos: int) -> int:
+    """The arc leaving `cr` along the strand that entered at `pos`."""
+    return cr.ends[2] if pos == 0 else cr.ends[_over_out(cr.sign)]
 
 
 @dataclass(frozen=True)
@@ -218,14 +217,18 @@ def _components_of_crossings(crossings: tuple[Crossing, ...]) -> dict[int, int]:
     return {ci: find(ci) for ci in range(len(crossings))}
 
 
-def _strand_components(crossings: tuple[Crossing, ...]) -> int:
-    if not crossings:
-        return 0
+def _in_ends(crossings: tuple[Crossing, ...]) -> dict[int, tuple[int, int]]:
+    """Traversal map: each arc to the (crossing, position) it enters."""
     in_end: dict[int, tuple[int, int]] = {}
     for ci, cr in enumerate(crossings):
         in_end[cr.ends[0]] = (ci, 0)
         oi = _over_in(cr.sign)
         in_end[cr.ends[oi]] = (ci, oi)
+    return in_end
+
+
+def _strand_components(crossings: tuple[Crossing, ...]) -> int:
+    in_end = _in_ends(crossings)
     seen: set[int] = set()
     count = 0
     for start in sorted(in_end):
@@ -236,8 +239,7 @@ def _strand_components(crossings: tuple[Crossing, ...]) -> int:
         while arc not in seen:
             seen.add(arc)
             ci, pos = in_end[arc]
-            cr = crossings[ci]
-            arc = cr.ends[2] if pos == 0 else cr.ends[_over_out(cr.sign)]
+            arc = _next_arc(crossings[ci], pos)
     return count
 
 
@@ -385,26 +387,18 @@ def _canonical(crossings: tuple[Crossing, ...]) -> tuple:
     all starting arcs; split components commute, so their encodings are
     sorted.
     """
-    if not crossings:
-        return ()
-    in_end: dict[int, tuple[int, int]] = {}
-    for ci, cr in enumerate(crossings):
-        in_end[cr.ends[0]] = (ci, 0)
-        oi = _over_in(cr.sign)
-        in_end[cr.ends[oi]] = (ci, oi)
+    in_end = _in_ends(crossings)
     comp = _components_of_crossings(crossings)
     arcs_by_comp: dict[int, list[int]] = {}
-    for ci, cr in enumerate(crossings):
-        root = comp[ci]
-        for pos in (0, _over_in(cr.sign)):
-            arcs_by_comp.setdefault(root, []).append(cr.ends[pos])
+    for arc, (ci, _) in in_end.items():
+        arcs_by_comp.setdefault(comp[ci], []).append(arc)
     keys = []
     for root, arcs in arcs_by_comp.items():
         keys.append(min(_encode_from(crossings, in_end, a) for a in sorted(arcs)))
     return tuple(sorted(keys))
 
 
-def canonical_key(diagram: PlanarDiagram) -> SkeinNodeKey:
+def canonical_key(diagram: PlanarDiagram) -> tuple:
     """Memoization key, equal for diagrams that differ only by labeling."""
     return (_canonical(diagram.crossings), diagram.free_loops)
 
@@ -419,11 +413,7 @@ def _first_bad_crossing(crossings: tuple[Crossing, ...]) -> int | None:
     Components are walked in order of their smallest arc id; a diagram
     with no such crossing is descending, hence an unlink.
     """
-    in_end: dict[int, tuple[int, int]] = {}
-    for ci, cr in enumerate(crossings):
-        in_end[cr.ends[0]] = (ci, 0)
-        oi = _over_in(cr.sign)
-        in_end[cr.ends[oi]] = (ci, oi)
+    in_end = _in_ends(crossings)
     seen_arcs: set[int] = set()
     seen_crossings: set[int] = set()
     for start in sorted(in_end):
@@ -433,17 +423,16 @@ def _first_bad_crossing(crossings: tuple[Crossing, ...]) -> int | None:
         while arc not in seen_arcs:
             seen_arcs.add(arc)
             ci, pos = in_end[arc]
-            cr = crossings[ci]
             if ci not in seen_crossings:
                 if pos == 0:
                     return ci
                 seen_crossings.add(ci)
-            arc = cr.ends[2] if pos == 0 else cr.ends[_over_out(cr.sign)]
+            arc = _next_arc(crossings[ci], pos)
     return None
 
 
 def _v_power(n: int) -> SkeinScalar:
-    return SkeinScalar.from_poly(LaurentPoly.term(1, v=n))
+    return SkeinScalar(LaurentPoly.term(1, v=n))
 
 
 def _eval(crossings: tuple[Crossing, ...], memo: dict) -> SkeinScalar:
@@ -461,7 +450,7 @@ def _eval(crossings: tuple[Crossing, ...], memo: dict) -> SkeinScalar:
                 sign = core[bad].sign
                 switched = _switch(core, bad)
                 smoothed, sm_loops = _smooth(core, bad)
-                z_term = SkeinScalar.from_poly(_Z if sign > 0 else -_Z)
+                z_term = SkeinScalar(Z if sign > 0 else -Z)
                 smooth_val = _eval(smoothed, memo) * delta() ** sm_loops
                 result = _eval(switched, memo) + z_term * smooth_val
             memo[key] = result

@@ -1,9 +1,11 @@
 """Text renderings of scalars (plain, LaTeX, canonical JSON) and a
 parser that reads the plain and LaTeX forms back.
 
-The three renderings describe the same canonical value: terms sorted by
-(v-exponent, s-exponent), denominator factors sorted by k.  Parsing a
-rendering therefore reproduces the canonical JSON exactly.
+The plain and LaTeX notations are written by `SkeinScalar.format`; this
+module adds the JSON form and the parser.  The three renderings describe
+the same canonical value: terms sorted by (v-exponent, s-exponent),
+denominator factors sorted by k.  Parsing a rendering therefore
+reproduces the canonical JSON exactly.
 """
 
 from __future__ import annotations
@@ -13,54 +15,16 @@ import re
 
 from .ring import LaurentPoly, SkeinScalar
 
-__all__ = ["FORMATS", "render_scalar", "scalar_to_latex", "scalar_to_json_str", "parse_scalar"]
+__all__ = ["FORMATS", "render_scalar", "parse_scalar"]
 
 FORMATS = ("plain", "json", "latex")
 
 
-def scalar_to_json_str(x: SkeinScalar) -> str:
-    return json.dumps(x.to_json(), separators=(",", ":"))
-
-
-def _poly_to_latex(p: LaurentPoly) -> str:
-    if p.is_zero:
-        return "0"
-    chunks: list[str] = []
-    for ev, es, c in p.terms():
-        factors = []
-        if ev:
-            factors.append("v" if ev == 1 else f"v^{{{ev}}}")
-        if es:
-            factors.append("s" if es == 1 else f"s^{{{es}}}")
-        mag = abs(c)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = " ".join(factors)
-        if not chunks:
-            chunks.append(f"-{body}" if c < 0 else body)
-        else:
-            chunks.append(f"- {body}" if c < 0 else f"+ {body}")
-    return " ".join(chunks)
-
-
-def scalar_to_latex(x: SkeinScalar) -> str:
-    num = _poly_to_latex(x.num)
-    if not x.den:
-        return num
-    factors = []
-    for k, mult in x.den:
-        base = f"(s^{{{k}}} - s^{{-{k}}})" if k != 1 else "(s - s^{-1})"
-        factors.append(base if mult == 1 else f"{base}^{{{mult}}}")
-    return f"\\frac{{{num}}}{{{' '.join(factors)}}}"
-
-
 def render_scalar(x: SkeinScalar, fmt: str = "plain") -> str:
-    if fmt == "plain":
-        return str(x)
-    if fmt == "latex":
-        return scalar_to_latex(x)
     if fmt == "json":
-        return scalar_to_json_str(x)
+        return json.dumps(x.to_json(), separators=(",", ":"))
+    if fmt in FORMATS:
+        return x.format(fmt)
     raise ValueError(f"unknown output format {fmt!r}")
 
 
@@ -214,4 +178,4 @@ def parse_scalar(text: str) -> SkeinScalar:
         parser.take(")")
     if parser.peek() is not None:
         raise ValueError(f"trailing input near {parser.peek()!r}")
-    return SkeinScalar.fraction(num, factors)
+    return SkeinScalar(num, factors)

@@ -20,12 +20,22 @@ __all__ = [
     "LaurentPoly",
     "DenomFactor",
     "SkeinScalar",
+    "Z",
     "delta",
-    "exact_div_factor",
     "all_distinct",
 ]
 
 ExponentPair = tuple[int, int]  # (exponent of v, exponent of s)
+
+# Per style: exponent, factor joiner, fraction, denominator joiner.
+_STYLES = {
+    "plain": ("^{}", "*", "({}) / ({})", " * "),
+    "latex": ("^{{{}}}", " ", "\\frac{{{}}}{{{}}}", " "),
+}
+
+
+def _power(base: str, exp: int, style: str) -> str:
+    return base if exp == 1 else base + _STYLES[style][0].format(exp)
 
 
 class LaurentPoly:
@@ -206,32 +216,36 @@ class LaurentPoly:
     def from_json(cls, obj: Iterable[dict[str, int]]) -> "LaurentPoly":
         return cls({(int(t["v"]), int(t["s"])): int(t["c"]) for t in obj})
 
-    def __str__(self) -> str:
+    def format(self, style: str = "plain") -> str:
+        """Terms in canonical order, in `plain` or `latex` notation."""
         if self.is_zero:
             return "0"
         chunks: list[str] = []
         for ev, es, c in self.terms():
             factors: list[str] = []
             if ev:
-                factors.append("v" if ev == 1 else f"v^{ev}")
+                factors.append(_power("v", ev, style))
             if es:
-                factors.append("s" if es == 1 else f"s^{es}")
+                factors.append(_power("s", es, style))
             mag = abs(c)
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
-            body = "*".join(factors)
+            body = _STYLES[style][1].join(factors)
             if not chunks:
                 chunks.append(f"-{body}" if c < 0 else body)
             else:
                 chunks.append(f"- {body}" if c < 0 else f"+ {body}")
         return " ".join(chunks)
 
-    __repr__ = __str__
+    __str__ = __repr__ = format
 
 
 def _s_binomial(k: int) -> LaurentPoly:
     """The denominator factor s^k - s^{-k}."""
     return LaurentPoly({(0, k): 1, (0, -k): -1})
+
+
+Z = _s_binomial(1)  # z = s - s^{-1}, the factor of the crossing exchange
 
 
 class DenomFactor(NamedTuple):
@@ -294,23 +308,6 @@ class SkeinScalar:
     @classmethod
     def one(cls) -> "SkeinScalar":
         return cls(LaurentPoly.one())
-
-    @classmethod
-    def from_int(cls, n: int) -> "SkeinScalar":
-        return cls(LaurentPoly.term(n))
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "SkeinScalar":
-        return cls(p)
-
-    @classmethod
-    def fraction(cls, num: LaurentPoly | int, den: Iterable[tuple[int, int]]) -> "SkeinScalar":
-        return cls(num, den)
-
-    @classmethod
-    def delta(cls) -> "SkeinScalar":
-        """Value of one null-homotopic loop: (v^{-1} - v) / (s - s^{-1})."""
-        return cls(LaurentPoly({(-1, 0): 1, (1, 0): -1}), ((1, 1),))
 
     # -- queries -------------------------------------------------------
 
@@ -391,10 +388,6 @@ class SkeinScalar:
             n >>= 1
         return result
 
-    def simplify(self) -> "SkeinScalar":
-        """Reduced form of this scalar (values are kept reduced already)."""
-        return SkeinScalar(self._num, self._den)
-
     # -- substitutions ---------------------------------------------------
 
     def mirror(self) -> "SkeinScalar":
@@ -430,26 +423,24 @@ class SkeinScalar:
         den = [(int(f["k"]), int(f["mult"])) for f in obj["den"]]
         return cls(num, den)
 
-    def __str__(self) -> str:
+    def format(self, style: str = "plain") -> str:
+        """Numerator over the factored denominator, in `plain` or `latex` notation."""
+        num = self._num.format(style)
         if not self._den:
-            return str(self._num)
+            return num
+        _, _, fraction, joiner = _STYLES[style]
         parts = []
         for k, mult in self._den:
-            base = "(s - s^-1)" if k == 1 else f"(s^{k} - s^-{k})"
-            parts.append(base if mult == 1 else f"{base}^{mult}")
-        return f"({self._num}) / ({' * '.join(parts)})"
+            base = f"({_power('s', k, style)} - {_power('s', -k, style)})"
+            parts.append(_power(base, mult, style))
+        return fraction.format(num, joiner.join(parts))
 
-    __repr__ = __str__
+    __str__ = __repr__ = format
 
 
 def delta() -> SkeinScalar:
-    """Scalar assigned to a single crossing-free loop."""
-    return SkeinScalar.delta()
-
-
-def exact_div_factor(p: LaurentPoly, k: int) -> LaurentPoly | None:
-    """Exact quotient of p by s^k - s^{-k}, or None when not divisible."""
-    return p.exact_div_factor(k)
+    """Value of one null-homotopic loop: (v^{-1} - v) / (s - s^{-1})."""
+    return SkeinScalar(LaurentPoly({(-1, 0): 1, (1, 0): -1}), ((1, 1),))
 
 
 def all_distinct(values: Iterable[SkeinScalar]) -> bool:

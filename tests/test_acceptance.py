@@ -78,17 +78,17 @@ def test_criterion_3_worked_example():
     with Budget(5.0, "3 worked example"):
         d = delta()
         # the six eigenvalues, transcribed by hand
-        t1 = SkeinScalar.from_poly(mono(-1, v=1) * Z) + d
-        t21 = SkeinScalar.from_poly(Z * (-(mono(1, v=1) * (mono(1) + mono(1, s=-2))) + mono(1, v=-1))) + d
-        t11 = SkeinScalar.from_poly(Z * (-(mono(1, v=1) * (mono(1) + mono(1, s=2))) + mono(1, v=-1))) + d
-        tb1 = SkeinScalar.from_poly(mono(1, v=-1) * Z) + d
-        tb21 = SkeinScalar.from_poly(Z * (mono(1, v=-1) * (mono(1) + mono(1, s=2)) - mono(1, v=1))) + d
-        tb11 = SkeinScalar.from_poly(Z * (mono(1, v=-1) * (mono(1) + mono(1, s=-2)) - mono(1, v=1))) + d
+        t1 = SkeinScalar(mono(-1, v=1) * Z) + d
+        t21 = SkeinScalar(Z * (-(mono(1, v=1) * (mono(1) + mono(1, s=-2))) + mono(1, v=-1))) + d
+        t11 = SkeinScalar(Z * (-(mono(1, v=1) * (mono(1) + mono(1, s=2))) + mono(1, v=-1))) + d
+        tb1 = SkeinScalar(mono(1, v=-1) * Z) + d
+        tb21 = SkeinScalar(Z * (mono(1, v=-1) * (mono(1) + mono(1, s=2)) - mono(1, v=1))) + d
+        tb11 = SkeinScalar(Z * (mono(1, v=-1) * (mono(1) + mono(1, s=-2)) - mono(1, v=1))) + d
         # the three plane evaluations, transcribed by hand
         pq1 = d
-        head = SkeinScalar.fraction(mono(1, v=-1) - mono(1, v=1), ((2, 1),))
-        pq21 = head * SkeinScalar.fraction(mono(1, v=-1, s=1) - mono(1, v=1, s=-1), ((1, 1),)) * d
-        pq11 = head * SkeinScalar.fraction(mono(1, v=-1, s=-1) - mono(1, v=1, s=1), ((1, 1),)) * d
+        head = SkeinScalar(mono(1, v=-1) - mono(1, v=1), ((2, 1),))
+        pq21 = head * SkeinScalar(mono(1, v=-1, s=1) - mono(1, v=1, s=-1), ((1, 1),)) * d
+        pq11 = head * SkeinScalar(mono(1, v=-1, s=-1) - mono(1, v=1, s=1), ((1, 1),)) * d
 
         def hand_value(k1, k2):
             a = t21 ** k1 * tb21 ** k2
@@ -143,9 +143,9 @@ def test_criterion_7_counting():
         assert len(basis_labels(3, 2)) == 9
         expansion = {lab: c for lab, c in monomial_to_eigen(1, 2).items()}
         assert expansion == {
-            BasisLabel((2,), (1,)): SkeinScalar.from_int(1),
-            BasisLabel((1,), ()): SkeinScalar.from_int(2),
-            BasisLabel((1, 1), (1,)): SkeinScalar.from_int(1),
+            BasisLabel((2,), (1,)): SkeinScalar(1),
+            BasisLabel((1,), ()): SkeinScalar(2),
+            BasisLabel((1, 1), (1,)): SkeinScalar(1),
         }
 
 
@@ -171,8 +171,8 @@ def test_criterion_8_oracle_soundness():
                 braid_closure(strands, right)
             )
         # curl factors
-        v = SkeinScalar.from_poly(mono(1, v=1))
-        v_inv = SkeinScalar.from_poly(mono(1, v=-1))
+        v = SkeinScalar(mono(1, v=1))
+        v_inv = SkeinScalar(mono(1, v=-1))
         base = build_diagram(HopfSpec(1, 0, 1, 1))
         value = homfly_of_diagram(base, memo=_shared_memo)
         arc = base.crossings[0].ends[0]

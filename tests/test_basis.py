@@ -9,7 +9,6 @@ from hopflinks.basis import (
     pair_multiplicity,
     plane_eval_eigen,
     product_to_eigen,
-    single_multiplicity,
 )
 from hopflinks.meridian import plane_eval_product, plane_eval_single
 from hopflinks.partitions import BasisLabel, basis_labels, conjugate, partitions_of
@@ -32,12 +31,6 @@ def as_int_dict(vec):
 
 # -- multiplicities ---------------------------------------------------------
 
-def test_single_multiplicity_values():
-    assert single_multiplicity((1,)) == 1
-    assert single_multiplicity((2, 1)) == 2
-    assert single_multiplicity((3,)) == 1
-
-
 def test_pair_multiplicity_worked_example():
     assert pair_multiplicity(BasisLabel((1,), ()), 1, 2) == 2
     assert pair_multiplicity(BasisLabel((2,), (1,)), 1, 2) == 1
@@ -57,21 +50,21 @@ def test_monomial_expansion_worked_example():
     vec = monomial_to_eigen(1, 2)
     assert vec.basis == BASIS_EIGEN
     assert as_int_dict(vec) == {
-        BasisLabel((2,), (1,)): SkeinScalar.from_int(1),
-        BasisLabel((1,), ()): SkeinScalar.from_int(2),
-        BasisLabel((1, 1), (1,)): SkeinScalar.from_int(1),
+        BasisLabel((2,), (1,)): SkeinScalar(1),
+        BasisLabel((1,), ()): SkeinScalar(2),
+        BasisLabel((1, 1), (1,)): SkeinScalar(1),
     }
 
 
 def test_monomial_expansion_single_string():
     assert as_int_dict(monomial_to_eigen(1, 0)) == {
-        BasisLabel((), (1,)): SkeinScalar.from_int(1)
+        BasisLabel((), (1,)): SkeinScalar(1)
     }
 
 
 def test_monomial_expansion_empty():
     assert as_int_dict(monomial_to_eigen(0, 0)) == {
-        BasisLabel((), ()): SkeinScalar.from_int(1)
+        BasisLabel((), ()): SkeinScalar(1)
     }
 
 
@@ -84,31 +77,31 @@ def test_monomial_expansion_rejects_negative():
 
 def test_product_to_eigen_single_box():
     vec = product_to_eigen(BasisLabel((1,), ()))
-    assert as_int_dict(vec) == {BasisLabel((1,), ()): SkeinScalar.from_int(1)}
+    assert as_int_dict(vec) == {BasisLabel((1,), ()): SkeinScalar(1)}
 
 
 def test_product_to_eigen_worked_examples():
     assert as_int_dict(product_to_eigen(BasisLabel((2,), (1,)))) == {
-        BasisLabel((2,), (1,)): SkeinScalar.from_int(1),
-        BasisLabel((1,), ()): SkeinScalar.from_int(1),
+        BasisLabel((2,), (1,)): SkeinScalar(1),
+        BasisLabel((1,), ()): SkeinScalar(1),
     }
     assert as_int_dict(product_to_eigen(BasisLabel((1, 1), (1,)))) == {
-        BasisLabel((1, 1), (1,)): SkeinScalar.from_int(1),
-        BasisLabel((1,), ()): SkeinScalar.from_int(1),
+        BasisLabel((1, 1), (1,)): SkeinScalar(1),
+        BasisLabel((1,), ()): SkeinScalar(1),
     }
 
 
 def test_eigen_to_product_worked_examples():
     assert as_int_dict(eigen_to_product(BasisLabel((1,), ()))) == {
-        BasisLabel((1,), ()): SkeinScalar.from_int(1)
+        BasisLabel((1,), ()): SkeinScalar(1)
     }
     assert as_int_dict(eigen_to_product(BasisLabel((2,), (1,)))) == {
-        BasisLabel((2,), (1,)): SkeinScalar.from_int(1),
-        BasisLabel((1,), ()): SkeinScalar.from_int(-1),
+        BasisLabel((2,), (1,)): SkeinScalar(1),
+        BasisLabel((1,), ()): SkeinScalar(-1),
     }
     assert as_int_dict(eigen_to_product(BasisLabel((1, 1), (1,)))) == {
-        BasisLabel((1, 1), (1,)): SkeinScalar.from_int(1),
-        BasisLabel((1,), ()): SkeinScalar.from_int(-1),
+        BasisLabel((1, 1), (1,)): SkeinScalar(1),
+        BasisLabel((1,), ()): SkeinScalar(-1),
     }
 
 
@@ -127,7 +120,7 @@ def test_unitriangularity():
     for label in all_labels(4):
         vec = product_to_eigen(label)
         coeffs = as_int_dict(vec)
-        assert coeffs[label] == SkeinScalar.from_int(1)
+        assert coeffs[label] == SkeinScalar(1)
         for other in coeffs:
             if other != label:
                 assert sum(other.neg) < sum(label.neg)

@@ -212,6 +212,22 @@ def test_verify_skips_over_cap(capsys):
     assert "SKIP  H(2,1;1,2): 18 crossings exceed cap 16" in out
 
 
+def test_verify_rejects_negative_cap(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-crossings", "-1")
+    assert code == 2
+    assert "all checks passed" not in out
+    assert "--max-crossings" in err
+
+
+@pytest.mark.parametrize("env", ["-3", "abc"])
+def test_verify_rejects_bad_cap_env_var(capsys, monkeypatch, env):
+    monkeypatch.setenv("HOPF_MAX_CROSSINGS", env)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: HOPF_MAX_CROSSINGS")
+
+
 def test_verify_detects_injected_eigenvalue_error(capsys, monkeypatch):
     healthy = hopf_module.ccw_eigenvalue
 
@@ -245,7 +261,7 @@ def test_table_single_box_row(capsys):
     assert len(rows) == 4
     by_label = {(tuple(r["label"]["neg"]), tuple(r["label"]["pos"])): r for r in rows}
     row = by_label[((1,), ())]
-    expected_t = SkeinScalar.from_poly(
+    expected_t = SkeinScalar(
         LaurentPoly.term(-1, v=1) * LaurentPoly({(0, 1): 1, (0, -1): -1})
     ) + delta()
     assert SkeinScalar.from_json(row["t"]) == expected_t

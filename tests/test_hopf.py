@@ -7,8 +7,9 @@ from hopflinks.hopf import (
     check_symmetries,
     homfly_decorated,
     homfly_general,
-    homfly_positive,
 )
+from hopflinks.meridian import opposite_sense_eigenvalue, plane_eval_single, same_sense_eigenvalue
+from hopflinks.partitions import partitions_of, syt_count
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
 
 
@@ -31,6 +32,25 @@ def test_spec_validates():
 
 
 # -- one-sided closed form ------------------------------------------------------
+
+def homfly_positive(k1: int, k2: int, n: int) -> SkeinScalar:
+    """The paper's positive-core formula: a core of n counterclockwise strings.
+
+    Sum over shapes of size n of the tableau count times both eigenvalue
+    powers times the hook-content evaluation.  Kept here as the reference
+    that the two-sided pipeline is checked against.
+    """
+    out = SkeinScalar.zero()
+    for lam in partitions_of(n):
+        term = (
+            same_sense_eigenvalue(lam) ** k1
+            * opposite_sense_eigenvalue(lam) ** k2
+            * plane_eval_single(lam)
+            * syt_count(lam)
+        )
+        out = out + term
+    return out
+
 
 def test_unlink_core_only():
     for n in range(5):
@@ -97,10 +117,10 @@ def test_decoration_scalar_coefficients():
     dec = Decoration(
         (
             DecorationTerm(delta(), 1, 0),
-            DecorationTerm(SkeinScalar.from_int(-3), 2, 1),
+            DecorationTerm(SkeinScalar(-3), 2, 1),
         )
     )
-    expected = delta() * homfly_general(HopfSpec(1, 2, 1, 0)) + SkeinScalar.from_int(
+    expected = delta() * homfly_general(HopfSpec(1, 2, 1, 0)) + SkeinScalar(
         -3
     ) * homfly_general(HopfSpec(1, 2, 2, 1))
     assert homfly_decorated(1, 2, dec) == expected
@@ -122,7 +142,7 @@ def test_decoration_json_round_trip():
     dec = Decoration(
         (
             DecorationTerm(delta(), 1, 2),
-            DecorationTerm(SkeinScalar.from_int(2), 0, 0),
+            DecorationTerm(SkeinScalar(2), 0, 0),
         )
     )
     assert Decoration.from_json(dec.to_json()) == dec

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 from hopflinks.meridian import (
     ccw_eigenvalue,
     cw_eigenvalue,
-    eigen_record,
     opposite_sense_eigenvalue,
     plane_eval_product,
     plane_eval_single,
@@ -21,7 +20,7 @@ Z = LaurentPoly({(0, 1): 1, (0, -1): -1})
 
 
 def scal(p):
-    return SkeinScalar.from_poly(p)
+    return SkeinScalar(p)
 
 
 def all_labels(max_size):
@@ -139,7 +138,7 @@ def test_plane_eval_single_box_is_delta():
 
 
 def test_plane_eval_two_box_row():
-    expected = SkeinScalar.fraction(mono(1, v=-1) - mono(1, v=1), ((2, 1),)) * SkeinScalar.fraction(
+    expected = SkeinScalar(mono(1, v=-1) - mono(1, v=1), ((2, 1),)) * SkeinScalar(
         mono(1, v=-1, s=1) - mono(1, v=1, s=-1), ((1, 1),)
     )
     assert plane_eval_single((2,)) == expected
@@ -152,11 +151,11 @@ def test_plane_eval_product_factorizes():
 
 
 def test_plane_eval_worked_example_values():
-    base = SkeinScalar.fraction(mono(1, v=-1) - mono(1, v=1), ((2, 1),))
-    assert plane_eval_product(BasisLabel((2,), (1,))) == base * SkeinScalar.fraction(
+    base = SkeinScalar(mono(1, v=-1) - mono(1, v=1), ((2, 1),))
+    assert plane_eval_product(BasisLabel((2,), (1,))) == base * SkeinScalar(
         mono(1, v=-1, s=1) - mono(1, v=1, s=-1), ((1, 1),)
     ) * delta()
-    assert plane_eval_product(BasisLabel((1, 1), (1,))) == base * SkeinScalar.fraction(
+    assert plane_eval_product(BasisLabel((1, 1), (1,))) == base * SkeinScalar(
         mono(1, v=-1, s=-1) - mono(1, v=1, s=1), ((1, 1),)
     ) * delta()
 
@@ -170,13 +169,3 @@ def test_plane_eval_conjugation_swaps_s():
         for lam in partitions_of(n):
             sign = -1 if n % 2 else 1
             assert plane_eval_single(conjugate(lam)) == plane_eval_single(lam).s_inverse() * sign
-
-
-# -- records -----------------------------------------------------------------------------
-
-def test_eigen_record_bundles_both_values():
-    lab = BasisLabel((2,), (1,))
-    rec = eigen_record(lab)
-    assert rec.label == lab
-    assert rec.ccw == ccw_eigenvalue(lab)
-    assert rec.cw == ccw_eigenvalue(BasisLabel(lab.pos, lab.neg))

@@ -21,7 +21,7 @@ def mono(c, v=0, s=0):
     return LaurentPoly.term(c, v, s)
 
 
-Z_SCALAR = SkeinScalar.from_poly(LaurentPoly({(0, 1): 1, (0, -1): -1}))
+Z_SCALAR = SkeinScalar(LaurentPoly({(0, 1): 1, (0, -1): -1}))
 H_PLUS = delta() ** 2 + mono(1, v=-2) - 1
 H_MINUS = delta() ** 2 + mono(1, v=2) - 1
 
@@ -127,22 +127,22 @@ def test_hopf_values():
 
 def test_positive_kink_value():
     kinked = braid_closure(2, [1])  # one-crossing unknot diagram, writhe +1
-    assert homfly_of_diagram(kinked) == SkeinScalar.from_poly(mono(1, v=-1)) * delta()
+    assert homfly_of_diagram(kinked) == SkeinScalar(mono(1, v=-1)) * delta()
 
 
 def test_trefoil_value_from_one_skein_step():
     # switching one crossing of the closed 3-braid leaves a reducible
     # clasp, smoothing it leaves the Hopf diagram; frozen accordingly
     trefoil = braid_closure(2, [1, 1, 1])
-    expected = SkeinScalar.from_poly(mono(1, v=-1)) * delta() + Z_SCALAR * H_PLUS
+    expected = SkeinScalar(mono(1, v=-1)) * delta() + Z_SCALAR * H_PLUS
     assert homfly_of_diagram(trefoil) == expected
 
 
 # -- curl behaviour ----------------------------------------------------------------------
 
 def test_added_curls_multiply_by_v_powers():
-    v = SkeinScalar.from_poly(mono(1, v=1))
-    v_inv = SkeinScalar.from_poly(mono(1, v=-1))
+    v = SkeinScalar(mono(1, v=1))
+    v_inv = SkeinScalar(mono(1, v=-1))
     for base in [HOPF, build_diagram(HopfSpec(1, 0, 1, 1)), braid_closure(2, [1, 1, 1])]:
         value = homfly_of_diagram(base)
         arc = base.crossings[0].ends[0]
