@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .basis import monomial_to_eigen, plane_eval_eigen
 from .meridian import ccw_eigenvalue, cw_eigenvalue
-from .ring import SkeinScalar
+from .ring import SkeinScalar, json_int
 
 __all__ = [
     "HopfSpec",
@@ -96,7 +96,7 @@ class Decoration:
     @classmethod
     def from_json(cls, obj: list) -> "Decoration":
         terms = tuple(
-            DecorationTerm(SkeinScalar.from_json(t["coeff"]), int(t["a"]), int(t["b"]))
+            DecorationTerm(SkeinScalar.from_json(t["coeff"]), json_int(t, "a"), json_int(t, "b"))
             for t in obj
         )
         return cls(terms)

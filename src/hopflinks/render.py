@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 
-from .ring import LaurentPoly, SkeinScalar
+from .ring import MAX_EXPONENT, LaurentPoly, SkeinScalar
 
 __all__ = ["FORMATS", "render_scalar", "parse_scalar"]
 
@@ -113,7 +113,12 @@ class _Parser:
             inner = self.parse_sum()
             self.take(")")
             if self.peek() == "^":
-                inner = inner ** self._exponent()
+                n = self._exponent()
+                # The power's exponents and coefficient bits grow n-fold.
+                size = max((max(abs(ev), abs(es), c.bit_length()) for ev, es, c in inner.terms()), default=0)
+                if n * size > MAX_EXPONENT:
+                    raise ValueError(f"power of a group exceeds the exponent bound {MAX_EXPONENT}")
+                inner = inner ** n
             return inner
         if tok in ("v", "s"):
             self.take()
@@ -130,7 +135,10 @@ class _Parser:
         if self.peek() == "-":
             self.take()
             sign = -1
-        return sign * int(self.take())
+        value = int(self.take())
+        if value > MAX_EXPONENT:
+            raise ValueError(f"exponent {value} exceeds the bound {MAX_EXPONENT}")
+        return sign * value
 
 
 def _extract_factor(p: LaurentPoly) -> int:
@@ -176,6 +184,8 @@ def parse_scalar(text: str) -> SkeinScalar:
                 continue
             break
         parser.take(")")
+        if sum(k * mult for k, mult in factors) > MAX_EXPONENT:
+            raise ValueError(f"denominator degree exceeds the bound {MAX_EXPONENT}")
     if parser.peek() is not None:
         raise ValueError(f"trailing input near {parser.peek()!r}")
     return SkeinScalar(num, factors)

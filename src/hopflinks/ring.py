@@ -21,11 +21,21 @@ __all__ = [
     "DenomFactor",
     "SkeinScalar",
     "Z",
+    "MAX_EXPONENT",
     "delta",
     "all_distinct",
 ]
 
 ExponentPair = tuple[int, int]  # (exponent of v, exponent of s)
+
+# Largest |exponent| accepted from outside: in a loaded or parsed
+# polynomial and in the expansion of a loaded denominator.  A packed row
+# stores every slot of its s-span, so the bound caps its length.
+MAX_EXPONENT = 4096
+
+# Slot widths run 48, 96, 192, ... bits, so operands rarely differ in width.
+# Closed-form coefficients up to 7 core strings stay below 2^24.
+_BASE_WIDTH = 48
 
 # Per style: exponent, factor joiner, fraction, denominator joiner.
 _STYLES = {
@@ -38,35 +48,99 @@ def _power(base: str, exp: int, style: str) -> str:
     return base if exp == 1 else base + _STYLES[style][0].format(exp)
 
 
+def json_int(obj: dict, key: str, limit: int | None = None) -> int:
+    """Field `key` of a JSON object: an int (not a bool), at most `limit` in size."""
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    if limit is not None and abs(value) > limit:
+        raise ValueError(f"field {key!r} = {value} exceeds the bound {limit}")
+    return value
+
+
+def _width(bits: int) -> int:
+    """Narrowest slot width w > bits, so it holds coefficients with |c| < 2^bits."""
+    return _BASE_WIDTH << (bits // _BASE_WIDTH).bit_length()
+
+
+def _repeat(value: int, w: int, n: int) -> int:
+    """`value` in each of n slots of w bits."""
+    return int.from_bytes(value.to_bytes(w >> 3, "little") * n, "little")
+
+
+def _pack(coeffs: list[int], w: int) -> int:
+    """Sum of c_j * 2^(w*j); every |c_j| must be below 2^(w-1)."""
+    step = w >> 3
+    raw = int.from_bytes(b"".join(c.to_bytes(step, "little", signed=True) for c in coeffs), "little")
+    half = _repeat(1 << (w - 1), w, len(coeffs))
+    return (raw ^ half) - half
+
+
+def _unpack(row: int, w: int) -> list[int]:
+    """The slot coefficients of a packed row, lowest first."""
+    step = w >> 3
+    n = row.bit_length() // w + 1  # exact while every |c| < 2^(w-1)
+    half = _repeat(1 << (w - 1), w, n)
+    data = ((row + half) ^ half).to_bytes(n * step, "little")
+    return [int.from_bytes(data[i : i + step], "little", signed=True) for i in range(0, n * step, step)]
+
+
+def _within(row: int, w: int, bits: int) -> bool:
+    """Mask test: True iff every slot c of the row has -2^(bits-1) <= c < 2^(bits-1)."""
+    n = row.bit_length() // w + 1
+    high = ((1 << w) - 1) ^ ((1 << bits) - 1)
+    return not (row + _repeat(1 << (bits - 1), w, n)) & _repeat(high, w, n)
+
+
+def _trim(lo: int, row: int, w: int) -> tuple[int, int]:
+    """Drop zero slots below the lowest nonzero coefficient."""
+    if row & ((1 << w) - 1):
+        return lo, row
+    slots = ((row & -row).bit_length() - 1) // w
+    return lo + slots, row >> (w * slots)
+
+
+def _new(rows: dict[int, tuple[int, int]], w: int, bits: int) -> "LaurentPoly":
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._rows, p._w, p._bits = rows, w, bits
+    return p
+
+
 class LaurentPoly:
     """Integer-coefficient Laurent polynomial in the variables v and s.
 
-    Canonical form: at most one stored term per exponent pair, never with
-    coefficient zero.  Coefficients are plain Python ints, so they grow
-    without overflow.
+    One packed row per v-exponent (Kronecker substitution): `_rows[ev] =
+    (lo, R)`, lo the lowest s-exponent with a nonzero coefficient and
+    R = sum c_j * 2^(w*j) with the coefficient of s^(lo+j) as signed
+    digit j.  Exactness rests on `_bits`, a certified |c| < 2^_bits <=
+    2^(w-1): before an operation whose result could leave the slots, the
+    bound is tightened by mask tests and, failing that, the operands are
+    re-encoded at a wider w.  Tightening only ever writes a valid bound,
+    so values stay safe to share between threads.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_rows", "_w", "_bits")
 
     def __init__(self, terms: dict[ExponentPair, int] | Iterable[tuple[ExponentPair, int]] | None = None):
-        data: dict[ExponentPair, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (ev, es), c in items:
-                c = int(c)
-                if not c:
-                    continue
-                key = (int(ev), int(es))
-                c += data.pop(key, 0)
-                if c:
-                    data[key] = c
-        self._terms = data
+        flat: dict[ExponentPair, int] = {}
+        for key, c in terms.items() if isinstance(terms, dict) else terms or ():
+            flat[key] = flat.get(key, 0) + c
+        data: dict[int, dict[int, int]] = {}
+        for (ev, es), c in flat.items():
+            if c:
+                data.setdefault(ev, {})[es] = c
+        self._bits = max((abs(c).bit_length() for row in data.values() for c in row.values()), default=0)
+        self._w = _width(self._bits)
+        self._rows = {
+            ev: (min(row), _pack([row.get(es, 0) for es in range(min(row), max(row) + 1)], self._w))
+            for ev, row in data.items()
+        }
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _new({}, _BASE_WIDTH, 0)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -75,75 +149,118 @@ class LaurentPoly:
     @classmethod
     def term(cls, coeff: int, v: int = 0, s: int = 0) -> "LaurentPoly":
         """The single term coeff * v^v * s^s."""
-        return cls({(v, s): coeff})
+        if not coeff:
+            return cls.zero()
+        bits = abs(coeff).bit_length()
+        return _new({v: (s, coeff)}, _width(bits), bits)
+
+    # -- packed rows ---------------------------------------------------
+
+    def _at(self, w: int) -> dict[int, tuple[int, int]]:
+        """The rows re-encoded at slot width w >= self._w."""
+        if w == self._w:
+            return self._rows
+        return {ev: (lo, _pack(_unpack(row, self._w), w)) for ev, (lo, row) in self._rows.items()}
+
+    def _fit(self) -> int:
+        """Tighten the bound to the first multiple of 8 bits the mask tests prove."""
+        for bits in range(8, self._bits, 8):
+            if all(_within(row, self._w, bits) for _, row in self._rows.values()):
+                self._bits = bits
+                break
+        return self._bits
+
+    def _slots(self) -> int:
+        """Upper bound on the number of stored slots."""
+        return sum(row.bit_length() for _, row in self._rows.values()) // self._w + len(self._rows)
 
     # -- basic queries -----------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._rows
 
     def terms(self) -> list[tuple[int, int, int]]:
         """Sorted (ev, es, coeff) triples; the canonical serialization order."""
-        return [(ev, es, c) for (ev, es), c in sorted(self._terms.items())]
+        out = []
+        for ev in sorted(self._rows):
+            lo, row = self._rows[ev]
+            out.extend((ev, lo + j, c) for j, c in enumerate(_unpack(row, self._w)) if c)
+        return out
 
     def coefficient(self, v: int = 0, s: int = 0) -> int:
-        return self._terms.get((v, s), 0)
+        return next((c for ev, es, c in self.terms() if (ev, es) == (v, s)), 0)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._rows)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = LaurentPoly.term(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        w = max(self._w, other._w)
+        return self._at(w) == other._at(w)
 
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly.term(other)
-        if not isinstance(other, LaurentPoly):
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            c += out.pop(key, 0)
-            if c:
-                out[key] = c
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+        w = max(self._w, other._w)
+        bits = max(self._bits, other._bits) + 1
+        if bits >= w:
+            bits = max(self._fit(), other._fit()) + 1
+            w = max(w, _width(bits))
+        out = dict(self._at(w))
+        for ev, (lo, row) in other._at(w).items():
+            lo0, row0 = out.pop(ev, (lo, 0))
+            base = min(lo, lo0)
+            total = (row0 << (w * (lo0 - base))) + (row << (w * (lo - base)))
+            if total:
+                out[ev] = _trim(base, total, w)
+        return _new(out, w, bits)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {k: -c for k, c in self._terms.items()}
-        return res
+        return _new({ev: (lo, -row) for ev, (lo, row) in self._rows.items()}, self._w, self._bits)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return self + (-other if isinstance(other, LaurentPoly) else -LaurentPoly.term(other))
+        return self + -other if isinstance(other, (int, LaurentPoly)) else NotImplemented
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly.term(other) - self
+        return LaurentPoly.term(other) - self if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly.term(other)
-        if not isinstance(other, LaurentPoly):
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[ExponentPair, int] = {}
-        for (av, as_), ac in self._terms.items():
-            for (bv, bs), bc in other._terms.items():
-                key = (av + bv, as_ + bs)
-                c = out.pop(key, 0) + ac * bc
-                if c:
-                    out[key] = c
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+        if not self._rows or not other._rows:
+            return LaurentPoly.zero()
+        # A product coefficient sums at most as many terms as either factor has slots.
+        spread = (min(self, other, key=lambda p: len(p._rows))._slots() - 1).bit_length()
+        w = max(self._w, other._w)
+        bits = self._bits + other._bits + spread
+        if bits >= w:
+            bits = self._fit() + other._fit() + spread
+            w = max(w, _width(bits))
+        b = [(eb, lb, rb) for eb, (lb, rb) in other._at(w).items()]
+        acc: dict[int, list[int]] = {}  # ev -> [lo, row]
+        for ea, (la, ra) in self._at(w).items():
+            for eb, lb, rb in b:
+                lo, part = la + lb, ra * rb
+                cur = acc.get(ea + eb)
+                if cur is None:
+                    acc[ea + eb] = [lo, part]
+                elif lo >= cur[0]:
+                    cur[1] += part << (w * (lo - cur[0]))
+                else:
+                    cur[:] = lo, (cur[1] << (w * (cur[0] - lo))) + part
+        return _new({ev: _trim(lo, row, w) for ev, (lo, row) in acc.items() if row}, w, bits)
 
     __rmul__ = __mul__
 
@@ -163,49 +280,46 @@ class LaurentPoly:
 
     def mirror(self) -> "LaurentPoly":
         """Substitute v -> v^{-1}, s -> s^{-1} (reflection of links)."""
-        return LaurentPoly({(-ev, -es): c for (ev, es), c in self._terms.items()})
+        return LaurentPoly({(-ev, -es): c for ev, es, c in self.terms()})
 
     def s_inverse(self) -> "LaurentPoly":
         """Substitute s -> s^{-1} only, leaving v untouched."""
-        return LaurentPoly({(ev, -es): c for (ev, es), c in self._terms.items()})
+        return LaurentPoly({(ev, -es): c for ev, es, c in self.terms()})
 
     # -- division by a denominator factor -----------------------------
 
     def exact_div_factor(self, k: int) -> "LaurentPoly | None":
         """Quotient by s^k - s^{-k} when exact, else None.
 
-        Grouping by the v-exponent reduces the problem to univariate
-        division by the monic polynomial s^{2k} - 1, which stays in Z.
+        Per row this is division by s^{2k} - 1, i.e. divmod by 2^(2kw) - 1:
+        while each residue-class sum mod 2k fits a slot, the row divides iff
+        the remainder is 0, and the integer quotient is the packed one.
         """
         if k < 1:
             raise ValueError("factor index k must be >= 1")
-        if self.is_zero:
+        if not self._rows:
             return LaurentPoly.zero()
-        groups: dict[int, dict[int, int]] = {}
-        for (ev, es), c in self._terms.items():
-            groups.setdefault(ev, {})[es] = c
-        out: dict[ExponentPair, int] = {}
-        for ev, g in groups.items():
-            lo = min(g)
-            deg = max(g) - lo
-            if deg < 2 * k:
-                return None
-            f = [0] * (deg + 1)
-            for es, c in g.items():
-                f[es - lo] = c
-            q = [0] * (deg - 2 * k + 1)
-            for d in range(deg, 2 * k - 1, -1):
-                c = f[d]
-                if c:
-                    q[d - 2 * k] = c
-                    f[d - 2 * k] += c
-                    f[d] = 0
-            if any(f[: 2 * k]):
-                return None
-            for j, c in enumerate(q):
-                if c:
-                    out[(ev, j + lo + k)] = c
-        return LaurentPoly(out)
+        w, rows = self._w, self._rows
+        while True:
+            divisor = (1 << (2 * k * w)) - 1
+            out, top = {}, 0
+            for ev, (lo, row) in rows.items():
+                n = row.bit_length() // w + 1
+                if n <= 2 * k:
+                    return None
+                # A residue class mod 2k holds at most ceil(n / 2k) slots.
+                spread = (-(-n // (2 * k)) - 1).bit_length()
+                if self._bits + spread >= w:
+                    break
+                quotient, rest = divmod(row, divisor)
+                if rest:
+                    return None
+                out[ev] = (lo + k, quotient)
+                top = max(top, self._bits + spread)
+            else:
+                return _new(out, w, top)
+            w = max(w, _width(self._fit() + spread))
+            rows = self._at(w)
 
     # -- serialization -------------------------------------------------
 
@@ -214,7 +328,11 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: Iterable[dict[str, int]]) -> "LaurentPoly":
-        return cls({(int(t["v"]), int(t["s"])): int(t["c"]) for t in obj})
+        """Read `to_json` output; exponents beyond MAX_EXPONENT raise ValueError."""
+        return cls({
+            (json_int(t, "v", MAX_EXPONENT), json_int(t, "s", MAX_EXPONENT)): json_int(t, "c")
+            for t in obj
+        })
 
     def format(self, style: str = "plain") -> str:
         """Terms in canonical order, in `plain` or `latex` notation."""
@@ -280,9 +398,8 @@ class SkeinScalar:
             num = LaurentPoly.term(num)
         merged: dict[int, int] = {}
         for k, mult in den:
-            k, mult = int(k), int(mult)
-            if k < 1 or mult < 1:
-                raise ValueError("denominator factors need k >= 1 and mult >= 1")
+            if type(k) is not int or type(mult) is not int or k < 1 or mult < 1:
+                raise ValueError("denominator factors need integers k >= 1 and mult >= 1")
             merged[k] = merged.get(k, 0) + mult
         if num.is_zero:
             merged = {}
@@ -419,8 +536,11 @@ class SkeinScalar:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SkeinScalar":
+        """Read `to_json` output; a denominator of degree above MAX_EXPONENT raises ValueError."""
         num = LaurentPoly.from_json(obj["num"])
-        den = [(int(f["k"]), int(f["mult"])) for f in obj["den"]]
+        den = [(json_int(f, "k"), json_int(f, "mult")) for f in obj["den"]]
+        if sum(k * mult for k, mult in den) > MAX_EXPONENT:
+            raise ValueError(f"denominator degree exceeds the bound {MAX_EXPONENT}")
         return cls(num, den)
 
     def format(self, style: str = "plain") -> str:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -133,6 +134,48 @@ def test_decoration_malformed_file(tmp_path, capsys):
 def test_decoration_missing_file(capsys):
     code, _, _ = run_cli(capsys, "eval-decoration", "--k1", "0", "--k2", "0", "--decoration", "/nope.json")
     assert code == 2
+
+
+def coeff_json(num, den=()):
+    return {"num": [dict(zip("vsc", t)) for t in num], "den": [{"k": k, "mult": m} for k, m in den]}
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"coeff": coeff_json([(0.9, 1, 2)]), "a": 1, "b": 0},  # float exponent
+        {"coeff": coeff_json([(0, 1, 2.7)]), "a": 1, "b": 0},  # float coefficient
+        {"coeff": coeff_json([(0, 1, True)]), "a": 1, "b": 0},  # JSON true
+        {"coeff": coeff_json([(0, 1, 2)], [(1.9, 1)]), "a": 1, "b": 0},  # float k
+        {"coeff": coeff_json([(0, 1, 2)], [(1, True)]), "a": 1, "b": 0},  # JSON true mult
+        {"coeff": one_json(), "a": 1.5, "b": 0},  # float string count
+        {"coeff": one_json(), "a": True, "b": 0},  # JSON true string count
+    ],
+)
+def test_decoration_non_integer_field_rejected(tmp_path, capsys, term):
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps([term]))
+    code, out, err = run_cli(capsys, "eval-decoration", "--k1", "1", "--k2", "0", "--decoration", str(path))
+    assert code == 2
+    assert out == "" and "integer" in err
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        coeff_json([(0, 10_000_000, 1), (0, 0, 1)], [(1, 1)]),  # (s^10000000 + 1) / (s - s^-1)
+        coeff_json([(0, 0, 1)], [(4097, 1)]),
+        coeff_json([(0, 0, 1)], [(1, 2048), (2, 1025)]),
+    ],
+)
+def test_decoration_exponent_beyond_bound_exits_fast(tmp_path, capsys, coeff):
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps([{"coeff": coeff, "a": 1, "b": 0}]))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval-decoration", "--k1", "1", "--k2", "0", "--decoration", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == "" and "bound 4096" in err
 
 
 # -- oracle ----------------------------------------------------------------------

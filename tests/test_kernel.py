@@ -1,0 +1,224 @@
+"""The packed LaurentPoly kernel against the dict-of-terms kernel it replaced.
+
+`dict_mul` and `dict_exact_div` are the multiply and divide loops the ring
+ran before its rows were packed; they stay here as the reference.  A
+polynomial is a dict {(v-exponent, s-exponent): coefficient} without zeros.
+The strategies mix small coefficients with ones beyond 2^64 and up to
+10^40, so products and quotients cross the slot width and force both the
+mask-test tightening and the re-encoding at a wider width.
+"""
+
+from functools import reduce
+
+import pytest
+from hypothesis import given, strategies as st
+
+from hopflinks.ring import LaurentPoly, _pack, _unpack, _within
+
+
+def dict_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (av, as_), ac in a.items():
+        for (bv, bs), bc in b.items():
+            key = (av + bv, as_ + bs)
+            c = out.pop(key, 0) + ac * bc
+            if c:
+                out[key] = c
+    return out
+
+
+def dict_exact_div(terms: dict, k: int) -> dict | None:
+    """Quotient by s^k - s^{-k} when exact, else None."""
+    if not terms:
+        return {}
+    groups: dict = {}
+    for (ev, es), c in terms.items():
+        groups.setdefault(ev, {})[es] = c
+    out = {}
+    for ev, g in groups.items():
+        lo = min(g)
+        deg = max(g) - lo
+        if deg < 2 * k:
+            return None
+        f = [0] * (deg + 1)
+        for es, c in g.items():
+            f[es - lo] = c
+        q = [0] * (deg - 2 * k + 1)
+        for d in range(deg, 2 * k - 1, -1):
+            c = f[d]
+            if c:
+                q[d - 2 * k] = c
+                f[d - 2 * k] += c
+                f[d] = 0
+        if any(f[: 2 * k]):
+            return None
+        for j, c in enumerate(q):
+            if c:
+                out[(ev, j + lo + k)] = c
+    return out
+
+
+def dict_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        c += out.pop(key, 0)
+        if c:
+            out[key] = c
+    return out
+
+
+def binomial(k: int) -> dict:
+    return {(0, k): 1, (0, -k): -1}
+
+
+def terms_of(p: LaurentPoly) -> dict:
+    return {(ev, es): c for ev, es, c in p.terms()}
+
+
+BIG = [2**63, 2**64, -(2**64) - 1, 3**41, 10**40, -(10**40)]
+# Values at the edge of the 48- and 96-bit slots, and halves of those.
+EDGE = [2**47 - 1, -(2**47 - 1), 2**46 + 1, 2**23 - 1, -(2**23 - 1), 2**95 - 1]
+coeffs = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from(BIG + EDGE),
+    st.integers(-(10**40), 10**40),
+)
+exponents = st.integers(-6, 6)
+dicts = st.dictionaries(st.tuples(exponents, exponents), coeffs, max_size=6).map(
+    lambda d: {key: c for key, c in d.items() if c}
+)
+small = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-3, 3)), st.integers(-5, 5), min_size=1, max_size=4
+).map(lambda d: {key: c for key, c in d.items() if c} or {(0, 0): -1})
+
+
+@given(dicts, dicts)
+def test_add_sub_neg_match_reference(a, b):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    assert terms_of(pa + pb) == dict_add(a, b)
+    assert terms_of(pa - pb) == dict_add(a, {key: -c for key, c in b.items()})
+    assert terms_of(-pa) == {key: -c for key, c in a.items()}
+    assert terms_of(pa + 7) == dict_add(a, {(0, 0): 7})
+    assert terms_of(7 - pa) == dict_add({(0, 0): 7}, {key: -c for key, c in a.items()})
+
+
+@given(dicts, dicts, coeffs)
+def test_mul_matches_reference(a, b, n):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    assert terms_of(pa * pb) == dict_mul(a, b)
+    assert terms_of(pa * n) == terms_of(n * pa) == dict_mul(a, {(0, 0): n} if n else {})
+
+
+@given(dicts, st.integers(0, 4))
+def test_pow_matches_reference(a, n):
+    assert terms_of(LaurentPoly(a) ** n) == reduce(dict_mul, [a] * n, {(0, 0): 1})
+
+
+@given(st.lists(small, min_size=12, max_size=14), st.sampled_from(BIG))
+def test_product_chains_widen(factors, big):
+    # Twelve or more mixed-sign factors, one scaled past 2^63: the
+    # certified bound outgrows the slot at least once on the way.
+    factors[len(factors) // 2] = {key: c * big for key, c in factors[len(factors) // 2].items()}
+    packed = reduce(lambda p, f: p * LaurentPoly(f), factors, LaurentPoly.one())
+    assert terms_of(packed) == reduce(dict_mul, factors, {(0, 0): 1})
+
+
+@given(dicts, st.integers(1, 8))
+def test_exact_div_matches_reference(a, k):
+    p = LaurentPoly(a)
+    # Exact: a times the factor divides back to a.
+    product = p * LaurentPoly(binomial(k))
+    assert terms_of(product.exact_div_factor(k)) == a
+    assert dict_exact_div(dict_mul(a, binomial(k)), k) == a
+    # Arbitrary input: mostly inexact, sometimes exact.
+    quotient = p.exact_div_factor(k)
+    expected = dict_exact_div(a, k)
+    assert (quotient is None) == (expected is None)
+    if expected is not None:
+        assert terms_of(quotient) == expected
+
+
+@given(st.lists(small, min_size=12, max_size=14), st.integers(1, 3))
+def test_division_chain_with_growing_coefficients(factors, k):
+    # Alternate products and exact divisions so quotients inherit wide bounds.
+    p, ref = LaurentPoly.one(), {(0, 0): 1}
+    for f in factors:
+        p = (p * LaurentPoly(f) * LaurentPoly(binomial(k))).exact_div_factor(k) * 3
+        ref = dict_mul(dict_mul(ref, f), {(0, 0): 3})
+        assert terms_of(p) == ref
+
+
+@given(dicts)
+def test_substitutions_and_queries_match_reference(a):
+    p = LaurentPoly(a)
+    assert terms_of(p.mirror()) == {(-ev, -es): c for (ev, es), c in a.items()}
+    assert terms_of(p.s_inverse()) == {(ev, -es): c for (ev, es), c in a.items()}
+    assert p.terms() == sorted((ev, es, c) for (ev, es), c in a.items())
+    for (ev, es), c in a.items():
+        assert p.coefficient(ev, es) == c
+        assert p.coefficient(ev, es + 13) == 0
+    assert p.coefficient(99, 0) == 0
+
+
+@given(dicts, dicts, st.sampled_from(BIG))
+def test_equality_across_slot_widths(a, b, big):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    assert (pa == pb) == (a == b)
+    # Adding and removing a huge constant leaves the value at a wider width.
+    wide = pa + big - big
+    assert wide == pa and pa == wide
+    assert (wide == pb) == (a == b)
+    assert (pa == 0) == (not a)
+
+
+@pytest.mark.parametrize("edge", EDGE)
+def test_full_slots(edge):
+    # Thirteen equal coefficients that fill a slot: every certified bound
+    # (sum carry, product spread, division fold) is needed to stay exact.
+    a = {(ev, es): edge for ev in (-1, 0) for es in range(-6, 7)}
+    b = {key: -c for key, c in a.items()}
+    p, q = LaurentPoly(a), LaurentPoly(b)
+    assert terms_of(p + p) == dict_add(a, a)
+    assert terms_of(p - q) == dict_add(a, a)
+    assert terms_of(p * q) == dict_mul(a, b)
+    assert terms_of(p * p * p) == dict_mul(dict_mul(a, a), a)
+    for k in (1, 2, 3):
+        for f in (a, dict_mul(a, binomial(k))):
+            quotient, expected = LaurentPoly(f).exact_div_factor(k), dict_exact_div(f, k)
+            assert (quotient is None) == (expected is None)
+            assert quotient is None or terms_of(quotient) == expected
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_quotient_digits_beyond_the_dividend(sign):
+    # A tent of 32 coefficients peaking above 2^47 times s - s^{-1}: the
+    # product's coefficients fit 45 bits, so only the division's fold
+    # bound sees that its quotient needs a wider slot, and only the
+    # quotient's bound makes its square widen again.
+    c = sign * (2**43 + 1)
+    q = {(0, j): min(j + 1, 32 - j) * c for j in range(32)}
+    f = dict_mul(q, binomial(1))
+    assert max(abs(x) for x in f.values()).bit_length() == 45
+    quotient = LaurentPoly(f).exact_div_factor(1)
+    assert terms_of(quotient) == q
+    assert terms_of(quotient * quotient) == dict_mul(q, q)
+    assert terms_of(quotient + quotient) == dict_add(q, q)
+
+
+@given(st.sampled_from([48, 96]), st.data())
+def test_packed_row_identities(w, data):
+    half = 1 << (w - 1)
+    row = data.draw(st.lists(st.integers(-half + 1, half - 1), min_size=1, max_size=9))
+    row[-1] = row[-1] or 1
+    packed = _pack(row, w)
+    assert packed == sum(c << (w * j) for j, c in enumerate(row))
+    assert _unpack(packed, w) == row
+    bits = data.draw(st.integers(1, w - 1))
+    assert _within(packed, w, bits) == all(-(1 << (bits - 1)) <= c < 1 << (bits - 1) for c in row)
+
+
+def test_reference_division_examples():
+    assert dict_exact_div({(0, 2): 1, (0, -2): -1}, 1) == {(0, 1): 1, (0, -1): 1}
+    assert dict_exact_div({(1, 0): 1}, 1) is None
+    with pytest.raises(ValueError):
+        LaurentPoly(binomial(1)).exact_div_factor(0)

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hopflinks.cli import main
 from hopflinks.hopf import HopfSpec, homfly_general
 from hopflinks.render import parse_scalar, render_scalar
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
@@ -52,6 +54,26 @@ def test_exact_notation_bytes():
         assert render_scalar(value, "latex") == latex
 
 
+# sha256 of the bytes below, taken before LaurentPoly stored packed rows.
+PINNED_OUTPUT_SHA256 = "ce85e205b10bca0524c4ff39de960116cc1e5b645803751691bcefec7c91c275"
+
+
+def test_canonical_output_bytes_pinned(capsys):
+    # Canonical JSON of H(k1,k2;n1,n2) for k1+k2 <= 3, n1+n2 <= 5, one line
+    # each, then the rows of `table --max-size 3`.
+    digest = hashlib.sha256()
+    for k1 in range(4):
+        for k2 in range(4 - k1):
+            for n1 in range(6):
+                for n2 in range(6 - n1):
+                    value = homfly_general(HopfSpec(k1, k2, n1, n2))
+                    digest.update(render_scalar(value, "json").encode() + b"\n")
+    capsys.readouterr()
+    assert main(["table", "--max-size", "3"]) == 0
+    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+
+
 def test_parse_plain_basics():
     assert parse_scalar("0") == SkeinScalar.zero()
     assert parse_scalar("1") == SkeinScalar.one()
@@ -65,6 +87,23 @@ def test_parse_plain_basics():
 def test_parse_rejects_garbage():
     for text in ["v^", "(v", "v / (w - 1)", "1 / ((s - s^-2))", "1 @ 2"]:
         with pytest.raises(ValueError):
+            parse_scalar(text)
+
+
+def test_parse_exponent_bound():
+    assert parse_scalar("s^4096 - v^-4096") == SkeinScalar(
+        LaurentPoly.term(1, s=4096) - LaurentPoly.term(1, v=-4096)
+    )
+    assert parse_scalar("1 / ((s^2 - s^-2)^2048)").den == ((2, 2048),)
+    for text in [
+        "s^4097",
+        "v^-4097",
+        "(s + 1)^4097",
+        "(s^100 + 1)^41",  # exponents of the power reach 4100
+        "((2)^2048)^3",  # coefficient bits of the power reach 6147
+        "1 / ((s^2 - s^-2)^2049)",
+    ]:
+        with pytest.raises(ValueError, match="bound 4096"):
             parse_scalar(text)
 
 

@@ -1,9 +1,11 @@
 import json
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hopflinks.ring import (
+    MAX_EXPONENT,
     DenomFactor,
     LaurentPoly,
     SkeinScalar,
@@ -259,3 +261,49 @@ def test_all_distinct_spots_equal_values_in_different_clothes():
     assert a == b
     assert not all_distinct([a, b])
     assert all_distinct([a, SkeinScalar.zero(), SkeinScalar.one()])
+
+
+# -- outside input ------------------------------------------------------------------
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_non_integer_operand_is_type_error(op):
+    # The ring used to truncate: mono(3) - 1.5 gave 2.
+    for left, right in [(mono(3), 1.5), (1.5, mono(3))]:
+        with pytest.raises(TypeError):
+            op(left, right)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [{"v": 0.9, "s": 1, "c": 2.7}],  # used to read as 2*s
+        [{"v": 0, "s": 1, "c": 2.5}],
+        [{"v": 0, "s": 1, "c": True}],  # used to read as s
+        [{"v": False, "s": 1, "c": 1}],
+    ],
+)
+def test_poly_from_json_rejects_non_integers(terms):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json(terms)
+
+
+@pytest.mark.parametrize("factor", [{"k": 1.9, "mult": 1}, {"k": 1, "mult": 1.0}, {"k": True, "mult": 1}])
+def test_scalar_from_json_rejects_non_integer_denominator(factor):
+    # {"k": 1.9} used to read as k = 1.
+    with pytest.raises(ValueError):
+        SkeinScalar.from_json({"num": [{"v": 0, "s": 2, "c": 1}], "den": [factor]})
+    with pytest.raises(ValueError):
+        SkeinScalar(mono(1), [tuple(factor.values())])
+
+
+def test_from_json_exponent_bound():
+    edge = [{"v": -MAX_EXPONENT, "s": MAX_EXPONENT, "c": 1}]
+    assert LaurentPoly.from_json(edge) == mono(1, v=-MAX_EXPONENT, s=MAX_EXPONENT)
+    for field in ("v", "s"):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json([{"v": 0, "s": 0, "c": 1, field: MAX_EXPONENT + 1}])
+    ok = {"num": [{"v": 0, "s": 0, "c": 1}], "den": [{"k": 2, "mult": MAX_EXPONENT // 2}]}
+    assert SkeinScalar.from_json(ok).den == (DenomFactor(2, MAX_EXPONENT // 2),)
+    ok["den"].append({"k": 1, "mult": 1})
+    with pytest.raises(ValueError):
+        SkeinScalar.from_json(ok)
