@@ -59,7 +59,7 @@ class SkeinVector:
         windings = set()
         for label, coeff in self.coeffs.items():
             if not isinstance(coeff, SkeinScalar):
-                coeff = SkeinScalar._coerce(coeff)
+                coeff = SkeinScalar(coeff)
             if coeff.is_zero:
                 continue
             cleaned[label] = coeff

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .basis import monomial_to_eigen, plane_eval_eigen
 from .meridian import ccw_eigenvalue, cw_eigenvalue
-from .ring import SkeinScalar, json_int
+from .ring import SkeinScalar, json_int, json_item, json_list
 
 __all__ = [
     "HopfSpec",
@@ -96,8 +96,8 @@ class Decoration:
     @classmethod
     def from_json(cls, obj: list) -> "Decoration":
         terms = tuple(
-            DecorationTerm(SkeinScalar.from_json(t["coeff"]), json_int(t, "a"), json_int(t, "b"))
-            for t in obj
+            DecorationTerm(SkeinScalar.from_json(json_item(t, "coeff")), json_int(t, "a"), json_int(t, "b"))
+            for t in json_list(obj)
         )
         return cls(terms)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .hopf import HopfSpec
-from .ring import Z, LaurentPoly, SkeinScalar, delta
+from .ring import Z, LaurentPoly, SkeinScalar, delta, json_int, json_item, json_list
 
 __all__ = [
     "MalformedDiagramError",
@@ -70,10 +70,6 @@ def _over_out(sign: int) -> int:
     return 1 if sign > 0 else 3
 
 
-def _is_in_position(sign: int, pos: int) -> bool:
-    return pos == 0 or pos == _over_in(sign)
-
-
 def _next_arc(cr: Crossing, pos: int) -> int:
     """The arc leaving `cr` along the strand that entered at `pos`."""
     return cr.ends[2] if pos == 0 else cr.ends[_over_out(cr.sign)]
@@ -90,8 +86,8 @@ class PlanarDiagram:
         """Raise MalformedDiagramError unless this is a planar diagram.
 
         Checks arc matching (each arc has exactly one entering and one
-        leaving end) and the genus-zero Euler count per connected
-        component of the rotation system.
+        leaving end) and the genus-zero Euler count of the rotation
+        system.
         """
         if self.free_loops < 0:
             raise MalformedDiagramError("free_loops must be nonnegative")
@@ -103,7 +99,7 @@ class PlanarDiagram:
             if len(cr.ends) != 4:
                 raise MalformedDiagramError(f"crossing {ci} does not have 4 ends")
             for pos, arc in enumerate(cr.ends):
-                bucket = ins if _is_in_position(cr.sign, pos) else outs
+                bucket = ins if pos in (0, _over_in(cr.sign)) else outs
                 if arc in bucket:
                     raise MalformedDiagramError(
                         f"arc {arc} {'enters' if bucket is ins else 'leaves'} two crossings"
@@ -111,20 +107,12 @@ class PlanarDiagram:
                 bucket[arc] = ci
         if set(ins) != set(outs):
             raise MalformedDiagramError("every arc needs one entering and one leaving end")
-        # Euler characteristic 2 per connected component means genus zero.
-        comp = _components_of_crossings(self.crossings)
-        face_count: dict[int, int] = {}
-        for orbit in _faces(self.crossings):
-            root = comp[orbit[0][0]]
-            face_count[root] = face_count.get(root, 0) + 1
-        sizes: dict[int, int] = {}
-        for ci in range(len(self.crossings)):
-            root = comp[ci]
-            sizes[root] = sizes.get(root, 0) + 1
-        for root, v in sizes.items():
-            # E = 2V for a 4-valent diagram piece, so planarity is F = V + 2.
-            if face_count.get(root, 0) != v + 2:
-                raise MalformedDiagramError("rotation system is not planar")
+        # E = 2V in a 4-valent piece, so F <= V + 2 with equality iff its genus
+        # is zero: the totals agree iff every piece is planar.
+        faces = sum(1 for _ in _faces(self.crossings))
+        pieces = _pieces(self.crossings, _in_ends(self.crossings))
+        if faces != len(self.crossings) + 2 * len(pieces):
+            raise MalformedDiagramError("rotation system is not planar")
 
     def arcs(self) -> list[int]:
         seen = set()
@@ -136,7 +124,7 @@ class PlanarDiagram:
         return sum(cr.sign for cr in self.crossings)
 
     def component_count(self) -> int:
-        return _strand_components(self.crossings) + self.free_loops
+        return _strands(self.crossings, _in_ends(self.crossings))[1] + self.free_loops
 
     def to_json(self) -> dict:
         return {
@@ -151,14 +139,15 @@ class PlanarDiagram:
     @classmethod
     def from_json(cls, obj: dict) -> "PlanarDiagram":
         try:
-            crossings = tuple(
-                Crossing(int(c["sign"]), tuple(int(e) for e in c["ends"]))
-                for c in obj["crossings"]
-            )
-            loops = int(obj.get("loops", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+            crossings = []
+            for c in json_list(json_item(obj, "crossings")):
+                ends = json_list(json_item(c, "ends"))
+                ends = tuple(json_int(ends, i) for i in range(len(ends)))
+                crossings.append(Crossing(json_int(c, "sign"), ends))
+            loops = json_int(obj, "loops") if "loops" in obj else 0
+        except ValueError as exc:
             raise MalformedDiagramError(f"bad diagram JSON: {exc}") from exc
-        diagram = cls(crossings, loops)
+        diagram = cls(tuple(crossings), loops)
         diagram.validate()
         return diagram
 
@@ -167,17 +156,12 @@ class PlanarDiagram:
 # structural helpers
 
 
-def _arc_ends(crossings: tuple[Crossing, ...]) -> dict[int, list[tuple[int, int]]]:
-    out: dict[int, list[tuple[int, int]]] = {}
-    for ci, cr in enumerate(crossings):
-        for pos, arc in enumerate(cr.ends):
-            out.setdefault(arc, []).append((ci, pos))
-    return out
-
-
 def _faces(crossings: tuple[Crossing, ...]) -> Iterator[list[tuple[int, int]]]:
     """Orbits of the face-tracing map of the rotation system."""
-    ends = _arc_ends(crossings)
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for ci, cr in enumerate(crossings):
+        for pos, arc in enumerate(cr.ends):
+            ends.setdefault(arc, []).append((ci, pos))
     visited: set[tuple[int, int]] = set()
     for ci in range(len(crossings)):
         for pos in range(4):
@@ -195,31 +179,12 @@ def _faces(crossings: tuple[Crossing, ...]) -> Iterator[list[tuple[int, int]]]:
             yield orbit
 
 
-def _components_of_crossings(crossings: tuple[Crossing, ...]) -> dict[int, int]:
-    """Union-find roots of crossings linked by shared arcs."""
-    parent = list(range(len(crossings)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    by_arc: dict[int, int] = {}
-    for ci, cr in enumerate(crossings):
-        for arc in cr.ends:
-            if arc in by_arc:
-                ra, rb = find(by_arc[arc]), find(ci)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                by_arc[arc] = ci
-    return {ci: find(ci) for ci in range(len(crossings))}
+InEnd = dict[int, tuple[int, int]]  # arc -> (crossing, position) it enters
 
 
-def _in_ends(crossings: tuple[Crossing, ...]) -> dict[int, tuple[int, int]]:
+def _in_ends(crossings: tuple[Crossing, ...]) -> InEnd:
     """Traversal map: each arc to the (crossing, position) it enters."""
-    in_end: dict[int, tuple[int, int]] = {}
+    in_end: InEnd = {}
     for ci, cr in enumerate(crossings):
         in_end[cr.ends[0]] = (ci, 0)
         oi = _over_in(cr.sign)
@@ -227,20 +192,52 @@ def _in_ends(crossings: tuple[Crossing, ...]) -> dict[int, tuple[int, int]]:
     return in_end
 
 
-def _strand_components(crossings: tuple[Crossing, ...]) -> int:
-    in_end = _in_ends(crossings)
+def _pieces(crossings: tuple[Crossing, ...], in_end: InEnd) -> list[list[int]]:
+    """The arcs of each connected piece.
+
+    Strands are closed, so following the ends of every crossing reached
+    from an arc reaches the whole piece.
+    """
     seen: set[int] = set()
+    pieces = []
+    for start in in_end:
+        if start in seen:
+            continue
+        seen.add(start)
+        piece = [start]
+        for arc in piece:
+            for e in crossings[in_end[arc][0]].ends:
+                if e not in seen:
+                    seen.add(e)
+                    piece.append(e)
+        pieces.append(piece)
+    return pieces
+
+
+def _strands(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple[int | None, int]:
+    """Walk every strand from its smallest arc id, in order of those ids.
+
+    Returns the first crossing met on its under-strand, or None for a
+    descending diagram (hence an unlink), and the number of strands.
+    """
+    seen_arcs: set[int] = set()
+    seen_crossings: set[int] = set()
+    bad = None
     count = 0
     for start in sorted(in_end):
-        if start in seen:
+        if start in seen_arcs:
             continue
         count += 1
         arc = start
-        while arc not in seen:
-            seen.add(arc)
+        while arc not in seen_arcs:
+            seen_arcs.add(arc)
             ci, pos = in_end[arc]
+            if ci not in seen_crossings:
+                seen_crossings.add(ci)
+                if pos == 0 and bad is None:
+                    bad = ci
             arc = _next_arc(crossings[ci], pos)
-    return count
+    return bad, count
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +349,7 @@ def _simplify(
 
 def _encode_from(
     crossings: tuple[Crossing, ...],
-    in_end: dict[int, tuple[int, int]],
+    in_end: InEnd,
     start: int,
 ) -> tuple:
     arc_label: dict[int, int] = {start: 0}
@@ -380,55 +377,24 @@ def _encode_from(
     )
 
 
-def _canonical(crossings: tuple[Crossing, ...]) -> tuple:
+def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
     """Relabeling-invariant encoding of a crossing set.
 
-    Per connected component, take the minimum traversal encoding over
-    all starting arcs; split components commute, so their encodings are
-    sorted.
+    Per connected piece, take the minimum traversal encoding over all
+    starting arcs; split pieces commute, so their encodings are sorted.
     """
-    in_end = _in_ends(crossings)
-    comp = _components_of_crossings(crossings)
-    arcs_by_comp: dict[int, list[int]] = {}
-    for arc, (ci, _) in in_end.items():
-        arcs_by_comp.setdefault(comp[ci], []).append(arc)
-    keys = []
-    for root, arcs in arcs_by_comp.items():
-        keys.append(min(_encode_from(crossings, in_end, a) for a in sorted(arcs)))
-    return tuple(sorted(keys))
+    return tuple(sorted(
+        min(_encode_from(crossings, in_end, a) for a in arcs) for arcs in _pieces(crossings, in_end)
+    ))
 
 
 def canonical_key(diagram: PlanarDiagram) -> tuple:
     """Memoization key, equal for diagrams that differ only by labeling."""
-    return (_canonical(diagram.crossings), diagram.free_loops)
+    return (_canonical(diagram.crossings, _in_ends(diagram.crossings)), diagram.free_loops)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _first_bad_crossing(crossings: tuple[Crossing, ...]) -> int | None:
-    """First crossing met on its under-strand along the fixed traversal.
-
-    Components are walked in order of their smallest arc id; a diagram
-    with no such crossing is descending, hence an unlink.
-    """
-    in_end = _in_ends(crossings)
-    seen_arcs: set[int] = set()
-    seen_crossings: set[int] = set()
-    for start in sorted(in_end):
-        if start in seen_arcs:
-            continue
-        arc = start
-        while arc not in seen_arcs:
-            seen_arcs.add(arc)
-            ci, pos = in_end[arc]
-            if ci not in seen_crossings:
-                if pos == 0:
-                    return ci
-                seen_crossings.add(ci)
-            arc = _next_arc(crossings[ci], pos)
-    return None
 
 
 def _v_power(n: int) -> SkeinScalar:
@@ -440,12 +406,13 @@ def _eval(crossings: tuple[Crossing, ...], memo: dict) -> SkeinScalar:
     if not core:
         result = SkeinScalar.one()
     else:
-        key = _canonical(core)
+        in_end = _in_ends(core)
+        key = _canonical(core, in_end)
         result = memo.get(key)
         if result is None:
-            bad = _first_bad_crossing(core)
+            bad, strands = _strands(core, in_end)
             if bad is None:
-                result = _v_power(-sum(cr.sign for cr in core)) * delta() ** _strand_components(core)
+                result = _v_power(-sum(cr.sign for cr in core)) * delta() ** strands
             else:
                 sign = core[bad].sign
                 switched = _switch(core, bad)
@@ -475,9 +442,10 @@ def homfly_of_diagram(
     """
     diagram.validate()
     if len(diagram.crossings) > max_crossings:
-        raise CrossingLimitError(
-            f"{len(diagram.crossings)} crossings exceed the cap {max_crossings}"
-        )
+        raise CrossingLimitError(f"{len(diagram.crossings)} crossings exceed cap {max_crossings}")
+    # Each free loop costs one product by delta, as a crossing costs a skein step.
+    if diagram.free_loops > max_crossings:
+        raise CrossingLimitError(f"{diagram.free_loops} free loops exceed cap {max_crossings}")
     if memo is None:
         memo = {}
     value = _eval(diagram.crossings, memo)

@@ -34,6 +34,10 @@ def render_scalar(x: SkeinScalar, fmt: str = "plain") -> str:
 
 _TOKEN = re.compile(r"\s*(\d+|[vs]|\^|\+|-|\*|/|\(|\))")
 
+# Deepest nesting of parenthesized groups.  Renderings nest one deep; the
+# bound keeps the recursive parser well inside Python's recursion limit.
+_MAX_DEPTH = 100
+
 
 def _normalize_latex(text: str) -> str:
     """Rewrite the LaTeX rendering into the plain grammar."""
@@ -69,6 +73,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -100,18 +105,22 @@ class _Parser:
             tok = self.peek()
             if tok == "*":
                 self.take()
-                out = out * self.parse_factor()
-            elif tok is not None and (tok.isdigit() or tok in ("v", "s", "(")):
-                out = out * self.parse_factor()
-            else:
+            elif tok is None or not (tok.isdigit() or tok in ("v", "s", "(")):
                 return out
+            out = out * self.parse_factor()
+            if any(max(abs(ev), abs(es)) > MAX_EXPONENT for ev, es, _ in out.terms()):
+                raise ValueError(f"product exceeds the exponent bound {MAX_EXPONENT}")
 
     def parse_factor(self) -> LaurentPoly:
         tok = self.peek()
         if tok == "(":
             self.take()
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise ValueError(f"groups nest deeper than {_MAX_DEPTH}")
             inner = self.parse_sum()
             self.take(")")
+            self.depth -= 1
             if self.peek() == "^":
                 n = self._exponent()
                 # The power's exponents and coefficient bits grow n-fold.

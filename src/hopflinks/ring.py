@@ -48,9 +48,24 @@ def _power(base: str, exp: int, style: str) -> str:
     return base if exp == 1 else base + _STYLES[style][0].format(exp)
 
 
-def json_int(obj: dict, key: str, limit: int | None = None) -> int:
-    """Field `key` of a JSON object: an int (not a bool), at most `limit` in size."""
-    value = obj[key]
+def json_item(obj: dict | list, key: str | int) -> object:
+    """Entry `key` of a JSON object or array; ValueError when there is none."""
+    try:
+        return obj[key]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"missing field {key!r}") from exc
+
+
+def json_list(value: object) -> list:
+    """A JSON array; ValueError for anything else."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def json_int(obj: dict | list, key: str | int, limit: int | None = None) -> int:
+    """Entry `key` of a JSON object or array: an int (not a bool), at most `limit` in size."""
+    value = json_item(obj, key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"field {key!r} must be an integer, got {value!r}")
     if limit is not None and abs(value) > limit:
@@ -331,7 +346,7 @@ class LaurentPoly:
         """Read `to_json` output; exponents beyond MAX_EXPONENT raise ValueError."""
         return cls({
             (json_int(t, "v", MAX_EXPONENT), json_int(t, "s", MAX_EXPONENT)): json_int(t, "c")
-            for t in obj
+            for t in json_list(obj)
         })
 
     def format(self, style: str = "plain") -> str:
@@ -387,8 +402,8 @@ class SkeinScalar:
 
     Construction cancels every denominator factor that divides the
     numerator exactly, so stored values are always reduced; zero is the
-    zero numerator with an empty denominator.  Equality compares values
-    (cross-multiplication), not representatives.
+    zero numerator with an empty denominator.  Equality compares values:
+    numerators over equal denominators, else cross-multiplication.
     """
 
     __slots__ = ("_num", "_den")
@@ -396,6 +411,8 @@ class SkeinScalar:
     def __init__(self, num: LaurentPoly | int, den: Iterable[tuple[int, int]] = ()):
         if isinstance(num, int):
             num = LaurentPoly.term(num)
+        elif not isinstance(num, LaurentPoly):
+            raise TypeError(f"cannot interpret {num!r} as a SkeinScalar")
         merged: dict[int, int] = {}
         for k, mult in den:
             if type(k) is not int or type(mult) is not int or k < 1 or mult < 1:
@@ -447,11 +464,7 @@ class SkeinScalar:
 
     @staticmethod
     def _coerce(value: "SkeinScalar | LaurentPoly | int") -> "SkeinScalar":
-        if isinstance(value, SkeinScalar):
-            return value
-        if isinstance(value, (int, LaurentPoly)):
-            return SkeinScalar(value)
-        raise TypeError(f"cannot interpret {value!r} as a SkeinScalar")
+        return value if isinstance(value, SkeinScalar) else SkeinScalar(value)
 
     def __add__(self, other: "SkeinScalar | LaurentPoly | int") -> "SkeinScalar":
         try:
@@ -524,6 +537,8 @@ class SkeinScalar:
             other = SkeinScalar(other)
         if not isinstance(other, SkeinScalar):
             return NotImplemented
+        if self._den == other._den:
+            return self._num == other._num
         return self._num * _den_poly(other._den) == other._num * _den_poly(self._den)
 
     # -- serialization ----------------------------------------------------
@@ -537,8 +552,8 @@ class SkeinScalar:
     @classmethod
     def from_json(cls, obj: dict) -> "SkeinScalar":
         """Read `to_json` output; a denominator of degree above MAX_EXPONENT raises ValueError."""
-        num = LaurentPoly.from_json(obj["num"])
-        den = [(json_int(f, "k"), json_int(f, "mult")) for f in obj["den"]]
+        num = LaurentPoly.from_json(json_item(obj, "num"))
+        den = [(json_int(f, "k"), json_int(f, "mult")) for f in json_list(json_item(obj, "den"))]
         if sum(k * mult for k, mult in den) > MAX_EXPONENT:
             raise ValueError(f"denominator degree exceeds the bound {MAX_EXPONENT}")
         return cls(num, den)
@@ -564,20 +579,6 @@ def delta() -> SkeinScalar:
 
 
 def all_distinct(values: Iterable[SkeinScalar]) -> bool:
-    """True when no two of the given scalars are equal as ring values.
-
-    Uses the stored reduced representation as a fast path: scalars with
-    the same denominator are equal exactly when their numerators agree.
-    Mixed denominators fall back to pairwise cross-multiplication.
-    """
+    """True when no two of the given scalars are equal as ring values."""
     vals = list(values)
-    reps = [(v.den, tuple(v.num.terms())) for v in vals]
-    if len(set(reps)) != len(reps):
-        return False
-    if len({v.den for v in vals}) == 1:
-        return True
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] == vals[j]:
-                return False
-    return True
+    return all(a != b for i, a in enumerate(vals) for b in vals[i + 1 :])

@@ -234,6 +234,41 @@ def test_oracle_malformed_pd(tmp_path, capsys):
     assert code == 2
 
 
+def test_oracle_free_loops_beyond_cap_exit_fast(tmp_path, capsys):
+    # 100000 loops used to run for hours: each costs a product by delta.
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps({"crossings": [], "loops": 100000}))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "oracle", "--pd", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "100000 free loops exceed cap 16" in err
+
+
+@pytest.mark.parametrize("blob", [
+    {"crossings": [{"id": 0, "sign": 1.9, "ends": [0, 1, 1, 0]}]},
+    {"crossings": [{"id": 0, "sign": True, "ends": [0, 1, 1, 0]}]},
+    {"crossings": [{"id": 0, "sign": 1, "ends": [0.5, 1, 1, 0]}]},
+    {"crossings": [], "loops": 2.7},
+    {"crossings": [], "loops": True},
+])
+def test_oracle_pd_non_integer_field_exits_2(tmp_path, capsys, blob):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, _, err = run_cli(capsys, "oracle", "--pd", str(path))
+    assert code == 2
+    assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("command", ["oracle --pd", "eval-decoration --k1 1 --k2 0 --decoration"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run_cli(capsys, *command.split(), str(path))
+    assert code == 2
+    assert "error:" in err
+
+
 # -- verify ------------------------------------------------------------------------
 
 def test_verify_small_grid_passes(capsys):
@@ -253,6 +288,13 @@ def test_verify_skips_over_cap(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-encircling", "3", "--max-core", "3")
     assert code == 0
     assert "SKIP  H(2,1;1,2): 18 crossings exceed cap 16" in out
+
+
+def test_verify_skips_free_loops_over_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-encircling", "0", "--max-core", "3", "--max-crossings", "2")
+    assert code == 0
+    assert "SKIP  H(0,0;1,2): 3 free loops exceed cap 2" in out
+    assert "PASS  H(0,0;1,1): closed form matches oracle" in out
 
 
 def test_verify_rejects_negative_cap(capsys):

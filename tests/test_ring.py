@@ -169,6 +169,31 @@ def test_eq_across_denominators():
     assert a == b
 
 
+def cross_multiplied_equal(x, y):
+    def expand(den):
+        out = LaurentPoly.one()
+        for k, mult in den:
+            out = out * LaurentPoly({(0, k): 1, (0, -k): -1}) ** mult
+        return out
+
+    return x.num * expand(y.den) == y.num * expand(x.den)
+
+
+@given(scalars, scalars)
+def test_eq_matches_cross_multiplication(x, y):
+    # All but the first pair often share a denominator, where the numerators decide.
+    for a, b in [(x, y), (x, SkeinScalar(y.num, x.den)), (x, SkeinScalar(x.num, x.den)), (x, x + y - y)]:
+        assert (a == b) == cross_multiplied_equal(a, b)
+        assert (a != b) != (a == b)
+
+
+def test_eq_over_one_denominator_compares_numerators():
+    a = SkeinScalar(V, ((1, 1),))
+    assert a.den == SkeinScalar(V_INV, ((1, 1),)).den
+    assert a != SkeinScalar(V_INV, ((1, 1),))
+    assert a == SkeinScalar(mono(1, v=1), ((1, 1),))
+
+
 # -- mirror ---------------------------------------------------------------------
 
 def test_mirror_swaps_v():
@@ -261,6 +286,8 @@ def test_all_distinct_spots_equal_values_in_different_clothes():
     assert a == b
     assert not all_distinct([a, b])
     assert all_distinct([a, SkeinScalar.zero(), SkeinScalar.one()])
+    assert all_distinct([]) and all_distinct([a])
+    assert not all_distinct([SkeinScalar.one(), a, SkeinScalar(1)])
 
 
 # -- outside input ------------------------------------------------------------------
