@@ -87,14 +87,6 @@ class SkeinVector:
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SkeinVector":
-        coeffs = {
-            BasisLabel.from_json(t["label"]): SkeinScalar.from_json(t["coeff"])
-            for t in obj["terms"]
-        }
-        return cls(obj["basis"], coeffs)
-
 
 def pair_multiplicity(label: BasisLabel, n1: int, n2: int) -> int:
     """Coefficient of `label` in the expansion of n1 ccw + n2 cw strings.

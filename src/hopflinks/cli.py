@@ -136,6 +136,17 @@ def _grid(max_encircling: int, max_core: int) -> list[HopfSpec]:
     return out
 
 
+def _label_grid(max_size: int) -> list[BasisLabel]:
+    """Labels (lam, mu) with |lam|, |mu| <= max_size, ordered by |lam|, |mu|, lam, mu."""
+    return [
+        BasisLabel(lam, mu)
+        for a in range(max_size + 1)
+        for b in range(max_size + 1)
+        for lam in partitions_of(a)
+        for mu in partitions_of(b)
+    ]
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     cap = args.max_crossings
     failures = 0
@@ -174,13 +185,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         failures += 1
         print("FAIL  eigenvalue collision among single shapes of size <= 8")
 
-    pair_labels = [
-        BasisLabel(lam, mu)
-        for a in range(5)
-        for b in range(5)
-        for lam in partitions_of(a)
-        for mu in partitions_of(b)
-    ]
+    pair_labels = _label_grid(4)
     if all_distinct(ccw_eigenvalue(lab) for lab in pair_labels) and all_distinct(
         cw_eigenvalue(lab) for lab in pair_labels
     ):
@@ -197,18 +202,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    for a in range(args.max_size + 1):
-        for b in range(args.max_size + 1):
-            for lam in partitions_of(a):
-                for mu in partitions_of(b):
-                    label = BasisLabel(lam, mu)
-                    row = {
-                        "label": label.to_json(),
-                        "t": ccw_eigenvalue(label).to_json(),
-                        "tbar": cw_eigenvalue(label).to_json(),
-                        "evalQ": plane_eval_eigen(label).to_json(),
-                    }
-                    print(json.dumps(row, separators=(",", ":")))
+    for label in _label_grid(args.max_size):
+        row = {
+            "label": label.to_json(),
+            "t": ccw_eigenvalue(label).to_json(),
+            "tbar": cw_eigenvalue(label).to_json(),
+            "evalQ": plane_eval_eigen(label).to_json(),
+        }
+        print(json.dumps(row, separators=(",", ":")))
     return 0
 
 

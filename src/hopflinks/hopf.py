@@ -140,20 +140,10 @@ def check_symmetries(spec: HopfSpec) -> SymmetryReport:
     """
     k1, k2, n1, n2 = spec.k1, spec.k2, spec.n1, spec.n2
     base = homfly_general(spec)
-    direct = [
-        (f"P(H({n1},{n2};{k1},{k2}))", HopfSpec(n1, n2, k1, k2)),
-        (f"P(H({k2},{k1};{n2},{n1}))", HopfSpec(k2, k1, n2, n1)),
-        (f"P(H({n2},{n1};{k2},{k1}))", HopfSpec(n2, n1, k2, k1)),
-    ]
+    direct = [HopfSpec(n1, n2, k1, k2), HopfSpec(k2, k1, n2, n1), HopfSpec(n2, n1, k2, k1)]
     mirrored = [
-        (f"mirror P(H({k2},{k1};{n1},{n2}))", HopfSpec(k2, k1, n1, n2)),
-        (f"mirror P(H({n1},{n2};{k2},{k1}))", HopfSpec(n1, n2, k2, k1)),
-        (f"mirror P(H({k1},{k2};{n2},{n1}))", HopfSpec(k1, k2, n2, n1)),
-        (f"mirror P(H({n2},{n1};{k1},{k2}))", HopfSpec(n2, n1, k1, k2)),
+        HopfSpec(k2, k1, n1, n2), HopfSpec(n1, n2, k2, k1), HopfSpec(k1, k2, n2, n1), HopfSpec(n2, n1, k1, k2)
     ]
-    checks = []
-    for name, other in direct:
-        checks.append((name, base == homfly_general(other)))
-    for name, other in mirrored:
-        checks.append((name, base == homfly_general(other).mirror()))
+    checks = [(f"P({other})", base == homfly_general(other)) for other in direct]
+    checks += [(f"mirror P({other})", base == homfly_general(other).mirror()) for other in mirrored]
     return SymmetryReport(spec, tuple(checks))

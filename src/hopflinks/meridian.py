@@ -43,15 +43,12 @@ def ccw_eigenvalue(label: BasisLabel) -> SkeinScalar:
     return SkeinScalar(body) + delta()
 
 
-@cache
 def cw_eigenvalue(label: BasisLabel) -> SkeinScalar:
     """Eigenvalue of the clockwise encircling loop on `label`.
 
     Equals the counterclockwise eigenvalue of the swapped label.
     """
-    lam, mu = label
-    body = Z * (_V_INV * _content_sum(lam, +1) - _V * _content_sum(mu, -1))
-    return SkeinScalar(body) + delta()
+    return ccw_eigenvalue(BasisLabel(label.pos, label.neg))
 
 
 def same_sense_eigenvalue(lam: Partition) -> SkeinScalar:

@@ -94,10 +94,6 @@ class BasisLabel(NamedTuple):
     def to_json(self) -> dict[str, list[int]]:
         return {"neg": list(self.neg), "pos": list(self.pos)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "BasisLabel":
-        return cls(tuple(obj["neg"]), tuple(obj["pos"]))
-
 
 def label_sort_key(label: BasisLabel):
     """Global label order: |neg| descending, then reverse-lex on each side."""

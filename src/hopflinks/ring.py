@@ -73,6 +73,22 @@ def json_int(obj: dict | list, key: str | int, limit: int | None = None) -> int:
     return value
 
 
+def _pow(base, n: int):
+    """base ** n by right-to-left binary powering (Knuth, TAOCP 2, 4.6.3), starting from the base."""
+    if n < 0:
+        raise ValueError(f"negative powers are not defined on {type(base).__name__}")
+    if not n:
+        return type(base).one()
+    while not n & 1:
+        base, n = base * base, n >> 1
+    result = base
+    while n := n >> 1:
+        base = base * base
+        if n & 1:
+            result = result * base
+    return result
+
+
 def _width(bits: int) -> int:
     """Narrowest slot width w > bits, so it holds coefficients with |c| < 2^bits."""
     return _BASE_WIDTH << (bits // _BASE_WIDTH).bit_length()
@@ -185,6 +201,15 @@ class LaurentPoly:
                 break
         return self._bits
 
+    def _room(self, other: "LaurentPoly", combine, extra: int) -> tuple[int, int]:
+        """Width and bound for |c| < 2^(combine(bounds) + extra), tightened only when it reaches the slot."""
+        w = max(self._w, other._w)
+        bits = combine(self._bits, other._bits) + extra
+        if bits >= w:
+            bits = combine(self._fit(), other._fit()) + extra
+            w = max(w, _width(bits))
+        return w, bits
+
     def _slots(self) -> int:
         """Upper bound on the number of stored slots."""
         return sum(row.bit_length() for _, row in self._rows.values()) // self._w + len(self._rows)
@@ -224,11 +249,7 @@ class LaurentPoly:
             other = LaurentPoly.term(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        w = max(self._w, other._w)
-        bits = max(self._bits, other._bits) + 1
-        if bits >= w:
-            bits = max(self._fit(), other._fit()) + 1
-            w = max(w, _width(bits))
+        w, bits = self._room(other, max, 1)
         out = dict(self._at(w))
         for ev, (lo, row) in other._at(w).items():
             lo0, row0 = out.pop(ev, (lo, 0))
@@ -258,11 +279,7 @@ class LaurentPoly:
             return LaurentPoly.zero()
         # A product coefficient sums at most as many terms as either factor has slots.
         spread = (min(self, other, key=lambda p: len(p._rows))._slots() - 1).bit_length()
-        w = max(self._w, other._w)
-        bits = self._bits + other._bits + spread
-        if bits >= w:
-            bits = self._fit() + other._fit() + spread
-            w = max(w, _width(bits))
+        w, bits = self._room(other, int.__add__, spread)
         b = [(eb, lb, rb) for eb, (lb, rb) in other._at(w).items()]
         acc: dict[int, list[int]] = {}  # ev -> [lo, row]
         for ea, (la, ra) in self._at(w).items():
@@ -278,18 +295,7 @@ class LaurentPoly:
         return _new({ev: _trim(lo, row, w) for ev, (lo, row) in acc.items() if row}, w, bits)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined in the Laurent ring")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    __pow__ = _pow
 
     # -- substitutions -----------------------------------------------
 
@@ -343,11 +349,11 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: Iterable[dict[str, int]]) -> "LaurentPoly":
-        """Read `to_json` output; exponents beyond MAX_EXPONENT raise ValueError."""
-        return cls({
-            (json_int(t, "v", MAX_EXPONENT), json_int(t, "s", MAX_EXPONENT)): json_int(t, "c")
+        """Read `to_json` output, adding repeated terms; exponents beyond MAX_EXPONENT raise ValueError."""
+        return cls([
+            ((json_int(t, "v", MAX_EXPONENT), json_int(t, "s", MAX_EXPONENT)), json_int(t, "c"))
             for t in json_list(obj)
-        })
+        ])
 
     def format(self, style: str = "plain") -> str:
         """Terms in canonical order, in `plain` or `latex` notation."""
@@ -395,6 +401,12 @@ def _den_poly(den: tuple[DenomFactor, ...]) -> LaurentPoly:
     for k, mult in den:
         out = out * _s_binomial(k) ** mult
     return out
+
+
+def _cofactor(den: dict[int, int], lcm: dict[int, int]) -> LaurentPoly:
+    """Expanded product of the factors that raise `den` to `lcm`."""
+    gaps = ((k, m - den.get(k, 0)) for k, m in sorted(lcm.items()))
+    return _den_poly(tuple(DenomFactor(k, gap) for k, gap in gaps if gap))
 
 
 class SkeinScalar:
@@ -474,9 +486,7 @@ class SkeinScalar:
         da = dict(self._den)
         db = dict(other._den)
         lcm = {k: max(da.get(k, 0), db.get(k, 0)) for k in set(da) | set(db)}
-        comp_a = tuple(DenomFactor(k, lcm[k] - da.get(k, 0)) for k in sorted(lcm) if lcm[k] > da.get(k, 0))
-        comp_b = tuple(DenomFactor(k, lcm[k] - db.get(k, 0)) for k in sorted(lcm) if lcm[k] > db.get(k, 0))
-        num = self._num * _den_poly(comp_a) + other._num * _den_poly(comp_b)
+        num = self._num * _cofactor(da, lcm) + other._num * _cofactor(db, lcm)
         return SkeinScalar(num, lcm.items())
 
     __radd__ = __add__
@@ -499,36 +509,24 @@ class SkeinScalar:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        merged: dict[int, int] = dict(self._den)
-        for k, mult in other._den:
-            merged[k] = merged.get(k, 0) + mult
-        return SkeinScalar(self._num * other._num, merged.items())
+        return SkeinScalar(self._num * other._num, self._den + other._den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "SkeinScalar":
-        if n < 0:
-            raise ValueError("negative powers are not available on SkeinScalar")
-        result = SkeinScalar.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    __pow__ = _pow
 
     # -- substitutions ---------------------------------------------------
 
-    def mirror(self) -> "SkeinScalar":
-        # Each factor s^k - s^{-k} is negated by the substitution; the
-        # accumulated sign moves into the numerator.
+    def _over_inverted_den(self, num: LaurentPoly) -> "SkeinScalar":
+        # s -> s^{-1} negates each factor s^k - s^{-k}; the accumulated
+        # sign moves into the numerator.
         sign = -1 if sum(m for _, m in self._den) % 2 else 1
-        return SkeinScalar(self._num.mirror() * sign, self._den)
+        return SkeinScalar(num * sign, self._den)
+
+    def mirror(self) -> "SkeinScalar":
+        return self._over_inverted_den(self._num.mirror())
 
     def s_inverse(self) -> "SkeinScalar":
-        sign = -1 if sum(m for _, m in self._den) % 2 else 1
-        return SkeinScalar(self._num.s_inverse() * sign, self._den)
+        return self._over_inverted_den(self._num.s_inverse())
 
     # -- comparison ------------------------------------------------------
 

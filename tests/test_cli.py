@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -83,6 +84,17 @@ def test_decoration_special_case(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "eval-decoration", "--k1", "1", "--k2", "1", "--decoration", str(path))
     assert code == 0
     assert parse_scalar(out.strip()) == homfly_general(HopfSpec(1, 1, 1, 2))
+
+
+def test_decoration_repeated_numerator_terms_add(tmp_path, capsys):
+    outputs = []
+    for num in ([{"v": 0, "s": 0, "c": 1}, {"v": 0, "s": 0, "c": 2}], [{"v": 0, "s": 0, "c": 3}]):
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps([{"coeff": {"num": num, "den": []}, "a": 1, "b": 1}]))
+        code, out, _ = run_cli(capsys, "eval-decoration", "--k1", "2", "--k2", "0", "--decoration", str(path))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_decoration_empty_file(tmp_path, capsys):
@@ -270,6 +282,17 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
 
 
 # -- verify ------------------------------------------------------------------------
+
+# sha256 of the stdout of `verify` with default flags (123 lines).
+VERIFY_STDOUT_SHA256 = "ceb573a03f70cf4ef4b7d34abb4558c34680c0990983b375f0dcae2c6a5351cb"
+
+
+def test_verify_default_output_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert out.count("\n") == 123
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
+
 
 def test_verify_small_grid_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-encircling", "1", "--max-core", "2")

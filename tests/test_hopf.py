@@ -164,6 +164,19 @@ def test_symmetries_unlink():
     assert check_symmetries(HopfSpec(0, 0, 3, 0)).passed
 
 
+def test_symmetry_check_names():
+    report = check_symmetries(HopfSpec(2, 1, 3, 0))
+    assert [name for name, _ in report.checks] == [
+        "P(H(3,0;2,1))",
+        "P(H(1,2;0,3))",
+        "P(H(0,3;1,2))",
+        "mirror P(H(1,2;3,0))",
+        "mirror P(H(3,0;1,2))",
+        "mirror P(H(2,1;0,3))",
+        "mirror P(H(0,3;2,1))",
+    ]
+
+
 def test_symmetries_full_grid():
     for k1 in range(3):
         for k2 in range(3 - k1):

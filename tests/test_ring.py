@@ -245,6 +245,30 @@ def test_pow_matches_repeated_multiplication(x, n):
     assert x ** n == expected
 
 
+@pytest.mark.parametrize("x", [Z + mono(2, v=1), delta() + SkeinScalar(V)], ids=["poly", "scalar"])
+def test_pow_does_no_wasted_product(monkeypatch, x):
+    # Right-to-left binary powering: one squaring per bit below the top
+    # bit and one multiply per further set bit, nothing by one.
+    cls = type(x)
+    products = [cls.one()]
+    for _ in range(9):
+        products.append(products[-1] * x)
+    calls = []
+    plain_mul = cls.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return plain_mul(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counting_mul)
+    for n, expected in enumerate(products):
+        calls.clear()
+        power = x ** n
+        assert power == expected
+        assert power.to_json() == expected.to_json()
+        assert len(calls) == (n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0)
+
+
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         delta() ** -1
@@ -312,6 +336,12 @@ def test_non_integer_operand_is_type_error(op):
 def test_poly_from_json_rejects_non_integers(terms):
     with pytest.raises(ValueError):
         LaurentPoly.from_json(terms)
+
+
+def test_repeated_terms_add_on_read():
+    assert LaurentPoly.from_json([{"v": 0, "s": 0, "c": 1}, {"v": 0, "s": 0, "c": 2}]) == 3
+    blob = {"num": [{"v": 1, "s": 2, "c": 1}, {"v": 1, "s": 2, "c": -1}], "den": [{"k": 1, "mult": 1}]}
+    assert SkeinScalar.from_json(blob).is_zero
 
 
 @pytest.mark.parametrize("factor", [{"k": 1.9, "mult": 1}, {"k": 1, "mult": 1.0}, {"k": True, "mult": 1}])
