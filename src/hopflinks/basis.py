@@ -1,60 +1,42 @@
-"""Change of basis inside one winding class of the annulus skein.
+"""Change of basis inside one winding class of the annulus skein, and the
+plane evaluation of the eigenbasis.
 
-Three bases of the same span appear here: parallel-string monomials,
-the eigenbasis of the encircling operators, and the juxtaposed products
-of one-sided idempotent closures.  The monomial expansion has the
-classical tableau-count multiplicities; product elements decompose over
-the eigenbasis through pairs of Littlewood-Richardson coefficients, a
-unitriangular rule that back-substitution inverts exactly.
+Two bases of the same span appear here: parallel-string monomials and
+the eigenbasis of the encircling operators.  The monomial expansion has
+the classical tableau-count multiplicities; an eigenbasis element
+evaluates in the plane to the Weyl dimension of a mixed GL(N) weight,
+one closed hook-content product.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from math import comb, factorial
 
-from .meridian import plane_eval_product
-from .partitions import (
-    BasisLabel,
-    basis_labels,
-    label_sort_key,
-    lr_coeff,
-    partitions_of,
-    syt_count,
-)
-from .ring import SkeinScalar
+from .partitions import BasisLabel, basis_labels, cells, contents, hook_length, label_sort_key, syt_count
+from .ring import LaurentPoly, SkeinScalar
 
 __all__ = [
-    "BASIS_EIGEN",
-    "BASIS_PRODUCT",
     "SkeinVector",
     "pair_multiplicity",
     "monomial_to_eigen",
-    "product_to_eigen",
-    "eigen_to_product",
     "plane_eval_eigen",
 ]
-
-# Wire-format names of the two bases.
-BASIS_EIGEN = "Q"
-BASIS_PRODUCT = "Qprime"
 
 
 @dataclass
 class SkeinVector:
-    """Finite combination of basis labels with scalar coefficients.
+    """Finite combination of eigenbasis labels with scalar coefficients.
 
     All labels must share one winding class, i.e. one common value of
     |neg| - |pos|; zero coefficients are dropped on construction.
     """
 
-    basis: str
     coeffs: dict[BasisLabel, SkeinScalar] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.basis not in (BASIS_EIGEN, BASIS_PRODUCT):
-            raise ValueError(f"unknown basis tag {self.basis!r}")
         cleaned = {}
         windings = set()
         for label, coeff in self.coeffs.items():
@@ -71,16 +53,9 @@ class SkeinVector:
     def items(self) -> list[tuple[BasisLabel, SkeinScalar]]:
         return sorted(self.coeffs.items(), key=lambda kv: label_sort_key(kv[0]))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SkeinVector):
-            return NotImplemented
-        if self.basis != other.basis or set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[k] == other.coeffs[k] for k in self.coeffs)
-
     def to_json(self) -> dict:
         return {
-            "basis": self.basis,
+            "basis": "Q",
             "terms": [
                 {"label": label.to_json(), "coeff": coeff.to_json()}
                 for label, coeff in self.items()
@@ -110,74 +85,30 @@ def monomial_to_eigen(n1: int, n2: int) -> SkeinVector:
         label: SkeinScalar(pair_multiplicity(label, n1, n2))
         for label in basis_labels(n2, n1)
     }
-    return SkeinVector(BASIS_EIGEN, coeffs)
-
-
-@cache
-def _product_to_eigen_int(label: BasisLabel) -> tuple[tuple[BasisLabel, int], ...]:
-    lam, mu = label
-    out: dict[BasisLabel, int] = {}
-    for j in range(min(sum(lam), sum(mu)) + 1):
-        for nu in partitions_of(j):
-            alphas = [
-                (alpha, c)
-                for alpha in partitions_of(sum(lam) - j)
-                if (c := lr_coeff(lam, nu, alpha))
-            ]
-            if not alphas:
-                continue
-            for beta in partitions_of(sum(mu) - j):
-                cb = lr_coeff(mu, nu, beta)
-                if not cb:
-                    continue
-                for alpha, ca in alphas:
-                    key = BasisLabel(alpha, beta)
-                    out[key] = out.get(key, 0) + ca * cb
-    return tuple(sorted(out.items(), key=lambda kv: label_sort_key(kv[0])))
-
-
-@cache
-def _eigen_to_product_int(label: BasisLabel) -> tuple[tuple[BasisLabel, int], ...]:
-    # The product expansion is unitriangular along decreasing |neg|, so
-    # back-substitution inverts it over the integers.
-    out: dict[BasisLabel, int] = {label: 1}
-    for other, c in _product_to_eigen_int(label):
-        if other == label:
-            continue
-        for deeper, c2 in _eigen_to_product_int(other):
-            val = out.get(deeper, 0) - c * c2
-            if val:
-                out[deeper] = val
-            else:
-                out.pop(deeper, None)
-    return tuple(sorted(out.items(), key=lambda kv: label_sort_key(kv[0])))
-
-
-def product_to_eigen(label: BasisLabel) -> SkeinVector:
-    """Expansion of one juxtaposed product element over the eigenbasis.
-
-    The coefficient of (alpha, beta) is the convolution
-    sum_nu c^neg_{nu, alpha} c^pos_{nu, beta}; the nu = () term gives the
-    leading coefficient 1 on the label itself.
-    """
-    coeffs = {
-        lab: SkeinScalar(c) for lab, c in _product_to_eigen_int(label)
-    }
-    return SkeinVector(BASIS_EIGEN, coeffs)
-
-
-def eigen_to_product(label: BasisLabel) -> SkeinVector:
-    """Expansion of one eigenbasis element over the product basis."""
-    coeffs = {
-        lab: SkeinScalar(c) for lab, c in _eigen_to_product_int(label)
-    }
-    return SkeinVector(BASIS_PRODUCT, coeffs)
+    return SkeinVector(coeffs)
 
 
 @cache
 def plane_eval_eigen(label: BasisLabel) -> SkeinScalar:
-    """Plane evaluation of an eigenbasis element via its product expansion."""
-    out = SkeinScalar.zero()
-    for lab, c in _eigen_to_product_int(label):
-        out = out + plane_eval_product(lab) * c
-    return out
+    """Plane evaluation of an eigenbasis element (Koike 1989; Hadji-Morton 2006).
+
+    <Q_neg> <Q_pos> prod_{i <= l(neg), j <= l(pos)} [N+A][N+B] / ([N+C][N+D])
+    with B = 1-i-j, A = neg_i+pos_j+B, C = neg_i+B and D = pos_j+B: the
+    brackets [N+c] = v^{-1} s^c - v s^{-c} (v = s^{-N}) are counted by
+    content, every C and D cancels against one, and the hook lengths of
+    both shapes make the denominator.
+    """
+    lam, mu = label
+    brackets = Counter(contents(lam) + contents(mu))
+    for i, a in enumerate(lam, 1):
+        for j, b in enumerate(mu, 1):
+            brackets.update((a + b + 1 - i - j, 1 - i - j))
+            brackets.subtract((a + 1 - i - j, b + 1 - i - j))
+    if min(brackets.values(), default=0) < 0:
+        raise ArithmeticError(f"a bracket [N+c] is left in the denominator of {label}")
+    num = LaurentPoly.one()
+    for c, mult in sorted(brackets.items()):
+        if mult:
+            num = num * LaurentPoly({(-1, c): 1, (1, -c): -1}) ** mult
+    hooks = Counter(hook_length(shape, i, j) for shape in label for i, j in cells(shape))
+    return SkeinScalar(num, hooks.items())

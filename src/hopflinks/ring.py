@@ -2,13 +2,16 @@
 
 Everything downstream works in Z[v^{+-1}, s^{+-1}] localized at the
 binomials s^k - s^{-k}.  A scalar is stored as a Laurent-polynomial
-numerator over a *factored* denominator, so equality is decidable by
-cross-multiplication and no multivariate gcd is ever needed.  Every
-denominator produced by the eigenvalue pipeline (the unknot value, the
-hook-content evaluations) has this shape.
+numerator over a *factored* denominator, and no multivariate gcd is ever
+needed: since s^k - s^{-k} = s^{-k} prod_{d | 2k} Phi_d(s), a value has
+one canonical form, found by dividing out cyclotomic factors alone, so
+equal values compare, hash and serialize alike.  Every denominator
+produced by the eigenvalue pipeline (the unknot value, the hook-content
+evaluations) has this shape.
 
 All values are immutable; operations are pure functions and safe to
-share between threads without locking.
+share between threads without locking (a cached canonical form is only
+ever written with the one value it can have).
 """
 
 from __future__ import annotations
@@ -409,16 +412,65 @@ def _cofactor(den: dict[int, int], lcm: dict[int, int]) -> LaurentPoly:
     return _den_poly(tuple(DenomFactor(k, gap) for k, gap in gaps if gap))
 
 
+def _phi_k(d: int) -> int:
+    """Smallest k with d | 2k: the first binomial s^k - s^{-k} that holds Phi_d."""
+    return d if d % 2 else d // 2
+
+
+def _phis(k: int) -> list[int]:
+    """The d with Phi_d(s) dividing s^k - s^{-k}, i.e. the divisors of 2k."""
+    return [d for d in range(1, 2 * k + 1) if 2 * k % d == 0]
+
+
+def _divide(p: list[int], q: tuple[int, ...]) -> list[int]:
+    """Exact quotient of integer polynomials, highest coefficient first; q monic."""
+    p = list(p)
+    for i in range(len(p) - len(q) + 1):
+        for j in range(1, len(q)):
+            p[i + j] -= p[i] * q[j]
+    return p[: len(p) - len(q) + 1]
+
+
+@cache
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Coefficients of Phi_d(s), highest first: s^d - 1 over every Phi_e, e | d, e < d."""
+    p = [1] + [0] * (d - 1) + [-1]
+    for e in range(1, d):
+        if d % e == 0:
+            p = _divide(p, _cyclotomic(e))
+    return tuple(p)
+
+
+def _s_poly(coeffs: list[int] | tuple[int, ...], shift: int = 0) -> LaurentPoly:
+    """s^shift times the polynomial in s with these coefficients, highest first."""
+    top = len(coeffs) - 1 + shift
+    return LaurentPoly(((0, top - i), c) for i, c in enumerate(coeffs))
+
+
+@cache
+def _phi_cofactor(d: int) -> LaurentPoly:
+    """(s^k - s^{-k}) / Phi_d(s) for k = _phi_k(d): num times it divides by s^k - s^{-k} iff Phi_d | num."""
+    k = _phi_k(d)
+    quot = _divide([1] + [0] * (2 * k - 1) + [-1], _cyclotomic(d))
+    return _s_poly(quot, -k)
+
+
 class SkeinScalar:
     """A fraction num / prod (s^k - s^{-k})^mult over the Laurent ring.
 
     Construction cancels every denominator factor that divides the
-    numerator exactly, so stored values are always reduced; zero is the
-    zero numerator with an empty denominator.  Equality compares values:
-    numerators over equal denominators, else cross-multiplication.
+    numerator exactly, greedily from the largest k, which keeps operands
+    small; zero is the zero numerator with an empty denominator.  What a
+    scalar shows (`num`, `den`, JSON, notation, equality and hash) is its
+    canonical form, computed once on first use: divide out of the
+    numerator every Phi_d(s), d | 2k, that it holds, leaving the exponent
+    vector e of the reduced denominator prod Phi_d^{e_d}; cover e by
+    repeatedly adding s^k - s^{-k} with k = _phi_k(d) for the largest
+    uncovered d.  The cover reads only e, so each value has exactly one
+    representative.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_canon")
 
     def __init__(self, num: LaurentPoly | int, den: Iterable[tuple[int, int]] = ()):
         if isinstance(num, int):
@@ -444,6 +496,38 @@ class SkeinScalar:
                     del merged[k]
         self._num = num
         self._den = tuple(DenomFactor(k, merged[k]) for k in sorted(merged))
+        self._canon = None
+
+    def _canonical(self) -> tuple[LaurentPoly, tuple[DenomFactor, ...]]:
+        if self._canon is not None:
+            return self._canon
+        num, e = self._num, {}
+        for k, mult in self._den:
+            for d in _phis(k):
+                e[d] = e.get(d, 0) + mult
+        for d in e:
+            while e[d] and (q := (num * _phi_cofactor(d)).exact_div_factor(_phi_k(d))) is not None:
+                num, e[d] = q, e[d] - 1
+        if num is self._num:
+            # The cover of a multiset of binomials is that multiset: the
+            # largest d is twice the largest k.
+            self._canon = (self._num, self._den)
+            return self._canon
+        # value = num s^shift / prod Phi_d^e_d; the cover adds s^-k Phi_d for each d | 2k.
+        cover: dict[int, int] = {}
+        shift, extra = sum(k * mult for k, mult in self._den), LaurentPoly.one()
+        while top := max((d for d in e if e[d]), default=0):
+            k = _phi_k(top)
+            cover[k] = cover.get(k, 0) + 1
+            shift -= k
+            for d in _phis(k):
+                if e.get(d):
+                    e[d] -= 1
+                else:
+                    extra = extra * _s_poly(_cyclotomic(d))
+        num = num * (extra * LaurentPoly.term(1, s=shift))
+        self._canon = (num, tuple(DenomFactor(k, cover[k]) for k in sorted(cover)))
+        return self._canon
 
     # -- constructors -------------------------------------------------
 
@@ -459,11 +543,11 @@ class SkeinScalar:
 
     @property
     def num(self) -> LaurentPoly:
-        return self._num
+        return self._canonical()[0]
 
     @property
     def den(self) -> tuple[DenomFactor, ...]:
-        return self._den
+        return self._canonical()[1]
 
     @property
     def is_zero(self) -> bool:
@@ -535,17 +619,17 @@ class SkeinScalar:
             other = SkeinScalar(other)
         if not isinstance(other, SkeinScalar):
             return NotImplemented
-        if self._den == other._den:
-            return self._num == other._num
-        return self._num * _den_poly(other._den) == other._num * _den_poly(self._den)
+        return self._canonical() == other._canonical()
+
+    def __hash__(self) -> int:
+        num, den = self._canonical()
+        return hash((den, tuple(num.terms())))
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict[str, list]:
-        return {
-            "num": self._num.to_json(),
-            "den": [{"k": k, "mult": m} for k, m in self._den],
-        }
+        num, den = self._canonical()
+        return {"num": num.to_json(), "den": [{"k": k, "mult": m} for k, m in den]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SkeinScalar":
@@ -558,15 +642,15 @@ class SkeinScalar:
 
     def format(self, style: str = "plain") -> str:
         """Numerator over the factored denominator, in `plain` or `latex` notation."""
-        num = self._num.format(style)
-        if not self._den:
-            return num
+        num, den = self._canonical()
+        if not den:
+            return num.format(style)
         _, _, fraction, joiner = _STYLES[style]
         parts = []
-        for k, mult in self._den:
+        for k, mult in den:
             base = f"({_power('s', k, style)} - {_power('s', -k, style)})"
             parts.append(_power(base, mult, style))
-        return fraction.format(num, joiner.join(parts))
+        return fraction.format(num.format(style), joiner.join(parts))
 
     __str__ = __repr__ = format
 
@@ -579,4 +663,4 @@ def delta() -> SkeinScalar:
 def all_distinct(values: Iterable[SkeinScalar]) -> bool:
     """True when no two of the given scalars are equal as ring values."""
     vals = list(values)
-    return all(a != b for i, a in enumerate(vals) for b in vals[i + 1 :])
+    return len(set(vals)) == len(vals)

@@ -1,18 +1,81 @@
+from functools import cache
+
 import pytest
 
 from hopflinks.basis import (
-    BASIS_EIGEN,
-    BASIS_PRODUCT,
     SkeinVector,
-    eigen_to_product,
     monomial_to_eigen,
     pair_multiplicity,
     plane_eval_eigen,
-    product_to_eigen,
 )
 from hopflinks.meridian import plane_eval_product, plane_eval_single
-from hopflinks.partitions import BasisLabel, basis_labels, conjugate, partitions_of
+from hopflinks.partitions import BasisLabel, conjugate, label_sort_key, lr_coeff, partitions_of
 from hopflinks.ring import SkeinScalar, delta
+
+
+# -- reference: the juxtaposed product basis and its Littlewood-Richardson inverse ----
+
+@cache
+def _product_to_eigen_int(label: BasisLabel) -> tuple[tuple[BasisLabel, int], ...]:
+    lam, mu = label
+    out: dict[BasisLabel, int] = {}
+    for j in range(min(sum(lam), sum(mu)) + 1):
+        for nu in partitions_of(j):
+            alphas = [
+                (alpha, c)
+                for alpha in partitions_of(sum(lam) - j)
+                if (c := lr_coeff(lam, nu, alpha))
+            ]
+            if not alphas:
+                continue
+            for beta in partitions_of(sum(mu) - j):
+                cb = lr_coeff(mu, nu, beta)
+                if not cb:
+                    continue
+                for alpha, ca in alphas:
+                    key = BasisLabel(alpha, beta)
+                    out[key] = out.get(key, 0) + ca * cb
+    return tuple(sorted(out.items(), key=lambda kv: label_sort_key(kv[0])))
+
+
+@cache
+def _eigen_to_product_int(label: BasisLabel) -> tuple[tuple[BasisLabel, int], ...]:
+    # The product expansion is unitriangular along decreasing |neg|, so
+    # back-substitution inverts it over the integers.
+    out: dict[BasisLabel, int] = {label: 1}
+    for other, c in _product_to_eigen_int(label):
+        if other == label:
+            continue
+        for deeper, c2 in _eigen_to_product_int(other):
+            val = out.get(deeper, 0) - c * c2
+            if val:
+                out[deeper] = val
+            else:
+                out.pop(deeper, None)
+    return tuple(sorted(out.items(), key=lambda kv: label_sort_key(kv[0])))
+
+
+def product_to_eigen(label: BasisLabel) -> SkeinVector:
+    """Expansion of one juxtaposed product element over the eigenbasis.
+
+    The coefficient of (alpha, beta) is the convolution
+    sum_nu c^neg_{nu, alpha} c^pos_{nu, beta}; the nu = () term gives the
+    leading coefficient 1 on the label itself.
+    """
+    return SkeinVector({lab: SkeinScalar(c) for lab, c in _product_to_eigen_int(label)})
+
+
+def eigen_to_product(label: BasisLabel) -> SkeinVector:
+    """Expansion of one eigenbasis element over the product basis."""
+    return SkeinVector({lab: SkeinScalar(c) for lab, c in _eigen_to_product_int(label)})
+
+
+def plane_eval_eigen_lr(label: BasisLabel) -> SkeinScalar:
+    """Plane evaluation of an eigenbasis element via its product expansion."""
+    out = SkeinScalar.zero()
+    for lab, c in _eigen_to_product_int(label):
+        out = out + plane_eval_product(lab) * c
+    return out
 
 
 def all_labels(max_size):
@@ -48,7 +111,7 @@ def test_pair_multiplicity_constraint_errors():
 
 def test_monomial_expansion_worked_example():
     vec = monomial_to_eigen(1, 2)
-    assert vec.basis == BASIS_EIGEN
+    assert vec.to_json()["basis"] == "Q"
     assert as_int_dict(vec) == {
         BasisLabel((2,), (1,)): SkeinScalar(1),
         BasisLabel((1,), ()): SkeinScalar(2),
@@ -129,17 +192,11 @@ def test_unitriangularity():
 def test_mixed_winding_classes_rejected():
     with pytest.raises(ValueError):
         SkeinVector(
-            BASIS_EIGEN,
             {
                 BasisLabel((1,), ()): SkeinScalar.one(),
                 BasisLabel((), (1,)): SkeinScalar.one(),
             },
         )
-
-
-def test_unknown_basis_tag_rejected():
-    with pytest.raises(ValueError):
-        SkeinVector("fourier", {})
 
 
 # -- evaluations -----------------------------------------------------------------
@@ -152,6 +209,14 @@ def test_plane_eval_eigen_examples():
         for mu in partitions_of(n):
             assert plane_eval_eigen(BasisLabel((), mu)) == plane_eval_single(mu)
             assert plane_eval_eigen(BasisLabel(mu, ())) == plane_eval_single(mu)
+
+
+def test_closed_product_matches_lr_reference():
+    # Every label with |neg|, |pos| <= 6: equal values and equal bytes.
+    for label in all_labels(6):
+        closed, reference = plane_eval_eigen(label), plane_eval_eigen_lr(label)
+        assert closed == reference, label
+        assert closed.to_json() == reference.to_json(), label
 
 
 def test_unlink_normalization_sum_rule():
@@ -184,7 +249,3 @@ def test_vector_json_round_trip():
         {"neg": [1, 1], "pos": [1]},
         {"neg": [1], "pos": []},
     ]
-
-
-def test_product_basis_tag_in_json():
-    assert eigen_to_product(BasisLabel((1,), ())).to_json()["basis"] == "Qprime"

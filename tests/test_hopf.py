@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from hopflinks.basis import monomial_to_eigen, plane_eval_eigen
 from hopflinks.hopf import (
     Decoration,
     DecorationTerm,
@@ -8,7 +10,13 @@ from hopflinks.hopf import (
     homfly_decorated,
     homfly_general,
 )
-from hopflinks.meridian import opposite_sense_eigenvalue, plane_eval_single, same_sense_eigenvalue
+from hopflinks.meridian import (
+    ccw_eigenvalue,
+    cw_eigenvalue,
+    opposite_sense_eigenvalue,
+    plane_eval_single,
+    same_sense_eigenvalue,
+)
 from hopflinks.partitions import partitions_of, syt_count
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
 
@@ -85,6 +93,24 @@ def test_unlink_law():
 def test_hopf_baselines_via_general():
     assert homfly_general(HopfSpec(1, 0, 1, 0)) == H_PLUS
     assert homfly_general(HopfSpec(0, 1, 1, 0)) == H_MINUS
+
+
+@given(
+    st.sampled_from([HopfSpec(1, 0, 2, 1), HopfSpec(2, 1, 2, 2), HopfSpec(0, 3, 3, 1), HopfSpec(2, 2, 1, 3)]),
+    st.randoms(use_true_random=False),
+)
+def test_summation_order_does_not_change_bytes(spec, rnd):
+    terms = [
+        ccw_eigenvalue(label) ** spec.k1 * cw_eigenvalue(label) ** spec.k2 * plane_eval_eigen(label) * mult
+        for label, mult in monomial_to_eigen(spec.n1, spec.n2).items()
+    ]
+    rnd.shuffle(terms)
+    total = SkeinScalar.zero()
+    for term in terms:
+        total = term + total if rnd.random() < 0.5 else total + term
+    expected = homfly_general(spec)
+    assert total.to_json() == expected.to_json()
+    assert hash(total) == hash(expected)
 
 
 def test_reversed_core_gives_mirror_values():

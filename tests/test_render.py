@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,8 +56,10 @@ def test_exact_notation_bytes():
         assert render_scalar(value, "latex") == latex
 
 
-# sha256 of the bytes below, taken before LaurentPoly stored packed rows.
-PINNED_OUTPUT_SHA256 = "ce85e205b10bca0524c4ff39de960116cc1e5b645803751691bcefec7c91c275"
+# sha256 of the bytes below, re-taken once when scalars got one canonical
+# form (was ce85e205..., the greedy-cancellation bytes); the values are
+# held by PINNED_VALUE_SHA256.
+PINNED_OUTPUT_SHA256 = "338a9c19a11d2d06490651a0362de521eca03b805fb5c273c85feed19efb150b"
 
 
 def test_canonical_output_bytes_pinned(capsys):
@@ -72,6 +76,39 @@ def test_canonical_output_bytes_pinned(capsys):
     assert main(["table", "--max-size", "3"]) == 0
     digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+
+
+def _bench_fingerprint():
+    path = Path(__file__).resolve().parents[1] / "bench" / "fingerprint.py"
+    spec = importlib.util.spec_from_file_location("bench_fingerprint", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of the value residues below, taken before scalars had one canonical form.
+PINNED_VALUE_SHA256 = "f0749d35f2488daf179fa309d4f649847871f66b43a2ecd4e43c0b52efe03315"
+
+
+def test_canonical_output_values_pinned(capsys):
+    # The output set of test_canonical_output_bytes_pinned, read as ring
+    # values: each scalar's residue at the fixed point of bench/fingerprint.py,
+    # so any representative of the same value gives the same digest.
+    scalar_json = _bench_fingerprint().scalar_json
+    digest = hashlib.sha256()
+    for k1 in range(4):
+        for k2 in range(4 - k1):
+            for n1 in range(6):
+                for n2 in range(6 - n1):
+                    value = homfly_general(HopfSpec(k1, k2, n1, n2))
+                    digest.update(f"{scalar_json(json.loads(render_scalar(value, 'json')))}\n".encode())
+    capsys.readouterr()
+    assert main(["table", "--max-size", "3"]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        row = json.loads(line)
+        residues = [scalar_json(row[name]) for name in ("t", "tbar", "evalQ")]
+        digest.update(f"{row['label']} {residues}\n".encode())
+    assert digest.hexdigest() == PINNED_VALUE_SHA256
 
 
 def test_parse_plain_basics():
@@ -120,6 +157,18 @@ def test_plain_round_trip(x):
 @given(scalars)
 def test_latex_round_trip(x):
     assert parse_scalar(render_scalar(x, "latex")).to_json() == x.to_json()
+
+
+@given(scalars, st.lists(st.integers(1, 5), max_size=3), st.sampled_from(["plain", "latex"]))
+def test_round_trip_keeps_the_form_of_a_binomial_multiple(x, ks, style):
+    # x written over extra binomials reads back to x's own bytes and hash.
+    product = LaurentPoly.one()
+    for k in ks:
+        product = product * LaurentPoly({(0, k): 1, (0, -k): -1})
+    wide = SkeinScalar(x.num * product, list(x.den) + [(k, 1) for k in ks])
+    again = parse_scalar(render_scalar(wide, style))
+    assert again.to_json() == x.to_json() == wide.to_json()
+    assert hash(again) == hash(x)
 
 
 def test_round_trip_on_pipeline_output():

@@ -1,5 +1,6 @@
 import json
 import operator
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -300,6 +301,161 @@ def test_json_round_trip(x):
     again = SkeinScalar.from_json(json.loads(json.dumps(x.to_json())))
     assert again == x
     assert again.to_json() == x.to_json()
+
+
+# -- canonical form -----------------------------------------------------------------
+# An independent reference on plain coefficient lists: the canonical
+# denominator is the cover of the cyclotomic exponents left once the
+# numerator's own cyclotomic factors are divided out.
+
+def poly_divmod(p, q):
+    """Long division of integer coefficient lists, lowest first; q monic."""
+    p = list(p)
+    quot = [0] * max(len(p) - len(q) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = p[i + len(q) - 1]
+        for j, c in enumerate(q):
+            p[i + j] -= quot[i] * c
+    return quot, p[: len(q) - 1]
+
+
+@cache
+def cyclotomic(d):
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p, _ = poly_divmod(p, cyclotomic(e))
+    return p
+
+
+def phi_vector(den):
+    """Exponent of each Phi_d in prod (s^k - s^-k)^mult."""
+    e = {}
+    for k, mult in den:
+        for d in range(1, 2 * k + 1):
+            if 2 * k % d == 0:
+                e[d] = e.get(d, 0) + mult
+    return e
+
+
+def phi_order(num, d, limit):
+    """Largest m <= limit with Phi_d^m dividing num."""
+    rows = {}
+    for ev, es, c in num.terms():
+        rows.setdefault(ev, {})[es] = c
+    lists = [[row.get(es, 0) for es in range(min(row), max(row) + 1)] for row in rows.values()]
+    for m in range(limit):
+        divided = [poly_divmod(p, cyclotomic(d)) for p in lists]
+        if any(any(rem) for _, rem in divided):
+            return m
+        lists = [quot for quot, _ in divided]
+    return limit
+
+
+def reference_cover(e):
+    e, cover = dict(e), {}
+    while top := max((d for d in e if e[d]), default=0):
+        k = top if top % 2 else top // 2
+        cover[k] = cover.get(k, 0) + 1
+        for d in phi_vector([(k, 1)]):
+            e[d] = max(e.get(d, 0) - 1, 0)
+    return tuple(sorted(cover.items()))
+
+
+def reference_canonical_den(x):
+    e = phi_vector(x.den)
+    return reference_cover({d: m - phi_order(x.num, d, m) for d, m in e.items()})
+
+
+def binomial(k):
+    return LaurentPoly({(0, k): 1, (0, -k): -1})
+
+
+PRIME, V0, S0 = 2**61 - 1, 1_234_567_891_011, 987_654_321_987
+
+
+def residue(num, den=()):
+    """num / prod (s^k - s^-k)^mult at (V0, S0) modulo PRIME."""
+    top = sum(c * pow(V0, ev, PRIME) * pow(S0, es, PRIME) for ev, es, c in num.terms())
+    bottom = 1
+    for k, mult in den:
+        bottom *= pow(pow(S0, k, PRIME) - pow(S0, -k, PRIME), mult, PRIME)
+    return top * pow(bottom, -1, PRIME) % PRIME
+
+
+def value_of(x):
+    return residue(x.num, x.den)
+
+
+binomial_ks = st.lists(st.integers(1, 6), max_size=4)
+big_polys = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-6, 6)), st.integers(-(2**80), 2**80), min_size=1, max_size=5
+).map(LaurentPoly)
+
+
+def assert_same_form(x, y):
+    assert x == y
+    assert x.to_json() == y.to_json()
+    assert hash(x) == hash(y)
+
+
+def test_roadmap_example_has_one_form():
+    x = SkeinScalar(LaurentPoly({(0, 1): 1, (0, -1): 1}), [(2, 1)])
+    assert_same_form(x, SkeinScalar(1, [(1, 1)]))
+    assert x.den == (DenomFactor(1, 1),) and x.num == LaurentPoly.one()
+
+
+def test_cover_rule_keeps_a_binomial_denominator():
+    # Nothing divides: the stored binomials are already the cover.
+    x = SkeinScalar(V, [(1, 2), (3, 1), (4, 1)])
+    assert x.den == ((1, 2), (3, 1), (4, 1)) and x.num == V
+
+
+@given(polys.filter(bool), denominators, binomial_ks)
+def test_binomial_multiple_gives_same_form(n, den, ks):
+    x = SkeinScalar(n, den)
+    product = LaurentPoly.one()
+    for k in ks:
+        product = product * binomial(k)
+    assert_same_form(SkeinScalar(n * product, den + [(k, 1) for k in ks]), x)
+    assert x.den == reference_canonical_den(x)
+    assert value_of(x) == residue(n, den)
+
+
+@given(st.integers(1, 30), big_polys, binomial_ks, st.integers(0, 2))
+def test_cyclotomic_multiple_is_divided_out(d, q, ks, power):
+    # Phi_d^power * Q over s^k - s^-k with d | 2k, coefficients beyond 2^64.
+    phi = LaurentPoly(((0, i), c) for i, c in enumerate(cyclotomic(d)))
+    k = d if d % 2 else d // 2
+    num, den = q * phi**power, [(k, 1)] + [(j, 1) for j in ks]
+    x = SkeinScalar(num, den)
+    assert x.den == reference_canonical_den(x)
+    assert value_of(x) == residue(num, den)
+    assert_same_form(x, SkeinScalar(num * binomial(k), den + [(k, 1)]))
+
+
+def test_cyclotomic_factor_found_at_slot_edges():
+    # Coefficients just below each slot width push the divisibility test
+    # to its widening step; answering "not divisible" there would leave
+    # a Phi_d in both numerator and denominator.
+    edges = [w - j for w in (48, 96, 192) for j in range(1, 17)]
+    for d in range(1, 31):
+        phi = LaurentPoly(((0, i), c) for i, c in enumerate(cyclotomic(d)))
+        k = d if d % 2 else d // 2
+        for b in edges:
+            q = LaurentPoly({(0, 0): 2**b - 1, (1, 3): 1 - 2**b, (0, -2): 1})
+            x = SkeinScalar(q * phi, [(k, 1)])
+            assert x.den == reference_canonical_den(x), (d, b)
+            assert value_of(x) == residue(q * phi, [(k, 1)]), (d, b)
+
+
+@given(scalars, scalars)
+def test_sum_and_product_forms_are_canonical(x, y):
+    for z in (x + y, x * y, x - y + y):
+        assert z.den == reference_canonical_den(z)
+    assert value_of(x + y) == (value_of(x) + value_of(y)) % PRIME
+    assert value_of(x * y) == value_of(x) * value_of(y) % PRIME
+    assert_same_form(x + y - y, x)
 
 
 # -- all_distinct --------------------------------------------------------------------
