@@ -5,9 +5,11 @@ binomials s^k - s^{-k}.  A scalar is stored as a Laurent-polynomial
 numerator over a *factored* denominator, and no multivariate gcd is ever
 needed: since s^k - s^{-k} = s^{-k} prod_{d | 2k} Phi_d(s), a value has
 one canonical form, found by dividing out cyclotomic factors alone, so
-equal values compare, hash and serialize alike.  Every denominator
-produced by the eigenvalue pipeline (the unknot value, the hook-content
-evaluations) has this shape.
+equal values compare, hash and serialize alike.  Arithmetic never
+divides; that canonical form is the only reduction, and it runs once,
+when a value is first read.  Every denominator produced by the
+eigenvalue pipeline (the unknot value, the hook-content evaluations)
+has this shape.
 
 All values are immutable; operations are pure functions and safe to
 share between threads without locking (a cached canonical form is only
@@ -458,16 +460,16 @@ def _phi_cofactor(d: int) -> LaurentPoly:
 class SkeinScalar:
     """A fraction num / prod (s^k - s^{-k})^mult over the Laurent ring.
 
-    Construction cancels every denominator factor that divides the
-    numerator exactly, greedily from the largest k, which keeps operands
-    small; zero is the zero numerator with an empty denominator.  What a
-    scalar shows (`num`, `den`, JSON, notation, equality and hash) is its
-    canonical form, computed once on first use: divide out of the
-    numerator every Phi_d(s), d | 2k, that it holds, leaving the exponent
-    vector e of the reduced denominator prod Phi_d^{e_d}; cover e by
-    repeatedly adding s^k - s^{-k} with k = _phi_k(d) for the largest
-    uncovered d.  The cover reads only e, so each value has exactly one
-    representative.
+    Construction and arithmetic never divide: a sum is kept over the
+    lcm of the factored denominators and a product over their union, and
+    zero is the zero numerator with an empty denominator.  What a scalar
+    shows (`num`, `den`, JSON, notation, equality and hash) is its
+    canonical form, the one reduction, computed once on first read:
+    divide out of the numerator every Phi_d(s), d | 2k, that it holds,
+    leaving the exponent vector e of the reduced denominator
+    prod Phi_d^{e_d}; cover e by repeatedly adding s^k - s^{-k} with
+    k = _phi_k(d) for the largest uncovered d.  The cover reads only e,
+    so each value has exactly one representative.
     """
 
     __slots__ = ("_num", "_den", "_canon")
@@ -484,16 +486,6 @@ class SkeinScalar:
             merged[k] = merged.get(k, 0) + mult
         if num.is_zero:
             merged = {}
-        else:
-            for k in sorted(merged, reverse=True):
-                while merged[k]:
-                    q = num.exact_div_factor(k)
-                    if q is None:
-                        break
-                    num = q
-                    merged[k] -= 1
-                if not merged[k]:
-                    del merged[k]
         self._num = num
         self._den = tuple(DenomFactor(k, merged[k]) for k in sorted(merged))
         self._canon = None
@@ -623,7 +615,10 @@ class SkeinScalar:
 
     def __hash__(self) -> int:
         num, den = self._canonical()
-        return hash((den, tuple(num.terms())))
+        terms = num.terms()
+        if den or any(t[:2] != (0, 0) for t in terms):
+            return hash((den, tuple(terms)))
+        return hash(num.coefficient())  # an integer constant hashes as the int it equals
 
     # -- serialization ----------------------------------------------------
 

@@ -1,6 +1,10 @@
 import hashlib
+import importlib
 import json
+import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -413,3 +417,21 @@ def test_plain_and_latex_parse_to_same_value(capsys):
     target = json.loads(blob)
     assert parse_scalar(plain.strip()).to_json() == target
     assert parse_scalar(latex.strip()).to_json() == target
+
+
+# -- console script ------------------------------------------------------------------
+
+def test_console_script_runs_main(capsys, monkeypatch):
+    # The [project.scripts] target, read as text: tomllib is missing on 3.10.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    module, attr = re.search(r'^hopflinks\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
+    script = getattr(importlib.import_module(module), attr)
+    argv = ["eval", "--k1", "1", "--k2", "0", "--n1", "1", "--n2", "0"]
+    _, expected, _ = run_cli(capsys, *argv)
+    for args, code, out in [(argv, 0, expected), (["eval", "--no-such-flag"], 2, "")]:
+        monkeypatch.setattr(sys, "argv", ["hopflinks", *args])
+        with pytest.raises(SystemExit) as exc:
+            script()
+        assert exc.value.code == code
+        assert capsys.readouterr().out == out

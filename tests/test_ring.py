@@ -3,7 +3,7 @@ import operator
 from functools import cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopflinks.ring import (
     MAX_EXPONENT,
@@ -186,6 +186,12 @@ def test_eq_matches_cross_multiplication(x, y):
     for a, b in [(x, y), (x, SkeinScalar(y.num, x.den)), (x, SkeinScalar(x.num, x.den)), (x, x + y - y)]:
         assert (a == b) == cross_multiplied_equal(a, b)
         assert (a != b) != (a == b)
+
+
+def test_integer_constants_hash_as_ints():
+    assert len({SkeinScalar(1), 1}) == 1
+    assert len({SkeinScalar.zero(), 0}) == 1
+    assert hash(SkeinScalar(Z * -7, [(1, 1)])) == hash(-7)
 
 
 def test_eq_over_one_denominator_compares_numerators():
@@ -456,6 +462,68 @@ def test_sum_and_product_forms_are_canonical(x, y):
     assert value_of(x + y) == (value_of(x) + value_of(y)) % PRIME
     assert value_of(x * y) == value_of(x) * value_of(y) % PRIME
     assert_same_form(x + y - y, x)
+
+
+# -- one reduction -------------------------------------------------------------------
+
+def test_arithmetic_never_divides(monkeypatch):
+    # The canonical form is the only reduction: arithmetic builds
+    # unreduced values and the first read divides, once.
+    calls = []
+    plain_div = LaurentPoly.exact_div_factor
+
+    def counting_div(p, k):
+        calls.append(k)
+        return plain_div(p, k)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div_factor", counting_div)
+    a = SkeinScalar((V_INV - V) * Z, [(1, 2), (2, 1)])
+    b = SkeinScalar(Z * binomial(2) + V, [(1, 1), (2, 1)])
+    x = ((a + b) * a - b) ** 3 - a * b
+    x = x.mirror() + x.s_inverse() + delta() * Z
+    assert calls == []
+    first = x.to_json()
+    assert calls
+    calls.clear()
+    x.num, x.den, x.format()
+    assert x.to_json() == first
+    assert x == x and x != 0 and hash(x) == hash(x)
+    assert calls == []
+
+
+CHAIN_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "**": operator.pow,
+    "mirror": lambda x, _: x.mirror(),
+}
+
+
+@st.composite
+def chains(draw):
+    """6 to 10 steps, at most two of them powers: each power multiplies the degree by up to 3."""
+    powers = draw(st.integers(0, 2))
+    steps = draw(st.lists(
+        st.one_of(st.tuples(st.sampled_from(["+", "-", "*"]), scalars), st.just(("mirror", None))),
+        min_size=6 - powers,
+        max_size=10 - powers,
+    ))
+    for _ in range(powers):
+        steps.insert(draw(st.integers(0, len(steps))), ("**", draw(st.integers(0, 3))))
+    return steps
+
+
+@settings(deadline=None)
+@given(scalars, chains())
+def test_reduction_is_path_independent(start, steps):
+    # Unreduced end to end, or reduced after every step: one canonical form.
+    lazy = eager = start
+    for name, arg in steps:
+        lazy = CHAIN_OPS[name](lazy, arg)
+        eager = SkeinScalar.from_json(CHAIN_OPS[name](eager, arg).to_json())
+    assert lazy.to_json() == eager.to_json()
+    assert hash(lazy) == hash(eager)
 
 
 # -- all_distinct --------------------------------------------------------------------
