@@ -24,6 +24,7 @@ from .oracle import (
     CrossingLimitError,
     PlanarDiagram,
     build_diagram,
+    check_family_cap,
     homfly_of_diagram,
 )
 from .partitions import BasisLabel, partitions_of
@@ -113,11 +114,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             if len(pieces) != 4:
                 raise ValueError(f"--family wants K1,K2,N1,N2, got {args.family!r}")
             k1, k2, n1, n2 = (int(x) for x in pieces)
-            diagram = build_diagram(HopfSpec(k1, k2, n1, n2))
+            spec = HopfSpec(k1, k2, n1, n2)
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        if args.pd is None:  # refuse an oversized family before building it
+            check_family_cap(spec, args.max_crossings)
+            diagram = build_diagram(spec)
         value = homfly_of_diagram(diagram, max_crossings=args.max_crossings)
     except CrossingLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -155,6 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     for spec in specs:
         try:
+            check_family_cap(spec, cap)
             brute = homfly_of_diagram(build_diagram(spec), max_crossings=cap, memo=memo)
         except CrossingLimitError as exc:
             print(f"SKIP  {spec}: {exc}")

@@ -40,6 +40,7 @@ __all__ = [
     "Crossing",
     "PlanarDiagram",
     "build_diagram",
+    "check_family_cap",
     "mirror_diagram",
     "canonical_key",
     "homfly_of_diagram",
@@ -347,15 +348,35 @@ def _simplify(
 # canonical form
 
 
+def _first_item(crossings: tuple[Crossing, ...], in_end: InEnd, start: int) -> tuple:
+    """The first item of the encoding from `start`: the crossing it enters."""
+    ci, pos = in_end[start]
+    sign, ends = crossings[ci]
+    label: dict[int, int] = {}
+    for e in ends[pos:] + ends[:pos]:
+        if e not in label:
+            label[e] = len(label)
+    return sign, tuple([label[e] for e in ends])
+
+
 def _encode_from(
     crossings: tuple[Crossing, ...],
     in_end: InEnd,
     start: int,
-) -> tuple:
+    best: tuple | None,
+) -> tuple | None:
+    """Traversal encoding from `start`, or None once it exceeds `best`.
+
+    Arcs are labeled in breadth-first order from `start`; each visited
+    crossing emits (sign, labels of its ends).  Every end is labeled when
+    its crossing is visited, so each item is final once emitted and the
+    encoding can be compared with `best` item by item as it grows.
+    """
     arc_label: dict[int, int] = {start: 0}
     order = [start]
-    cr_list: list[int] = []
+    items: list[tuple] = []
     visited: set[int] = set()
+    tied = best is not None
     pointer = 0
     while pointer < len(order):
         arc = order[pointer]
@@ -364,28 +385,42 @@ def _encode_from(
         if ci in visited:
             continue
         visited.add(ci)
-        cr_list.append(ci)
-        ends = crossings[ci].ends
-        for off in range(4):
-            e = ends[(pos + off) % 4]
+        sign, ends = crossings[ci]
+        for e in ends[pos:] + ends[:pos]:
             if e not in arc_label:
                 arc_label[e] = len(order)
                 order.append(e)
-    return tuple(
-        (crossings[ci].sign, tuple(arc_label[e] for e in crossings[ci].ends))
-        for ci in cr_list
-    )
+        item = (sign, tuple([arc_label[e] for e in ends]))
+        if tied:
+            rival = best[len(items)]
+            if item > rival:
+                return None
+            tied = item == rival
+        items.append(item)
+    return tuple(items)
 
 
 def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
     """Relabeling-invariant encoding of a crossing set.
 
-    Per connected piece, take the minimum traversal encoding over all
-    starting arcs; split pieces commute, so their encodings are sorted.
+    Per connected piece, the key is the minimum traversal encoding over
+    all starting arcs; split pieces commute, so their encodings are
+    sorted.  Two shortcuts leave that minimum unchanged.  Every encoding
+    of a piece has one item per crossing, so the minimum is decided item
+    by item: only starts whose first item (the crossing they enter, a
+    local signature) is least can reach it, and an encoding is dropped
+    at its first item above the best one so far.
     """
-    return tuple(sorted(
-        min(_encode_from(crossings, in_end, a) for a in arcs) for arcs in _pieces(crossings, in_end)
-    ))
+    keys = []
+    for arcs in _pieces(crossings, in_end):
+        first = {a: _first_item(crossings, in_end, a) for a in arcs}
+        least = min(first.values())
+        best = None
+        for a in arcs:
+            if first[a] == least:
+                best = _encode_from(crossings, in_end, a, best) or best
+        keys.append(best)
+    return tuple(sorted(keys))
 
 
 def canonical_key(diagram: PlanarDiagram) -> tuple:
@@ -428,6 +463,14 @@ def _eval(crossings: tuple[Crossing, ...], memo: dict) -> SkeinScalar:
     return result
 
 
+def _check_cap(crossings: int, free_loops: int, max_crossings: int) -> None:
+    if crossings > max_crossings:
+        raise CrossingLimitError(f"{crossings} crossings exceed cap {max_crossings}")
+    # Each free loop costs one product by delta, as a crossing costs a skein step.
+    if free_loops > max_crossings:
+        raise CrossingLimitError(f"{free_loops} free loops exceed cap {max_crossings}")
+
+
 def homfly_of_diagram(
     diagram: PlanarDiagram,
     *,
@@ -441,11 +484,7 @@ def homfly_of_diagram(
     population cannot change results.
     """
     diagram.validate()
-    if len(diagram.crossings) > max_crossings:
-        raise CrossingLimitError(f"{len(diagram.crossings)} crossings exceed cap {max_crossings}")
-    # Each free loop costs one product by delta, as a crossing costs a skein step.
-    if diagram.free_loops > max_crossings:
-        raise CrossingLimitError(f"{diagram.free_loops} free loops exceed cap {max_crossings}")
+    _check_cap(len(diagram.crossings), diagram.free_loops, max_crossings)
     if memo is None:
         memo = {}
     value = _eval(diagram.crossings, memo)
@@ -465,6 +504,21 @@ def mirror_diagram(diagram: PlanarDiagram) -> PlanarDiagram:
         for cr in diagram.crossings
     )
     return PlanarDiagram(flipped, diagram.free_loops)
+
+
+def check_family_cap(spec: HopfSpec, max_crossings: int) -> None:
+    """Raise CrossingLimitError as `homfly_of_diagram(build_diagram(spec))`
+    would, without building the diagram.
+
+    The standard diagram has 2(k1+k2)(n1+n2) crossings, or k1+k2+n1+n2
+    free loops when either sum is zero.
+    """
+    n = spec.n1 + spec.n2
+    k = spec.k1 + spec.k2
+    if n == 0 or k == 0:
+        _check_cap(0, n + k, max_crossings)
+    else:
+        _check_cap(2 * k * n, 0, max_crossings)
 
 
 def build_diagram(spec: HopfSpec) -> PlanarDiagram:

@@ -261,6 +261,19 @@ def test_oracle_free_loops_beyond_cap_exit_fast(tmp_path, capsys):
     assert "100000 free loops exceed cap 16" in err
 
 
+@pytest.mark.parametrize("family,message", [
+    ("300,0,300,0", "180000 crossings exceed cap 16"),
+    ("0,0,100000,0", "100000 free loops exceed cap 16"),
+])
+def test_oracle_oversized_family_exits_fast(capsys, family, message):
+    # 300,0,300,0 used to build and validate all 180000 crossings first.
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "oracle", "--family", family)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("blob", [
     {"crossings": [{"id": 0, "sign": 1.9, "ends": [0, 1, 1, 0]}]},
     {"crossings": [{"id": 0, "sign": True, "ends": [0, 1, 1, 0]}]},

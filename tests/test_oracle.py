@@ -15,6 +15,7 @@ from hopflinks.oracle import (
     PlanarDiagram,
     build_diagram,
     canonical_key,
+    check_family_cap,
     homfly_of_diagram,
     mirror_diagram,
 )
@@ -188,19 +189,6 @@ def test_mirror_value_property_on_grid():
 
 
 # -- canonical keys ---------------------------------------------------------------------------
-
-def test_canonical_key_ignores_relabeling():
-    def relabel(d, offset, scale):
-        out = tuple(
-            Crossing(cr.sign, tuple(scale * e + offset for e in cr.ends))
-            for cr in d.crossings
-        )
-        return PlanarDiagram(tuple(reversed(out)), d.free_loops)
-
-    for spec in grid_specs(1, 2):
-        d = build_diagram(spec)
-        assert canonical_key(d) == canonical_key(relabel(d, 1000, 7)), spec
-
 
 def test_canonical_key_separates_crossing_counts():
     assert canonical_key(build_diagram(HopfSpec(1, 0, 1, 0))) != canonical_key(
@@ -462,6 +450,91 @@ def test_validate_rejects_nonplanar_piece_beside_planar_ones():
     assert accepts(disjoint_union([planar, HOPF], range(5)))
 
 
+# -- canonical key: pruned search against the brute-force minimum -------------------------
+
+def _canonical_reference(d):
+    """canonical_key by brute force: per piece, the least traversal encoding
+    over every start arc; the pieces' encodings sorted, then the free loops."""
+    in_end = {}
+    for ci, cr in enumerate(d.crossings):
+        for pos in (0, 3 if cr.sign > 0 else 1):
+            in_end[cr.ends[pos]] = (ci, pos)
+
+    def encode(start):
+        label, order, visited = {start: 0}, [start], []
+        for arc in order:
+            ci, pos = in_end[arc]
+            if ci in visited:
+                continue
+            visited.append(ci)
+            for off in range(4):
+                e = d.crossings[ci].ends[(pos + off) % 4]
+                if e not in label:
+                    label[e] = len(order)
+                    order.append(e)
+        items = tuple((d.crossings[ci].sign, tuple(label[e] for e in d.crossings[ci].ends)) for ci in visited)
+        return items, frozenset(order)
+
+    least = {}
+    for start in in_end:
+        items, piece = encode(start)
+        least[piece] = min(items, least.get(piece, items))
+    return tuple(sorted(least.values())), d.free_loops
+
+
+@st.composite
+def kinked(draw, base):
+    """A diagram from `base` with up to three curls added at random arcs."""
+    d = draw(base)
+    for _ in range(draw(st.integers(0, 3))):
+        if d.crossings:
+            d = add_curl(d, draw(st.sampled_from(d.arcs())), draw(st.sampled_from([1, -1])))
+    return d
+
+
+specs = st.builds(HopfSpec, st.integers(0, 2), st.integers(0, 1), st.integers(0, 2), st.integers(0, 1))
+accepted_pieces = st.one_of(rotation_systems().filter(accepts), braids)
+
+
+@st.composite
+def unions(draw):
+    parts = draw(st.lists(accepted_pieces, min_size=1, max_size=3))
+    d = disjoint_union(parts, draw(st.permutations(range(sum(len(p.crossings) for p in parts)))))
+    return PlanarDiagram(d.crossings, draw(st.integers(0, 3)))
+
+
+key_corpus = st.one_of(
+    kinked(unions()),
+    kinked(specs.map(build_diagram)),
+    kinked(braids),
+    st.integers(0, 5).map(lambda loops: PlanarDiagram((), loops)),
+)
+
+
+@given(key_corpus)
+def test_canonical_key_is_the_brute_force_minimum(d):
+    d.validate()
+    assert canonical_key(d) == _canonical_reference(d)
+
+
+@st.composite
+def relabeled_pairs(draw):
+    d = draw(st.one_of(st.sampled_from([build_diagram(spec) for spec in grid_specs(1, 2)]), key_corpus))
+    arcs = d.arcs()
+    images = draw(st.lists(st.integers(-10**6, 10**6), min_size=len(arcs), max_size=len(arcs), unique=True))
+    rename = dict(zip(arcs, images))
+    order = draw(st.permutations(range(len(d.crossings))))
+    out = tuple(Crossing(d.crossings[i].sign, tuple(rename[e] for e in d.crossings[i].ends)) for i in order)
+    return d, PlanarDiagram(out, d.free_loops)
+
+
+@given(relabeled_pairs())
+def test_canonical_key_ignores_relabeling(pair):
+    d, relabeled = pair
+    relabeled.validate()
+    assert canonical_key(d) == canonical_key(relabeled)
+
+
 # -- independence ------------------------------------------------------------------------------
 
 def test_oracle_imports_no_eigenvalue_machinery():
@@ -478,6 +551,24 @@ def test_oracle_imports_no_eigenvalue_machinery():
     assert imported.pop(".ring") <= ring_names
     assert all(not module.startswith(".") for module in imported), imported
     assert not any(m.split(".")[-1] in ("meridian", "basis", "partitions") for m in imported)
+
+
+# -- the family's size is known before it is built ---------------------------------------------
+
+def test_family_cap_check_matches_the_built_diagram():
+    memo: dict = {}
+
+    def refusal(check):
+        try:
+            check()
+        except CrossingLimitError as exc:
+            return str(exc)
+        return None
+
+    for spec in grid_specs(2, 3):
+        for cap in (0, 2, 3, 4, 8, 12):
+            built = refusal(lambda: homfly_of_diagram(build_diagram(spec), max_crossings=cap, memo=memo))
+            assert refusal(lambda: check_family_cap(spec, cap)) == built, (spec, cap)
 
 
 # -- pinned memo contents ---------------------------------------------------------------------
