@@ -29,7 +29,7 @@ diagrams are unlinks weighted by v^{-writhe}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Generator, Iterator, NamedTuple
 
 from .hopf import HopfSpec
 from .ring import Z, LaurentPoly, SkeinScalar, delta, json_int, json_item, json_list
@@ -364,8 +364,9 @@ def _encode_from(
     in_end: InEnd,
     start: int,
     best: tuple | None,
-) -> tuple | None:
-    """Traversal encoding from `start`, or None once it exceeds `best`.
+) -> tuple[tuple, list[int]] | None:
+    """Traversal encoding from `start` and its arc order, or None once the
+    encoding exceeds `best`.
 
     Arcs are labeled in breadth-first order from `start`; each visited
     crossing emits (sign, labels of its ends).  Every end is labeled when
@@ -397,7 +398,7 @@ def _encode_from(
                 return None
             tied = item == rival
         items.append(item)
-    return tuple(items)
+    return tuple(items), order
 
 
 def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
@@ -405,20 +406,50 @@ def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
 
     Per connected piece, the key is the minimum traversal encoding over
     all starting arcs; split pieces commute, so their encodings are
-    sorted.  Two shortcuts leave that minimum unchanged.  Every encoding
+    sorted.  Three shortcuts leave that minimum unchanged.  Every encoding
     of a piece has one item per crossing, so the minimum is decided item
     by item: only starts whose first item (the crossing they enter, a
     local signature) is least can reach it, and an encoding is dropped
-    at its first item above the best one so far.
+    at its first item above the best one so far.  And when an encoding
+    ties the best one, mapping the best's arc order onto its own is an
+    automorphism of the piece; the starts in one orbit of the
+    automorphisms found so far all give one encoding, so a start is
+    skipped once its orbit holds an encoded start (automorphism pruning,
+    as in nauty).  Orbits are kept by union-find.
     """
     keys = []
     for arcs in _pieces(crossings, in_end):
         first = {a: _first_item(crossings, in_end, a) for a in arcs}
         least = min(first.values())
-        best = None
+        best = best_order = None
+        parent: dict[int, int] = {}  # union-find links; a root has none
+        encoded: set[int] = set()  # roots of orbits holding an encoded start
+
+        def find(a: int) -> int:
+            root = a
+            while root in parent:
+                root = parent[root]
+            while a != root:
+                parent[a], a = root, parent[a]
+            return root
+
         for a in arcs:
-            if first[a] == least:
-                best = _encode_from(crossings, in_end, a, best) or best
+            if first[a] != least or find(a) in encoded:
+                continue
+            encoded.add(find(a))
+            found = _encode_from(crossings, in_end, a, best)
+            if found is None:
+                continue
+            items, order = found
+            if items != best:
+                best, best_order = items, order
+                continue
+            for x, y in zip(best_order, order):
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[ry] = rx
+                    if ry in encoded:
+                        encoded.add(rx)
         keys.append(best)
     return tuple(sorted(keys))
 
@@ -436,7 +467,9 @@ def _v_power(n: int) -> SkeinScalar:
     return SkeinScalar(LaurentPoly.term(1, v=n))
 
 
-def _eval(crossings: tuple[Crossing, ...], memo: dict) -> SkeinScalar:
+def _node(crossings: tuple[Crossing, ...], memo: dict) -> Generator:
+    """One skein-tree node: yields each child diagram to evaluate, is sent
+    its value, and returns the node's value (see `_eval`)."""
     v_exp, loops, core = _simplify(crossings)
     if not core:
         result = SkeinScalar.one()
@@ -453,14 +486,37 @@ def _eval(crossings: tuple[Crossing, ...], memo: dict) -> SkeinScalar:
                 switched = _switch(core, bad)
                 smoothed, sm_loops = _smooth(core, bad)
                 z_term = SkeinScalar(Z if sign > 0 else -Z)
-                smooth_val = _eval(smoothed, memo) * delta() ** sm_loops
-                result = _eval(switched, memo) + z_term * smooth_val
+                smooth_val = (yield smoothed) * delta() ** sm_loops
+                result = (yield switched) + z_term * smooth_val
             memo[key] = result
     if v_exp:
         result = result * _v_power(v_exp)
     if loops:
         result = result * delta() ** loops
     return result
+
+
+def _eval(crossings: tuple[Crossing, ...], memo: dict) -> SkeinScalar:
+    """Evaluate the skein tree depth-first on an explicit stack of nodes.
+
+    The smoothed child is finished before the switched child starts and
+    the parent is stored last, so memo entries go in as a recursion
+    would put them, and the tree's depth is not bounded by Python's
+    recursion limit.
+    """
+    stack = [_node(crossings, memo)]
+    value = None
+    while True:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+            if not stack:
+                return value
+        else:
+            stack.append(_node(child, memo))
+            value = None
 
 
 def _check_cap(crossings: int, free_loops: int, max_crossings: int) -> None:

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from hopflinks.oracle import (
     homfly_of_diagram,
     mirror_diagram,
 )
+import hopflinks.oracle as oracle_module
 import hopflinks.ring as ring_module
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
 
@@ -503,11 +505,29 @@ def unions(draw):
     return PlanarDiagram(d.crossings, draw(st.integers(0, 3)))
 
 
+@st.composite
+def periodic_braids(draw):
+    """The closure of a short braid word repeated 2 to 6 times."""
+    strands = draw(st.integers(2, 3))
+    letters = [1, -1] if strands == 2 else [1, -1, 2, -2]
+    word = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3))
+    return braid_closure(strands, word * draw(st.integers(2, 6)))
+
+
+# Diagrams with nontrivial automorphisms, where the canonical key skips
+# starts by orbit; random words above rarely have any.
+symmetric = st.one_of(
+    periodic_braids(),
+    st.integers(1, 30).map(lambda n: braid_closure(2, [1] * n)),
+    st.builds(HopfSpec, st.integers(1, 3), st.just(0), st.integers(1, 3), st.just(0)).map(build_diagram),
+)
+
 key_corpus = st.one_of(
     kinked(unions()),
     kinked(specs.map(build_diagram)),
     kinked(braids),
     st.integers(0, 5).map(lambda loops: PlanarDiagram((), loops)),
+    symmetric,
 )
 
 
@@ -515,6 +535,18 @@ key_corpus = st.one_of(
 def test_canonical_key_is_the_brute_force_minimum(d):
     d.validate()
     assert canonical_key(d) == _canonical_reference(d)
+
+
+def test_symmetric_twists_take_a_fixed_number_of_encodings(monkeypatch):
+    real = oracle_module._encode_from
+    calls = []
+    monkeypatch.setattr(oracle_module, "_encode_from", lambda *args: calls.append(args) or real(*args))
+    counts = []
+    for n in (10, 60):
+        calls.clear()
+        canonical_key(braid_closure(2, [1] * n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3, counts
 
 
 @st.composite
@@ -596,3 +628,24 @@ def memo_digest():
 
 def test_oracle_memo_keys_pinned():
     assert memo_digest() == MEMO_DIGEST
+
+
+# -- deep skein trees --------------------------------------------------------------------------
+
+def test_deep_skein_tree_ignores_the_recursion_limit():
+    # A skein step on sigma1^n smooths to sigma1^(n-1), so the tree is n deep, and
+    # switches to a clasp over sigma1^(n-2): P(n) = P(n-2) + z P(n-1).
+    n = 300
+    expected = [delta() ** 2, SkeinScalar(mono(1, v=-1)) * delta()]
+    for _ in range(2, n + 1):
+        expected.append(expected[-2] + Z_SCALAR * expected[-1])
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        value = homfly_of_diagram(braid_closure(2, [1] * n), max_crossings=n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == expected[n]
