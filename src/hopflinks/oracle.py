@@ -29,7 +29,7 @@ diagrams are unlinks weighted by v^{-writhe}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterator, NamedTuple
+from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .hopf import HopfSpec
 from .ring import Z, LaurentPoly, SkeinScalar, delta, json_int, json_item, json_list
@@ -248,7 +248,11 @@ def _strands(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple[int | None
 def _apply_renames(
     crossings: list[Crossing], skip: set[int], pairs: list[tuple[int, int]]
 ) -> tuple[list[Crossing], int]:
-    """Drop the crossings in `skip`, splice the arc pairs, count loops."""
+    """Drop the crossings in `skip`, splice the arc pairs, count loops.
+
+    Only the crossings that hold a renamed arc are rebuilt; the others
+    are kept as they are.
+    """
     rename: dict[int, int] = {}
 
     def find(a: int) -> int:
@@ -263,8 +267,9 @@ def _apply_renames(
             loops += 1
         else:
             rename[ry] = rx
+    renamed = rename.keys()
     out = [
-        Crossing(cr.sign, tuple(find(e) for e in cr.ends))
+        cr if renamed.isdisjoint(cr.ends) else Crossing(cr.sign, tuple(find(e) for e in cr.ends))
         for i, cr in enumerate(crossings)
         if i not in skip
     ]
@@ -293,54 +298,88 @@ def _smooth(crossings: tuple[Crossing, ...], idx: int) -> tuple[tuple[Crossing, 
     return tuple(out), loops
 
 
+Corner = tuple[int, int]  # (crossing, position)
+
+
+def _reducible_face(work: list[Crossing], near: set[int]) -> tuple[Corner, ...] | None:
+    """The corner of a kink, else the two corners of a reducible clasp, or
+    None; only crossings that meet an arc in `near` are examined.
+
+    The pick is the first such face in order of its least corner, as
+    tracing every face from the least unvisited corner would meet it:
+    the least kink corner (a crossing with two cyclically adjacent equal
+    ends), else the bigon of the least corner whose crossings have
+    opposite signs and whose one strand stays on top at both.
+    """
+    local = [ci for ci, cr in enumerate(work) if not near.isdisjoint(cr.ends)]
+    for ci in local:
+        ends = work[ci].ends
+        for pos in range(4):
+            if ends[pos] == ends[pos - 1]:
+                return ((ci, pos),)
+    at: dict[int, list[Corner]] = {}
+    for ci in local:
+        for pos, arc in enumerate(work[ci].ends):
+            at.setdefault(arc, []).append((ci, pos))
+    for c1 in local:
+        cr1 = work[c1]
+        for p1 in range(4):
+            occ = at[cr1.ends[p1]]
+            if len(occ) < 2:
+                continue
+            c2, q = occ[1] if occ[0] == (c1, p1) else occ[0]
+            # The face turns at the arc's other end; it is a bigon starting
+            # at its least corner when it comes back from a later crossing.
+            p2 = (q + 1) % 4
+            if c2 <= c1 or work[c2].ends[p2] != cr1.ends[p1 - 1]:
+                continue
+            if cr1.sign == work[c2].sign:
+                continue
+            # The shared strand must be over (or under) at both ends.
+            if p1 % 2 == (p2 - 1) % 2:
+                return (c1, p1), (c2, p2)
+    return None
+
+
 def _simplify(
-    crossings: tuple[Crossing, ...],
+    crossings: tuple[Crossing, ...], near: Iterable[int]
 ) -> tuple[int, int, tuple[Crossing, ...]]:
     """Strip kinks, reducible clasps and the loops they close.
 
     Returns (exponent of v, number of removed loops, reduced diagram).
     A kink of sign e contributes v^{-e}; a clasp of two opposite-sign
     crossings in which one strand stays on top is removed for free.
+
+    Every kink and every reducible clasp of `crossings` must have a
+    boundary arc in `near`.  A move changes only the faces around the
+    crossings it removes, and each of those faces keeps a spliced arc,
+    whose id is one of their ends, so `near` stays sufficient once it
+    takes those ends.  The ids a splice renames away stay in `near` but
+    are held by no crossing.
     """
     v_exp = 0
     loops = 0
     work = list(crossings)
-    while work:
-        move = None
-        bigon = None
-        for orbit in _faces(tuple(work)):
-            if len(orbit) == 1:
-                move = orbit
-                break
-            if len(orbit) == 2 and bigon is None:
-                (c1, p1), (c2, p2) = orbit
-                if c1 == c2:
-                    continue
-                if work[c1].sign == work[c2].sign:
-                    continue
-                # The shared strand must be over (or under) at both ends.
-                if p1 % 2 != (p2 - 1) % 2:
-                    continue
-                bigon = orbit
-        if move is not None:
-            (ci, pos) = move[0]
+    near = set(near)
+    while (face := _reducible_face(work, near)) is not None:
+        if len(face) == 1:
+            ((ci, pos),) = face
             cr = work[ci]
             v_exp -= cr.sign
+            skip = {ci}
             pairs = [(cr.ends[(pos + 1) % 4], cr.ends[(pos + 2) % 4])]
-            work, new_loops = _apply_renames(work, {ci}, pairs)
-            loops += new_loops
-            continue
-        if bigon is not None:
-            (c1, p1), (c2, p2) = bigon
+        else:
+            (c1, p1), (c2, p2) = face
             crA, crB = work[c1], work[c2]
+            skip = {c1, c2}
             pairs = [
                 (crA.ends[(p1 + 2) % 4], crB.ends[(p2 + 1) % 4]),
                 (crA.ends[(p1 + 1) % 4], crB.ends[(p2 + 2) % 4]),
             ]
-            work, new_loops = _apply_renames(work, {c1, c2}, pairs)
-            loops += new_loops
-            continue
-        break
+        for ci in skip:
+            near.update(work[ci].ends)
+        work, new_loops = _apply_renames(work, skip, pairs)
+        loops += new_loops
     return v_exp, loops, tuple(work)
 
 
@@ -467,10 +506,12 @@ def _v_power(n: int) -> SkeinScalar:
     return SkeinScalar(LaurentPoly.term(1, v=n))
 
 
-def _node(crossings: tuple[Crossing, ...], memo: dict) -> Generator:
-    """One skein-tree node: yields each child diagram to evaluate, is sent
-    its value, and returns the node's value (see `_eval`)."""
-    v_exp, loops, core = _simplify(crossings)
+def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> Generator:
+    """One skein-tree node: yields each child to evaluate as (diagram, arcs
+    next to the split crossing), is sent its value, and returns the node's
+    value (see `_eval`)."""
+    v_exp, loops, core = _simplify(crossings, near)
+    del crossings
     if not core:
         result = SkeinScalar.one()
     else:
@@ -482,12 +523,17 @@ def _node(crossings: tuple[Crossing, ...], memo: dict) -> Generator:
             if bad is None:
                 result = _v_power(-sum(cr.sign for cr in core)) * delta() ** strands
             else:
-                sign = core[bad].sign
-                switched = _switch(core, bad)
-                smoothed, sm_loops = _smooth(core, bad)
+                # Switching keeps the cyclic order of the split crossing's
+                # arcs and smoothing splices only them, so a child's new
+                # kinks and clasps all have a boundary arc among them.
+                sign, near = core[bad]
                 z_term = SkeinScalar(Z if sign > 0 else -Z)
-                smooth_val = (yield smoothed) * delta() ** sm_loops
-                result = (yield switched) + z_term * smooth_val
+                smoothed, sm_loops = _smooth(core, bad)
+                children = [_switch(core, bad), smoothed]
+                # While its children run, a node keeps only what it reads again.
+                del core, in_end, smoothed
+                smooth_val = (yield children.pop(), near) * delta() ** sm_loops
+                result = (yield children.pop(), near) + z_term * smooth_val
             memo[key] = result
     if v_exp:
         result = result * _v_power(v_exp)
@@ -504,7 +550,7 @@ def _eval(crossings: tuple[Crossing, ...], memo: dict) -> SkeinScalar:
     would put them, and the tree's depth is not bounded by Python's
     recursion limit.
     """
-    stack = [_node(crossings, memo)]
+    stack = [_node(crossings, {e for cr in crossings for e in cr.ends}, memo)]
     value = None
     while True:
         try:
@@ -515,7 +561,7 @@ def _eval(crossings: tuple[Crossing, ...], memo: dict) -> SkeinScalar:
             if not stack:
                 return value
         else:
-            stack.append(_node(child, memo))
+            stack.append(_node(*child, memo))
             value = None
 
 

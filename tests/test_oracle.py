@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from hopflinks.oracle import (
     homfly_of_diagram,
     mirror_diagram,
 )
+from hopflinks.oracle import _simplify, _smooth, _switch
 import hopflinks.oracle as oracle_module
 import hopflinks.ring as ring_module
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
@@ -547,6 +549,122 @@ def test_symmetric_twists_take_a_fixed_number_of_encodings(monkeypatch):
         canonical_key(braid_closure(2, [1] * n))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 3, counts
+
+
+# -- simplification: moves near the split crossing against the full face rescan -------------
+
+def _splice_reference(crossings, skip, pairs):
+    """Drop the crossings in `skip`, splice the arc pairs, count loops; every crossing rebuilt."""
+    rename = {}
+
+    def find(a):
+        while a in rename:
+            a = rename[a]
+        return a
+
+    loops = 0
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            loops += 1
+        else:
+            rename[ry] = rx
+    out = [Crossing(cr.sign, tuple(find(e) for e in cr.ends)) for i, cr in enumerate(crossings) if i not in skip]
+    return out, loops
+
+
+def _simplify_reference(crossings):
+    """_simplify by tracing every face of the diagram after every move: the
+    first monogon in order of its least corner, else the first reducible bigon."""
+    v_exp = 0
+    loops = 0
+    work = list(crossings)
+    while work:
+        move = None
+        bigon = None
+        for orbit in oracle_module._faces(tuple(work)):
+            if len(orbit) == 1:
+                move = orbit
+                break
+            if len(orbit) == 2 and bigon is None:
+                (c1, p1), (c2, p2) = orbit
+                if c1 == c2:
+                    continue
+                if work[c1].sign == work[c2].sign:
+                    continue
+                # The shared strand must be over (or under) at both ends.
+                if p1 % 2 != (p2 - 1) % 2:
+                    continue
+                bigon = orbit
+        if move is not None:
+            (ci, pos) = move[0]
+            cr = work[ci]
+            v_exp -= cr.sign
+            pairs = [(cr.ends[(pos + 1) % 4], cr.ends[(pos + 2) % 4])]
+            work, new_loops = _splice_reference(work, {ci}, pairs)
+            loops += new_loops
+            continue
+        if bigon is not None:
+            (c1, p1), (c2, p2) = bigon
+            crA, crB = work[c1], work[c2]
+            pairs = [
+                (crA.ends[(p1 + 2) % 4], crB.ends[(p2 + 1) % 4]),
+                (crA.ends[(p1 + 1) % 4], crB.ends[(p2 + 2) % 4]),
+            ]
+            work, new_loops = _splice_reference(work, {c1, c2}, pairs)
+            loops += new_loops
+            continue
+        break
+    return v_exp, loops, tuple(work)
+
+
+@given(key_corpus)
+def test_simplify_near_the_split_crossing_matches_the_full_rescan(d):
+    # Same v exponent, loop count and crossing tuple with its arc ids: for both
+    # children of every crossing of the reduced diagram, and at every node of
+    # the skein tree the oracle walks, the root (every arc near) included.
+    core = _simplify_reference(d.crossings)[2]
+    for i, cr in enumerate(core):
+        for child in (_switch(core, i), _smooth(core, i)[0]):
+            assert _simplify(child, cr.ends) == _simplify_reference(child)
+    calls = []
+
+    def recording(crossings, near):
+        calls.append((crossings, near))
+        return _simplify(crossings, near)
+
+    oracle_module._simplify = recording
+    try:
+        homfly_of_diagram(PlanarDiagram(d.crossings), max_crossings=len(d.crossings))
+    finally:
+        oracle_module._simplify = _simplify
+    for crossings, near in calls:
+        assert _simplify(crossings, near) == _simplify_reference(crossings)
+
+
+def test_faces_are_traced_only_by_validate(monkeypatch):
+    real = oracle_module._faces
+    calls = []
+    monkeypatch.setattr(oracle_module, "_faces", lambda crossings: calls.append(1) or real(crossings))
+    for d in (build_diagram(HopfSpec(2, 0, 2, 0)), braid_closure(2, [1] * 12), add_curl(HOPF, 0, 1)):
+        calls.clear()
+        homfly_of_diagram(d)
+        assert len(calls) == 1
+
+
+def test_pending_nodes_keep_no_diagram_but_the_switched_child():
+    # sigma1^100 is 100 nodes deep.  A node that also kept its input, its
+    # reduced core, traversal map and smoothed child peaked at 2.4 MiB here;
+    # keeping only its key, switched child and scalars, at 1.0 MiB.
+    d = braid_closure(2, [1] * 100)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        homfly_of_diagram(d, max_crossings=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2**20, peak
 
 
 @st.composite
