@@ -567,6 +567,22 @@ class SkeinScalar:
 
     __radd__ = __add__
 
+    @classmethod
+    def sum(cls, values: Iterable["SkeinScalar | LaurentPoly | int"]) -> "SkeinScalar":
+        """The sum of `values`: numerators over one denominator are added, then the groups over their lcm."""
+        groups: dict[tuple[DenomFactor, ...], LaurentPoly] = {}
+        for x in map(cls._coerce, values):
+            groups[x._den] = groups[x._den] + x._num if x._den in groups else x._num
+        groups = {den: num for den, num in groups.items() if num}
+        lcm: dict[int, int] = {}
+        for den in groups:
+            for k, mult in den:
+                lcm[k] = max(lcm.get(k, 0), mult)
+        num = LaurentPoly.zero()
+        for den, part in groups.items():
+            num = num + part * _cofactor(dict(den), lcm)
+        return cls(num, lcm.items())
+
     def __neg__(self) -> "SkeinScalar":
         return SkeinScalar(-self._num, self._den)
 

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopflinks.basis import monomial_to_eigen, plane_eval_eigen
+from hopflinks.cli import _grid
 from hopflinks.hopf import (
     Decoration,
     DecorationTerm,
@@ -95,15 +96,24 @@ def test_hopf_baselines_via_general():
     assert homfly_general(HopfSpec(0, 1, 1, 0)) == H_MINUS
 
 
-@given(
-    st.sampled_from([HopfSpec(1, 0, 2, 1), HopfSpec(2, 1, 2, 2), HopfSpec(0, 3, 3, 1), HopfSpec(2, 2, 1, 3)]),
-    st.randoms(use_true_random=False),
-)
-def test_summation_order_does_not_change_bytes(spec, rnd):
-    terms = [
+def fold_terms(terms) -> SkeinScalar:
+    """The reference sum: a left fold of `+`."""
+    out = SkeinScalar.zero()
+    for term in terms:
+        out = out + term
+    return out
+
+
+def closed_form_terms(spec: HopfSpec) -> list[SkeinScalar]:
+    return [
         ccw_eigenvalue(label) ** spec.k1 * cw_eigenvalue(label) ** spec.k2 * plane_eval_eigen(label) * mult
         for label, mult in monomial_to_eigen(spec.n1, spec.n2).items()
     ]
+
+
+@given(st.sampled_from(_grid(4, 6)), st.randoms(use_true_random=False))
+def test_summation_order_does_not_change_bytes(spec, rnd):
+    terms = closed_form_terms(spec)
     rnd.shuffle(terms)
     total = SkeinScalar.zero()
     for term in terms:
@@ -111,6 +121,15 @@ def test_summation_order_does_not_change_bytes(spec, rnd):
     expected = homfly_general(spec)
     assert total.to_json() == expected.to_json()
     assert hash(total) == hash(expected)
+
+
+def test_closed_form_bytes_match_the_fold():
+    # The grouped sum gives the canonical bytes of the left fold of `+`
+    # on every spec with k1 + k2 <= 3 and n1 + n2 <= 5.
+    grid = _grid(3, 5)
+    assert len(grid) == 210
+    for spec in grid:
+        assert homfly_general(spec).to_json() == fold_terms(closed_form_terms(spec)).to_json(), spec
 
 
 def test_reversed_core_gives_mirror_values():
@@ -150,6 +169,44 @@ def test_decoration_scalar_coefficients():
         -3
     ) * homfly_general(HopfSpec(1, 2, 2, 1))
     assert homfly_decorated(1, 2, dec) == expected
+
+
+def decoration_reference(k1: int, k2: int, dec: Decoration) -> SkeinScalar:
+    """Linearity term by term: the sum of coeff * H(k1, k2; a, b)."""
+    return fold_terms(coeff * homfly_general(HopfSpec(k1, k2, a, b)) for coeff, a, b in dec.terms)
+
+
+decoration_coeffs = st.one_of(
+    st.integers(-3, 3).map(SkeinScalar),
+    st.integers(-2, 2).map(lambda c: delta() * c),
+    st.just(delta() * delta()),
+)
+decorations = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), decoration_coeffs, max_size=4).map(
+    lambda terms: Decoration(tuple(DecorationTerm(c, a, b) for (a, b), c in terms.items()))
+)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2), decorations)
+def test_decoration_matches_term_by_term_sum(k1, k2, dec):
+    assert homfly_decorated(k1, k2, dec).to_json() == decoration_reference(k1, k2, dec).to_json()
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # Every label of (2,1) is also a label of (3,2).
+        [(SkeinScalar(1), 2, 1), (delta(), 3, 2)],
+        # Two winding classes, one of them shared by two terms.
+        [(SkeinScalar(2), 1, 0), (SkeinScalar(-1), 2, 1), (delta(), 0, 2), (SkeinScalar(3), 1, 3)],
+        # The label ((), (1,)) has multiplicity 1 in (1,0) and 2 in (2,1): its merged coefficient is 0.
+        [(SkeinScalar(2), 1, 0), (SkeinScalar(-1), 2, 1)],
+    ],
+)
+def test_decoration_shared_labels(terms):
+    dec = Decoration(tuple(DecorationTerm(*t) for t in terms))
+    for k1, k2 in [(0, 0), (1, 0), (2, 1), (1, 3)]:
+        assert homfly_decorated(k1, k2, dec).to_json() == decoration_reference(k1, k2, dec).to_json(), (k1, k2)
 
 
 def test_decoration_rejects_duplicates_and_negatives():

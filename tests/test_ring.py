@@ -3,7 +3,7 @@ import operator
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopflinks.ring import (
     MAX_EXPONENT,
@@ -481,6 +481,7 @@ def test_arithmetic_never_divides(monkeypatch):
     b = SkeinScalar(Z * binomial(2) + V, [(1, 1), (2, 1)])
     x = ((a + b) * a - b) ** 3 - a * b
     x = x.mirror() + x.s_inverse() + delta() * Z
+    x = SkeinScalar.sum([x, a, -b, 3, delta() * Z, b, a * b])
     assert calls == []
     first = x.to_json()
     assert calls
@@ -489,6 +490,36 @@ def test_arithmetic_never_divides(monkeypatch):
     assert x.to_json() == first
     assert x == x and x != 0 and hash(x) == hash(x)
     assert calls == []
+
+
+# -- grouped sums ---------------------------------------------------------------------
+
+def fold(values):
+    """The reference sum: a left fold of `+`."""
+    out = SkeinScalar.zero()
+    for x in values:
+        out = out + x
+    return out
+
+
+@st.composite
+def summand_lists(draw):
+    """Scalars over repeated and disjoint denominators, ints, zeros and cancelling pairs x, -x, shuffled."""
+    xs = draw(st.lists(st.one_of(scalars, st.just(SkeinScalar.zero()), st.integers(-3, 3)), max_size=8))
+    xs += [-x for x in xs if draw(st.booleans())]
+    return draw(st.permutations(xs))
+
+
+@given(summand_lists())
+@example([])
+@example([SkeinScalar.zero(), 0])
+@example([delta(), -delta()])
+@example([delta(), SkeinScalar(V, [(1, 1)]), SkeinScalar(Z, [(2, 1)]), -delta(), 1])
+def test_sum_matches_the_fold(xs):
+    total, expected = SkeinScalar.sum(iter(xs)), fold(xs)
+    assert total.to_json() == expected.to_json()
+    assert hash(total) == hash(expected)
+    assert total.is_zero == expected.is_zero
 
 
 CHAIN_OPS = {
