@@ -12,11 +12,10 @@ delta^2 + v^{-2} - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .basis import monomial_to_eigen, plane_eval_eigen
 from .meridian import ccw_eigenvalue, cw_eigenvalue
-from .partitions import BasisLabel
 from .ring import SkeinScalar, json_int, json_item, json_list
 
 __all__ = [
@@ -53,17 +52,12 @@ class HopfSpec:
         return f"H({self.k1},{self.k2};{self.n1},{self.n2})"
 
 
-def _eigen_sum(k1: int, k2: int, coeffs: Iterable[tuple[BasisLabel, SkeinScalar]]) -> SkeinScalar:
-    """Sum of coeff * t^k1 * tbar^k2 * <Q_label> over the nonzero coefficients, t/tbar the ccw/cw eigenvalues."""
-    return SkeinScalar.sum(
-        ccw_eigenvalue(label) ** k1 * cw_eigenvalue(label) ** k2 * plane_eval_eigen(label) * coeff
-        for label, coeff in coeffs if coeff
-    )
-
-
 def homfly_general(spec: HopfSpec) -> SkeinScalar:
     """Value of H(k1, k2; n1, n2) for any mix of string orientations."""
-    return _eigen_sum(spec.k1, spec.k2, monomial_to_eigen(spec.n1, spec.n2).items())
+    return SkeinScalar.sum(
+        ccw_eigenvalue(label) ** spec.k1 * cw_eigenvalue(label) ** spec.k2 * plane_eval_eigen(label) * mult
+        for label, mult in monomial_to_eigen(spec.n1, spec.n2).items()
+    )
 
 
 class DecorationTerm(NamedTuple):
@@ -108,12 +102,8 @@ class Decoration:
 
 
 def homfly_decorated(k1: int, k2: int, decoration: Decoration) -> SkeinScalar:
-    """Evaluate a decorated Hopf satellite, each eigenbasis label once with its merged coefficient."""
-    merged: dict[BasisLabel, list[SkeinScalar]] = {}
-    for coeff, a, b in decoration.terms:
-        for label, mult in monomial_to_eigen(a, b).items():
-            merged.setdefault(label, []).append(coeff * mult)
-    return _eigen_sum(k1, k2, ((label, SkeinScalar.sum(parts)) for label, parts in merged.items()))
+    """Evaluate a decorated Hopf satellite by linearity over the terms."""
+    return SkeinScalar.sum(coeff * homfly_general(HopfSpec(k1, k2, a, b)) for coeff, a, b in decoration.terms)
 
 
 @dataclass(frozen=True)

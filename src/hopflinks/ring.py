@@ -18,7 +18,8 @@ ever written with the one value it can have).
 
 from __future__ import annotations
 
-from functools import cache
+import operator
+from functools import cache, reduce
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -559,11 +560,7 @@ class SkeinScalar:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        da = dict(self._den)
-        db = dict(other._den)
-        lcm = {k: max(da.get(k, 0), db.get(k, 0)) for k in set(da) | set(db)}
-        num = self._num * _cofactor(da, lcm) + other._num * _cofactor(db, lcm)
-        return SkeinScalar(num, lcm.items())
+        return SkeinScalar.sum((self, other))
 
     __radd__ = __add__
 
@@ -578,10 +575,9 @@ class SkeinScalar:
         for den in groups:
             for k, mult in den:
                 lcm[k] = max(lcm.get(k, 0), mult)
-        num = LaurentPoly.zero()
-        for den, part in groups.items():
-            num = num + part * _cofactor(dict(den), lcm)
-        return cls(num, lcm.items())
+        top = tuple(sorted(lcm.items()))
+        nums = [part if den == top else part * _cofactor(dict(den), lcm) for den, part in groups.items()]
+        return cls(reduce(operator.add, nums) if nums else LaurentPoly.zero(), top)
 
     def __neg__(self) -> "SkeinScalar":
         return SkeinScalar(-self._num, self._den)

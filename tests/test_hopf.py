@@ -199,7 +199,7 @@ def test_decoration_matches_term_by_term_sum(k1, k2, dec):
         [(SkeinScalar(1), 2, 1), (delta(), 3, 2)],
         # Two winding classes, one of them shared by two terms.
         [(SkeinScalar(2), 1, 0), (SkeinScalar(-1), 2, 1), (delta(), 0, 2), (SkeinScalar(3), 1, 3)],
-        # The label ((), (1,)) has multiplicity 1 in (1,0) and 2 in (2,1): its merged coefficient is 0.
+        # The label ((), (1,)) has multiplicity 1 in (1,0) and 2 in (2,1): its contributions cancel.
         [(SkeinScalar(2), 1, 0), (SkeinScalar(-1), 2, 1)],
     ],
 )

@@ -495,7 +495,7 @@ def test_arithmetic_never_divides(monkeypatch):
 # -- grouped sums ---------------------------------------------------------------------
 
 def fold(values):
-    """The reference sum: a left fold of `+`."""
+    """The reference sum: a left fold of `+`, one two-value sum per step."""
     out = SkeinScalar.zero()
     for x in values:
         out = out + x
