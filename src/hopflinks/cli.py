@@ -110,10 +110,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             with open(args.pd, encoding="utf-8") as fh:
                 diagram = PlanarDiagram.from_json(json.load(fh))
         else:
-            pieces = args.family.split(",")
-            if len(pieces) != 4:
-                raise ValueError(f"--family wants K1,K2,N1,N2, got {args.family!r}")
-            k1, k2, n1, n2 = (int(x) for x in pieces)
+            try:
+                k1, k2, n1, n2 = map(int, args.family.split(","))
+            except ValueError:
+                raise ValueError(f"--family wants four integers K1,K2,N1,N2, got {args.family!r}") from None
             spec = HopfSpec(k1, k2, n1, n2)
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

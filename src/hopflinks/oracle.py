@@ -245,6 +245,17 @@ def _strands(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple[int | None
 # local moves
 
 
+def _root(links: dict[int, int], a: int) -> int:
+    """The root of `a` in a union-find forest of child -> parent `links`
+    (a root has none); the path walked is pointed at the root."""
+    root = a
+    while root in links:
+        root = links[root]
+    while a != root:
+        links[a], a = root, links[a]
+    return root
+
+
 def _apply_renames(
     crossings: list[Crossing], skip: set[int], pairs: list[tuple[int, int]]
 ) -> tuple[list[Crossing], int]:
@@ -254,22 +265,16 @@ def _apply_renames(
     are kept as they are.
     """
     rename: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while a in rename:
-            a = rename[a]
-        return a
-
     loops = 0
     for x, y in pairs:
-        rx, ry = find(x), find(y)
+        rx, ry = _root(rename, x), _root(rename, y)
         if rx == ry:
             loops += 1
         else:
             rename[ry] = rx
     renamed = rename.keys()
     out = [
-        cr if renamed.isdisjoint(cr.ends) else Crossing(cr.sign, tuple(find(e) for e in cr.ends))
+        cr if renamed.isdisjoint(cr.ends) else Crossing(cr.sign, tuple(_root(rename, e) for e in cr.ends))
         for i, cr in enumerate(crossings)
         if i not in skip
     ]
@@ -387,17 +392,6 @@ def _simplify(
 # canonical form
 
 
-def _first_item(crossings: tuple[Crossing, ...], in_end: InEnd, start: int) -> tuple:
-    """The first item of the encoding from `start`: the crossing it enters."""
-    ci, pos = in_end[start]
-    sign, ends = crossings[ci]
-    label: dict[int, int] = {}
-    for e in ends[pos:] + ends[:pos]:
-        if e not in label:
-            label[e] = len(label)
-    return sign, tuple([label[e] for e in ends])
-
-
 def _encode_from(
     crossings: tuple[Crossing, ...],
     in_end: InEnd,
@@ -445,37 +439,34 @@ def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
 
     Per connected piece, the key is the minimum traversal encoding over
     all starting arcs; split pieces commute, so their encodings are
-    sorted.  Three shortcuts leave that minimum unchanged.  Every encoding
-    of a piece has one item per crossing, so the minimum is decided item
-    by item: only starts whose first item (the crossing they enter, a
-    local signature) is least can reach it, and an encoding is dropped
-    at its first item above the best one so far.  And when an encoding
-    ties the best one, mapping the best's arc order onto its own is an
-    automorphism of the piece; the starts in one orbit of the
+    sorted.  Every start is tried, in order of the sign and entry
+    position of the crossing it enters, and two shortcuts leave the
+    minimum unchanged.  Every encoding of a piece has one item per
+    crossing, so the minimum is decided item by item: an encoding is
+    dropped at its first item above the best one so far.  And when an
+    encoding ties the best one, mapping the best's arc order onto its
+    own is an automorphism of the piece; the starts in one orbit of the
     automorphisms found so far all give one encoding, so a start is
     skipped once its orbit holds an encoded start (automorphism pruning,
     as in nauty).  Orbits are kept by union-find.
+
+    The order only saves work.  A crossing with four distinct ends, as
+    every crossing of a reduced diagram has, is the first item
+    `(sign, (0, 1, 2, 3))` from its under-strand in-arc and a rotation
+    of it from its over-strand in-arc.  So the under-strand in-arcs of
+    the least sign come first and hold the least first items, and every
+    later start stops after one crossing.
     """
     keys = []
     for arcs in _pieces(crossings, in_end):
-        first = {a: _first_item(crossings, in_end, a) for a in arcs}
-        least = min(first.values())
         best = best_order = None
-        parent: dict[int, int] = {}  # union-find links; a root has none
+        links: dict[int, int] = {}
         encoded: set[int] = set()  # roots of orbits holding an encoded start
-
-        def find(a: int) -> int:
-            root = a
-            while root in parent:
-                root = parent[root]
-            while a != root:
-                parent[a], a = root, parent[a]
-            return root
-
-        for a in arcs:
-            if first[a] != least or find(a) in encoded:
+        for a in sorted(arcs, key=lambda arc: (crossings[in_end[arc][0]].sign, in_end[arc][1])):
+            root = _root(links, a)
+            if root in encoded:
                 continue
-            encoded.add(find(a))
+            encoded.add(root)
             found = _encode_from(crossings, in_end, a, best)
             if found is None:
                 continue
@@ -484,9 +475,9 @@ def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
                 best, best_order = items, order
                 continue
             for x, y in zip(best_order, order):
-                rx, ry = find(x), find(y)
+                rx, ry = _root(links, x), _root(links, y)
                 if rx != ry:
-                    parent[ry] = rx
+                    links[ry] = rx
                     if ry in encoded:
                         encoded.add(rx)
         keys.append(best)

@@ -17,7 +17,6 @@ __all__ = [
     "cells",
     "contents",
     "hook_length",
-    "conjugate",
     "partitions_of",
     "basis_labels",
     "syt_count",
@@ -55,14 +54,6 @@ def hook_length(lam: Partition, i: int, j: int) -> int:
     arm = lam[i - 1] - j
     leg = sum(1 for r in range(i, len(lam)) if lam[r] >= j)
     return arm + leg + 1
-
-
-def conjugate(lam: Partition) -> Partition:
-    """Transposed diagram."""
-    _check_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
 @cache

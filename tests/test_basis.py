@@ -1,6 +1,7 @@
 from functools import cache
 
 import pytest
+from partition_tools import conjugate
 
 from hopflinks.basis import (
     SkeinVector,
@@ -9,7 +10,7 @@ from hopflinks.basis import (
     plane_eval_eigen,
 )
 from hopflinks.meridian import plane_eval_product, plane_eval_single
-from hopflinks.partitions import BasisLabel, conjugate, label_sort_key, lr_coeff, partitions_of
+from hopflinks.partitions import BasisLabel, label_sort_key, lr_coeff, partitions_of
 from hopflinks.ring import SkeinScalar, delta
 
 

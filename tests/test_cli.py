@@ -239,8 +239,10 @@ def test_oracle_cap_env_var(capsys, monkeypatch):
 
 
 def test_oracle_malformed_family(capsys):
-    code, _, _ = run_cli(capsys, "oracle", "--family", "1,2")
-    assert code == 2
+    for family in ("1,2", "1,1,1,1,1", "1,a,1,1", "1,,1,1"):
+        code, out, err = run_cli(capsys, "oracle", "--family", family)
+        assert (code, out) == (2, "")
+        assert err == f"error: --family wants four integers K1,K2,N1,N2, got {family!r}\n"
 
 
 def test_oracle_malformed_pd(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from hypothesis import given, strategies as st
+from partition_tools import conjugate
 
 from hopflinks.meridian import (
     ccw_eigenvalue,
@@ -163,8 +164,6 @@ def test_plane_eval_worked_example_values():
 def test_plane_eval_conjugation_swaps_s():
     # Each hook factor s^h - s^{-h} is negated by s -> s^{-1}, so the
     # substitution matches the conjugate evaluation up to (-1)^{cells}.
-    from hopflinks.partitions import conjugate
-
     for n in range(7):
         for lam in partitions_of(n):
             sign = -1 if n % 2 else 1

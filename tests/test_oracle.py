@@ -551,6 +551,34 @@ def test_symmetric_twists_take_a_fixed_number_of_encodings(monkeypatch):
     assert counts[0] == counts[1] <= 3, counts
 
 
+@given(key_corpus)
+def test_reduced_diagrams_encode_in_full_only_from_least_under_strand_starts(d):
+    # Every crossing that _simplify leaves has four distinct ends, so an
+    # encoding that is not dropped at its first item starts on the
+    # under-strand in-arc of a least-sign crossing of its piece, at every
+    # node of the skein tree.
+    real = oracle_module._encode_from
+    kept = []
+
+    def recording(crossings, in_end, start, best):
+        found = real(crossings, in_end, start, best)
+        if found is not None:
+            kept.append((crossings, in_end, start))
+        return found
+
+    oracle_module._encode_from = recording
+    try:
+        homfly_of_diagram(PlanarDiagram(d.crossings), max_crossings=len(d.crossings))
+    finally:
+        oracle_module._encode_from = real
+    for crossings, in_end, start in kept:
+        assert all(len(set(cr.ends)) == 4 for cr in crossings)
+        piece = next(arcs for arcs in oracle_module._pieces(crossings, in_end) if start in arcs)
+        ci, pos = in_end[start]
+        assert pos == 0
+        assert crossings[ci].sign == min(crossings[in_end[a][0]].sign for a in piece)
+
+
 # -- simplification: moves near the split crossing against the full face rescan -------------
 
 def _splice_reference(crossings, skip, pairs):

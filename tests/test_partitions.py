@@ -3,12 +3,12 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
+from partition_tools import conjugate
 
 from hopflinks.partitions import (
     BasisLabel,
     basis_labels,
     cells,
-    conjugate,
     contents,
     hook_length,
     lr_coeff,
