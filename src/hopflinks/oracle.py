@@ -451,7 +451,7 @@ def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
     as in nauty).  Orbits are kept by union-find.
 
     The order only saves work.  A crossing with four distinct ends, as
-    every crossing of a reduced diagram has, is the first item
+    every crossing of a reduced diagram has, gives the first item
     `(sign, (0, 1, 2, 3))` from its under-strand in-arc and a rotation
     of it from its over-strand in-arc.  So the under-strand in-arcs of
     the least sign come first and hold the least first items, and every
