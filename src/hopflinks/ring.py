@@ -11,6 +11,10 @@ when a value is first read.  Every denominator produced by the
 eigenvalue pipeline (the unknot value, the hook-content evaluations)
 has this shape.
 
+A Phi_d(s) is divided out on the packed rows (`LaurentPoly.exact_div_phi`):
+one integer remainder per row screens it, and one integer quotient per
+row, certified by a mask test, divides it.
+
 All values are immutable; operations are pure functions and safe to
 share between threads without locking (a cached canonical form is only
 ever written with the one value it can have).
@@ -348,6 +352,31 @@ class LaurentPoly:
             w = max(w, _width(self._fit() + spread))
             rows = self._at(w)
 
+    def exact_div_phi(self, d: int) -> "LaurentPoly | None":
+        """Quotient by the cyclotomic polynomial Phi_d(s) when exact, else None.
+
+        A row R is P(2^w), so m = Phi_d(2^w) divides R when Phi_d divides P:
+        a nonzero R mod m on any row proves that it does not.  Otherwise the
+        slots of each R // m are the quotient once a mask test bounds them
+        so that Phi_d times them stays inside the slots, where the integer
+        identity is the polynomial one.  Input the mask test cannot certify
+        (a wide quotient, or a false pass of the remainder screen) is
+        multiplied by (s^k - s^{-k}) / Phi_d and divided by s^k - s^{-k}.
+        """
+        if not self._rows:
+            return LaurentPoly.zero()
+        w = self._w
+        m, bits = _phi_at(d, w)
+        out = {}
+        for ev, (lo, row) in self._rows.items():
+            quotient, rest = divmod(row, m)
+            if rest:
+                return None
+            out[ev] = (lo, quotient)
+        if all(_within(row, w, bits) for _, row in out.values()):
+            return _new(out, w, bits)
+        return (self * _phi_cofactor(d)).exact_div_factor(_phi_k(d))
+
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> list[dict[str, int]]:
@@ -451,6 +480,18 @@ def _s_poly(coeffs: list[int] | tuple[int, ...], shift: int = 0) -> LaurentPoly:
 
 
 @cache
+def _phi_at(d: int, w: int) -> tuple[int, int]:
+    """Phi_d(2^w), and the slot bound b that certifies a quotient row.
+
+    With ||Phi_d||_1 < 2^n and b = w - 1 - n, Phi_d times slots in
+    [-2^(b-1), 2^(b-1)) has slots below 2^(w-2) in size, and the balanced
+    base-2^w digits of an integer are unique.
+    """
+    coeffs = _cyclotomic(d)
+    return _pack(coeffs[::-1], w), w - 1 - sum(map(abs, coeffs)).bit_length()
+
+
+@cache
 def _phi_cofactor(d: int) -> LaurentPoly:
     """(s^k - s^{-k}) / Phi_d(s) for k = _phi_k(d): num times it divides by s^k - s^{-k} iff Phi_d | num."""
     k = _phi_k(d)
@@ -466,8 +507,8 @@ class SkeinScalar:
     zero is the zero numerator with an empty denominator.  What a scalar
     shows (`num`, `den`, JSON, notation, equality and hash) is its
     canonical form, the one reduction, computed once on first read:
-    divide out of the numerator every Phi_d(s), d | 2k, that it holds,
-    leaving the exponent vector e of the reduced denominator
+    divide out of the numerator every Phi_d(s), d | 2k, that it holds
+    (`LaurentPoly.exact_div_phi`), leaving the exponent vector e of the reduced denominator
     prod Phi_d^{e_d}; cover e by repeatedly adding s^k - s^{-k} with
     k = _phi_k(d) for the largest uncovered d.  The cover reads only e,
     so each value has exactly one representative.
@@ -499,7 +540,7 @@ class SkeinScalar:
             for d in _phis(k):
                 e[d] = e.get(d, 0) + mult
         for d in e:
-            while e[d] and (q := (num * _phi_cofactor(d)).exact_div_factor(_phi_k(d))) is not None:
+            while e[d] and (q := num.exact_div_phi(d)) is not None:
                 num, e[d] = q, e[d] - 1
         if num is self._num:
             # The cover of a multiset of binomials is that multiset: the

@@ -1,7 +1,9 @@
 import hashlib
 import importlib
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -243,6 +245,29 @@ def test_oracle_malformed_family(capsys):
         code, out, err = run_cli(capsys, "oracle", "--family", family)
         assert (code, out) == (2, "")
         assert err == f"error: --family wants four integers K1,K2,N1,N2, got {family!r}\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv):
+    """`python -m hopflinks argv...` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "hopflinks", *argv], env=env, capture_output=True)
+
+
+def test_python_m_reports_a_malformed_family():
+    result = run_module("oracle", "--family", "1,a,1,1")
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == b"error: --family wants four integers K1,K2,N1,N2, got '1,a,1,1'\n"
+
+
+def test_python_m_prints_what_main_prints(capsys):
+    argv = ("eval", "--k1", "2", "--k2", "1", "--n1", "1", "--n2", "2", "--format", "json")
+    result = run_module(*argv)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (result.returncode, code) == (0, 0)
+    assert result.stdout == out.encode()
 
 
 def test_oracle_malformed_pd(tmp_path, capsys):

@@ -1,19 +1,22 @@
 """The packed LaurentPoly kernel against the dict-of-terms kernel it replaced.
 
 `dict_mul` and `dict_exact_div` are the multiply and divide loops the ring
-ran before its rows were packed; they stay here as the reference.  A
+ran before its rows were packed; they stay here as the reference, and
+`ref_div_phi` divides by the cyclotomic Phi_d(s) by long division.  A
 polynomial is a dict {(v-exponent, s-exponent): coefficient} without zeros.
 The strategies mix small coefficients with ones beyond 2^64 and up to
 10^40, so products and quotients cross the slot width and force both the
 mask-test tightening and the re-encoding at a wider width.
 """
 
+from contextlib import contextmanager
 from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hopflinks.ring import LaurentPoly, _pack, _unpack, _within
+from hopflinks.ring import LaurentPoly, _phi_at, _pack, _unpack, _within
+from test_ring import cyclotomic, poly_divmod
 
 
 def dict_mul(a: dict, b: dict) -> dict:
@@ -65,6 +68,25 @@ def dict_add(a: dict, b: dict) -> dict:
         if c:
             out[key] = c
     return out
+
+
+def ref_div_phi(terms: dict, d: int) -> dict | None:
+    """Quotient by Phi_d(s) when exact, else None, by long division row by row."""
+    rows: dict = {}
+    for (ev, es), c in terms.items():
+        rows.setdefault(ev, {})[es] = c
+    out = {}
+    for ev, row in rows.items():
+        lo = min(row)
+        quot, rest = poly_divmod([row.get(es, 0) for es in range(lo, max(row) + 1)], cyclotomic(d))
+        if any(rest):
+            return None
+        out.update({(ev, lo + j): c for j, c in enumerate(quot) if c})
+    return out
+
+
+def phi(d: int) -> dict:
+    return {(0, j): c for j, c in enumerate(cyclotomic(d)) if c}
 
 
 def binomial(k: int) -> dict:
@@ -136,6 +158,78 @@ def test_exact_div_matches_reference(a, k):
     assert (quotient is None) == (expected is None)
     if expected is not None:
         assert terms_of(quotient) == expected
+
+
+@contextmanager
+def cofactor_route():
+    """Count the calls to exact_div_factor, the division of the cofactor route."""
+    calls = []
+    original = LaurentPoly.exact_div_factor
+
+    def counted(p, k):
+        calls.append(k)
+        return original(p, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LaurentPoly, "exact_div_factor", counted)
+        yield calls
+
+
+@given(dicts, st.integers(1, 24))
+def test_exact_div_phi_matches_reference(a, d):
+    p = LaurentPoly(a)
+    # Exact: a times Phi_d divides back to a.
+    product = dict_mul(a, phi(d))
+    assert terms_of(LaurentPoly(product).exact_div_phi(d)) == a
+    assert ref_div_phi(product, d) == a
+    # Arbitrary input: mostly inexact, sometimes exact.
+    quotient, expected = p.exact_div_phi(d), ref_div_phi(a, d)
+    assert (quotient is None) == (expected is None)
+    if expected is not None:
+        assert terms_of(quotient) == expected
+
+
+@given(st.integers(1, 24), st.data())
+def test_exact_div_phi_near_the_slot(d, data):
+    # Quotient coefficients at the edge of what certifies at w = 48: the
+    # cofactor route runs exactly when a coefficient leaves the mask.
+    _, bits = _phi_at(d, 48)
+    edge = 1 << (bits - 1)
+    near = st.one_of(st.integers(edge - 2, edge + 2), st.integers(-edge - 2, -edge + 2), st.integers(-9, 9))
+    q = data.draw(st.lists(near, min_size=1, max_size=8))
+    q[0] = q[0] or 1
+    a = {(0, j): c for j, c in enumerate(q) if c}
+    product = LaurentPoly(dict_mul(a, phi(d)))
+    _, bits = _phi_at(d, product._w)
+    with cofactor_route() as calls:
+        assert terms_of(product.exact_div_phi(d)) == a
+    assert len(calls) == (not all(-(1 << (bits - 1)) <= c < 1 << (bits - 1) for c in q))
+
+
+@pytest.mark.parametrize("d", range(1, 25))
+def test_exact_div_phi_runs_the_cofactor_route(d):
+    # A quotient slot one past the mask bound at w = 48 is not certified.
+    _, bits = _phi_at(d, 48)
+    a = {(0, j): 1 << (bits - 1) for j in range(2 * d + 1)}
+    product = LaurentPoly(dict_mul(a, phi(d)))
+    assert product._w == 48
+    with cofactor_route() as calls:
+        assert terms_of(product.exact_div_phi(d)) == a
+    assert calls == [d if d % 2 else d // 2]
+
+
+def test_exact_div_phi_false_pass_of_the_screen():
+    # N(1 + s + s^2) at s = 2^48 is N(2^96 + 2^48 + 1), a multiple of
+    # 3N = 2^48 - 1 = Phi_1(2^48), though Phi_1 = s - 1 does not divide it.
+    n = (2**48 - 1) // 3
+    p = LaurentPoly({(0, 0): n, (0, 1): n, (0, 2): n})
+    assert p._w == 48
+    ((_, row),) = p._rows.values()
+    assert row % _phi_at(1, 48)[0] == 0
+    with cofactor_route() as calls:
+        assert p.exact_div_phi(1) is None
+    assert calls == [1]
+    assert ref_div_phi({(0, 0): n, (0, 1): n, (0, 2): n}, 1) is None
 
 
 @given(st.lists(small, min_size=12, max_size=14), st.integers(1, 3))

@@ -470,13 +470,13 @@ def test_arithmetic_never_divides(monkeypatch):
     # The canonical form is the only reduction: arithmetic builds
     # unreduced values and the first read divides, once.
     calls = []
-    plain_div = LaurentPoly.exact_div_factor
+    plain_div = LaurentPoly.exact_div_phi
 
-    def counting_div(p, k):
-        calls.append(k)
-        return plain_div(p, k)
+    def counting_div(p, d):
+        calls.append(d)
+        return plain_div(p, d)
 
-    monkeypatch.setattr(LaurentPoly, "exact_div_factor", counting_div)
+    monkeypatch.setattr(LaurentPoly, "exact_div_phi", counting_div)
     a = SkeinScalar((V_INV - V) * Z, [(1, 2), (2, 1)])
     b = SkeinScalar(Z * binomial(2) + V, [(1, 1), (2, 1)])
     x = ((a + b) * a - b) ** 3 - a * b

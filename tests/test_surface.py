@@ -79,7 +79,7 @@ def test_scalar_work_goes_through_traced_kernel(monkeypatch):
     # The ring.mul and ring.div spans wrap these two methods; SkeinScalar
     # arithmetic must reach the kernel through them.
     calls = Counter()
-    for name in ("__mul__", "exact_div_factor"):
+    for name in ("__mul__", "exact_div_phi"):
         original = getattr(LaurentPoly, name)
 
         def counted(*args, _name=name, _original=original):
@@ -88,8 +88,9 @@ def test_scalar_work_goes_through_traced_kernel(monkeypatch):
 
         monkeypatch.setattr(LaurentPoly, name, counted)
     assert delta() * SkeinScalar(Z) == SkeinScalar(LaurentPoly.term(1, v=-1) - LaurentPoly.term(1, v=1))
-    assert calls["__mul__"] >= 1 and calls["exact_div_factor"] >= 1
+    assert calls["__mul__"] >= 1 and calls["exact_div_phi"] >= 1
     calls.clear()
-    # Arithmetic never divides; the sum divides once it is read.
+    # Arithmetic never divides; the sum divides once it is read: one
+    # test each for Phi_1 and Phi_2, neither divides, and no product.
     (delta() + delta()).to_json()
-    assert calls["__mul__"] >= 2 and calls["exact_div_factor"] >= 1
+    assert calls == Counter(exact_div_phi=2)
