@@ -18,7 +18,9 @@ __all__ = [
     "contents",
     "hook_length",
     "partitions_of",
+    "partition_counts",
     "basis_labels",
+    "label_count",
     "syt_count",
     "lr_coeff",
     "label_sort_key",
@@ -73,6 +75,22 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(gen(n, n)) if n else ((),)
 
 
+@cache
+def partition_counts(n: int) -> tuple[int, ...]:
+    """The partition numbers p(0), ..., p(n), by Euler's pentagonal recurrence."""
+    if n < 0:
+        raise ValueError("cannot partition a negative integer")
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:  # g and g + k are the generalized pentagonal numbers
+            sign = 1 if k % 2 else -1
+            total += sign * (p[m - g] + (p[m - g - k] if g + k <= m else 0))
+            k += 1
+        p.append(total)
+    return tuple(p)
+
+
 class BasisLabel(NamedTuple):
     """Ordered pair of shapes indexing the two-sided basis elements.
 
@@ -99,7 +117,7 @@ def label_sort_key(label: BasisLabel):
 def basis_labels(n: int, p: int) -> tuple[BasisLabel, ...]:
     """Labels (neg, pos) with |neg| <= n, |pos| <= p and |neg| - |pos| = n - p.
 
-    The count is sum_j pi(n - j) pi(p - j) over j = 0..min(n, p).
+    There are `label_count(n, p)` of them.
     """
     if n < 0 or p < 0:
         raise ValueError("string counts must be nonnegative")
@@ -109,6 +127,14 @@ def basis_labels(n: int, p: int) -> tuple[BasisLabel, ...]:
             for mu in partitions_of(p - j):
                 out.append(BasisLabel(lam, mu))
     return tuple(out)
+
+
+def label_count(n: int, p: int) -> int:
+    """len(basis_labels(n, p)) without building them: sum_j p(n - j) p(p - j), j = 0..min(n, p)."""
+    if n < 0 or p < 0:
+        raise ValueError("string counts must be nonnegative")
+    counts = partition_counts(max(n, p))
+    return sum(counts[n - j] * counts[p - j] for j in range(min(n, p) + 1))
 
 
 def syt_count(lam: Partition) -> int:

@@ -3,10 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from hopflinks.basis import monomial_to_eigen, plane_eval_eigen
 from hopflinks.cli import _grid
+from hopflinks import hopf
 from hopflinks.hopf import (
     Decoration,
     DecorationTerm,
     HopfSpec,
+    _core_sum,
     check_symmetries,
     homfly_decorated,
     homfly_general,
@@ -130,6 +132,42 @@ def test_closed_form_bytes_match_the_fold():
     assert len(grid) == 210
     for spec in grid:
         assert homfly_general(spec).to_json() == fold_terms(closed_form_terms(spec)).to_json(), spec
+
+
+@pytest.fixture
+def expanded_cores(monkeypatch):
+    """The (n1, n2) of every core that hopf expands in the eigenbasis, in order."""
+    expanded = []
+
+    def recording(n1, n2):
+        expanded.append((n1, n2))
+        return monomial_to_eigen(n1, n2)
+
+    monkeypatch.setattr(hopf, "monomial_to_eigen", recording)
+    return expanded
+
+
+def test_swapping_the_components_keeps_the_bytes():
+    # H(k1,k2;n1,n2) = H(n1,n2;k1,k2): homfly_general relies on it to sum
+    # over the family with fewer labels.
+    for spec in _grid(3, 5):
+        swapped = HopfSpec(spec.n1, spec.n2, spec.k1, spec.k2)
+        assert _core_sum(spec).to_json() == _core_sum(swapped).to_json(), spec
+
+
+@pytest.mark.parametrize(
+    "spec, core",
+    [
+        (HopfSpec(1, 0, 60, 0), (1, 0)),  # p(60) = 966,467 labels against 1
+        (HopfSpec(2, 1, 7, 6), (2, 1)),
+        (HopfSpec(5, 0, 1, 1), (1, 1)),
+        (HopfSpec(1, 2, 2, 1), (2, 1)),  # a tie keeps the given core
+        (HopfSpec(0, 0, 3, 0), (0, 0)),
+    ],
+)
+def test_sum_runs_over_the_family_with_fewer_labels(expanded_cores, spec, core):
+    homfly_general(spec)
+    assert expanded_cores == [core]
 
 
 def test_reversed_core_gives_mirror_values():
@@ -258,6 +296,13 @@ def test_symmetry_check_names():
         "mirror P(H(2,1;0,3))",
         "mirror P(H(0,3;2,1))",
     ]
+
+
+def test_symmetries_sum_every_spec_over_its_own_core(expanded_cores):
+    # No swap: both sides of H(2,1;3,0) = H(3,0;2,1) are summed, over
+    # the cores (3,0) and (2,1).
+    assert check_symmetries(HopfSpec(2, 1, 3, 0)).passed
+    assert expanded_cores == [(3, 0), (2, 1), (0, 3), (1, 2), (3, 0), (1, 2), (0, 3), (2, 1)]
 
 
 def test_symmetries_full_grid():

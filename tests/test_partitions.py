@@ -11,6 +11,7 @@ from hopflinks.partitions import (
     cells,
     contents,
     hook_length,
+    label_count,
     lr_coeff,
     partitions_of,
     syt_count,
@@ -215,7 +216,7 @@ def test_basis_label_counts_match_convolution():
             expected = sum(
                 PI[n - j] * PI[p - j] for j in range(min(n, p) + 1)
             )
-            assert len(basis_labels(n, p)) == expected
+            assert len(basis_labels(n, p)) == expected == label_count(n, p)
 
 
 def test_basis_labels_winding_class():

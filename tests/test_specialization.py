@@ -11,11 +11,14 @@ gl(N) invariant, and for N = 1 and 2 it has a closed form of its own:
 Each check reads the canonical (reduced) form and compares it with the
 formula by cross-multiplication, which divides nothing.  The closed form
 and the oracle share the canonical form, so their agreement cannot catch
-a wrong quotient there; these identities would.
+a wrong quotient there; these identities would.  They also reach specs
+with far too many core labels to expand, which the closed form sums over
+the small encircling family instead.
 """
 
 from hopflinks.hopf import HopfSpec, homfly_general
 from hopflinks.oracle import build_diagram, homfly_of_diagram
+from hopflinks.partitions import partition_counts, partitions_of
 from hopflinks.ring import LaurentPoly, SkeinScalar
 
 CLOSED_GRID = [
@@ -25,6 +28,13 @@ CLOSED_GRID = [
     for n1 in range(6)
     for n2 in range(6 - n1)
 ]
+# One or two encircling strings around a large core: H(1,0;40,0) has
+# p(40) = 37,338 core labels, H(1,0;8,8) 919 and H(1,1;6,6) 210.
+ONE_SIDED_GRID = (
+    [HopfSpec(1, 0, n, 0) for n in range(41)]
+    + [HopfSpec(1, 0, n1, n2) for n2 in range(1, 17) for n1 in range(17 - n2)]
+    + [HopfSpec(1, 1, n1, n2) for n1 in range(13) for n2 in range(13 - n1)]
+)
 # The standard diagram of H(k1, k2; n1, n2) has 2(k1+k2)(n1+n2) crossings.
 ORACLE_GRID = [
     HopfSpec(k1, k2, n1, n2)
@@ -52,6 +62,7 @@ def gl1_holds(spec: HopfSpec, x: SkeinScalar) -> bool:
 
 def test_grids():
     assert len(CLOSED_GRID) == 210
+    assert len(ONE_SIDED_GRID) == 41 + 136 + 91
     assert max(2 * (s.k1 + s.k2) * (s.n1 + s.n2) for s in ORACLE_GRID) == 12
 
 
@@ -78,6 +89,21 @@ def test_closed_form_gl1():
 
 def test_closed_form_gl2():
     assert [str(spec) for spec in CLOSED_GRID if not gl2_holds(spec)] == []
+
+
+def test_partition_counts():
+    assert partition_counts(30) == tuple(len(partitions_of(n)) for n in range(31))
+    assert partition_counts(60)[60] == 966_467
+
+
+def test_one_sided_closed_form_gl1():
+    assert [str(spec) for spec in ONE_SIDED_GRID if not gl1_holds(spec, homfly_general(spec))] == []
+
+
+def test_one_sided_closed_form_gl2():
+    # For H(1,0;n,0) the identity compares the value with itself; the
+    # reversed strings of H(1,0;n1,n2) and H(1,1;n1,n2) make it a check.
+    assert [str(spec) for spec in ONE_SIDED_GRID if not gl2_holds(spec)] == []
 
 
 def test_oracle_gl1():
