@@ -60,10 +60,9 @@ def homfly_general(spec: HopfSpec) -> SkeinScalar:
     """Value of H(k1, k2; n1, n2) for any mix of string orientations.
 
     Sums over the eigenbasis labels of the (k1, k2) family instead of the
-    (n1, n2) core when it has fewer (label_count(k1, k2) against
-    label_count(n1, n2)), as H(k1,k2;n1,n2) = H(n1,n2;k1,k2); on a tie
-    the core is expanded.  The labels are counted, not built, so the
-    larger family is never enumerated.
+    (n1, n2) core when it has fewer, as H(k1,k2;n1,n2) = H(n1,n2;k1,k2);
+    a tie keeps the core.  The labels are counted, not built, so the
+    larger side is never enumerated.
     """
     if label_count(spec.k1, spec.k2) < label_count(spec.n1, spec.n2):
         spec = HopfSpec(spec.n1, spec.n2, spec.k1, spec.k2)

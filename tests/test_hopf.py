@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopflinks import hopf
 from hopflinks.basis import monomial_to_eigen, plane_eval_eigen
 from hopflinks.cli import _grid
-from hopflinks import hopf
 from hopflinks.hopf import (
     Decoration,
     DecorationTerm,
