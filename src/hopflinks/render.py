@@ -21,11 +21,10 @@ FORMATS = ("plain", "json", "latex")
 
 
 def render_scalar(x: SkeinScalar, fmt: str = "plain") -> str:
+    """`x` in one of FORMATS; ValueError for any other format."""
     if fmt == "json":
         return json.dumps(x.to_json(), separators=(",", ":"))
-    if fmt in FORMATS:
-        return x.format(fmt)
-    raise ValueError(f"unknown output format {fmt!r}")
+    return x.format(fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +36,21 @@ _TOKEN = re.compile(r"\s*(\d+|[vs]|\^|\+|-|\*|/|\(|\))")
 # Deepest nesting of parenthesized groups.  Renderings nest one deep; the
 # bound keeps the recursive parser well inside Python's recursion limit.
 _MAX_DEPTH = 100
+
+
+def _check_box(dv: int, ds: int, what: str) -> None:
+    """Refuse a result whose exponent box, spans dv in v and ds in s, holds more than MAX_EXPONENT terms."""
+    if (dv + 1) * (ds + 1) > MAX_EXPONENT:
+        raise ValueError(f"{what} exceeds the term bound {MAX_EXPONENT}")
+
+
+def _spans(p: LaurentPoly) -> tuple[int, int]:
+    """Spans of the v- and s-exponents of p's terms; (0, 0) for zero."""
+    terms = p.terms()
+    if not terms:
+        return 0, 0
+    ss = [es for _, es, _ in terms]
+    return terms[-1][0] - terms[0][0], max(ss) - min(ss)
 
 
 def _normalize_latex(text: str) -> str:
@@ -107,7 +121,10 @@ class _Parser:
                 self.take()
             elif tok is None or not (tok.isdigit() or tok in ("v", "s", "(")):
                 return out
-            out = out * self.parse_factor()
+            factor = self.parse_factor()
+            (v1, s1), (v2, s2) = _spans(out), _spans(factor)
+            _check_box(v1 + v2, s1 + s2, "product")
+            out = out * factor
             if any(max(abs(ev), abs(es)) > MAX_EXPONENT for ev, es, _ in out.terms()):
                 raise ValueError(f"product exceeds the exponent bound {MAX_EXPONENT}")
 
@@ -127,6 +144,8 @@ class _Parser:
                 size = max((max(abs(ev), abs(es), c.bit_length()) for ev, es, c in inner.terms()), default=0)
                 if n * size > MAX_EXPONENT:
                     raise ValueError(f"power of a group exceeds the exponent bound {MAX_EXPONENT}")
+                dv, ds = _spans(inner)
+                _check_box(n * dv, n * ds, "power of a group")
                 inner = inner ** n
             return inner
         if tok in ("v", "s"):

@@ -13,7 +13,9 @@ has this shape.
 
 A Phi_d(s) is divided out on the packed rows (`LaurentPoly.exact_div_phi`):
 one integer remainder per row screens it, and one integer quotient per
-row, certified by a mask test, divides it.
+row, certified by a mask test, divides it; a quotient the test cannot
+certify is screened and certified again at the next wider slot.  It is
+the one division: s^k - s^{-k} is divided out as its Phi_d, d | 2k.
 
 All values are immutable; operations are pure functions and safe to
 share between threads without locking (a cached canonical form is only
@@ -54,8 +56,16 @@ _STYLES = {
 }
 
 
-def _power(base: str, exp: int, style: str) -> str:
-    return base if exp == 1 else base + _STYLES[style][0].format(exp)
+def _style(style: str) -> tuple[str, str, str, str]:
+    """The notation of a style; ValueError for an unknown one."""
+    if style not in _STYLES:
+        raise ValueError(f"unknown output format {style!r}")
+    return _STYLES[style]
+
+
+def _power(base: str, exp: int, notation: str) -> str:
+    """base^exp in an exponent notation of _STYLES; base alone for exp 1."""
+    return base if exp == 1 else base + notation.format(exp)
 
 
 def json_item(obj: dict | list, key: str | int) -> object:
@@ -322,35 +332,16 @@ class LaurentPoly:
     def exact_div_factor(self, k: int) -> "LaurentPoly | None":
         """Quotient by s^k - s^{-k} when exact, else None.
 
-        Per row this is division by s^{2k} - 1, i.e. divmod by 2^(2kw) - 1:
-        while each residue-class sum mod 2k fits a slot, the row divides iff
-        the remainder is 0, and the integer quotient is the packed one.
+        s^k - s^{-k} = s^{-k} prod_{d | 2k} Phi_d(s), so this divides by each
+        Phi_d in turn (`exact_div_phi`) and multiplies by s^k.
         """
         if k < 1:
             raise ValueError("factor index k must be >= 1")
-        if not self._rows:
-            return LaurentPoly.zero()
-        w, rows = self._w, self._rows
-        while True:
-            divisor = (1 << (2 * k * w)) - 1
-            out, top = {}, 0
-            for ev, (lo, row) in rows.items():
-                n = row.bit_length() // w + 1
-                if n <= 2 * k:
-                    return None
-                # A residue class mod 2k holds at most ceil(n / 2k) slots.
-                spread = (-(-n // (2 * k)) - 1).bit_length()
-                if self._bits + spread >= w:
-                    break
-                quotient, rest = divmod(row, divisor)
-                if rest:
-                    return None
-                out[ev] = (lo + k, quotient)
-                top = max(top, self._bits + spread)
-            else:
-                return _new(out, w, top)
-            w = max(w, _width(self._fit() + spread))
-            rows = self._at(w)
+        q = self
+        for d in _phis(k):
+            if (q := q.exact_div_phi(d)) is None:
+                return None
+        return _new({ev: (lo + k, row) for ev, (lo, row) in q._rows.items()}, q._w, q._bits)
 
     def exact_div_phi(self, d: int) -> "LaurentPoly | None":
         """Quotient by the cyclotomic polynomial Phi_d(s) when exact, else None.
@@ -361,21 +352,26 @@ class LaurentPoly:
         so that Phi_d times them stays inside the slots, where the integer
         identity is the polynomial one.  Input the mask test cannot certify
         (a wide quotient, or a false pass of the remainder screen) is
-        multiplied by (s^k - s^{-k}) / Phi_d and divided by s^k - s^{-k}.
+        re-encoded one step up the slot widths and screened and certified
+        again.  That ends: if Phi_d divides P, its quotient's coefficients
+        are fixed, so they pass the mask once the slot is wide enough; if
+        not, P = Q Phi_d + r with r nonzero of lower degree than Phi_d, so
+        0 < |r(2^w)| < m once w is wide enough, and the screen fails.
         """
         if not self._rows:
             return LaurentPoly.zero()
         w = self._w
-        m, bits = _phi_at(d, w)
-        out = {}
-        for ev, (lo, row) in self._rows.items():
-            quotient, rest = divmod(row, m)
-            if rest:
-                return None
-            out[ev] = (lo, quotient)
-        if all(_within(row, w, bits) for _, row in out.values()):
-            return _new(out, w, bits)
-        return (self * _phi_cofactor(d)).exact_div_factor(_phi_k(d))
+        while True:
+            m, bits = _phi_at(d, w)
+            out = {}
+            for ev, (lo, row) in self._at(w).items():
+                quotient, rest = divmod(row, m)
+                if rest:
+                    return None
+                out[ev] = (lo, quotient)
+            if all(_within(row, w, bits) for _, row in out.values()):
+                return _new(out, w, bits)
+            w = _width(w)
 
     # -- serialization -------------------------------------------------
 
@@ -392,19 +388,20 @@ class LaurentPoly:
 
     def format(self, style: str = "plain") -> str:
         """Terms in canonical order, in `plain` or `latex` notation."""
+        power, times, _, _ = _style(style)
         if self.is_zero:
             return "0"
         chunks: list[str] = []
         for ev, es, c in self.terms():
             factors: list[str] = []
             if ev:
-                factors.append(_power("v", ev, style))
+                factors.append(_power("v", ev, power))
             if es:
-                factors.append(_power("s", es, style))
+                factors.append(_power("s", es, power))
             mag = abs(c)
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
-            body = _STYLES[style][1].join(factors)
+            body = times.join(factors)
             if not chunks:
                 chunks.append(f"-{body}" if c < 0 else body)
             else:
@@ -473,12 +470,6 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _s_poly(coeffs: list[int] | tuple[int, ...], shift: int = 0) -> LaurentPoly:
-    """s^shift times the polynomial in s with these coefficients, highest first."""
-    top = len(coeffs) - 1 + shift
-    return LaurentPoly(((0, top - i), c) for i, c in enumerate(coeffs))
-
-
 @cache
 def _phi_at(d: int, w: int) -> tuple[int, int]:
     """Phi_d(2^w), and the slot bound b that certifies a quotient row.
@@ -489,14 +480,6 @@ def _phi_at(d: int, w: int) -> tuple[int, int]:
     """
     coeffs = _cyclotomic(d)
     return _pack(coeffs[::-1], w), w - 1 - sum(map(abs, coeffs)).bit_length()
-
-
-@cache
-def _phi_cofactor(d: int) -> LaurentPoly:
-    """(s^k - s^{-k}) / Phi_d(s) for k = _phi_k(d): num times it divides by s^k - s^{-k} iff Phi_d | num."""
-    k = _phi_k(d)
-    quot = _divide([1] + [0] * (2 * k - 1) + [-1], _cyclotomic(d))
-    return _s_poly(quot, -k)
 
 
 class SkeinScalar:
@@ -558,7 +541,7 @@ class SkeinScalar:
                 if e.get(d):
                     e[d] -= 1
                 else:
-                    extra = extra * _s_poly(_cyclotomic(d))
+                    extra = extra * LaurentPoly(((0, j), c) for j, c in enumerate(reversed(_cyclotomic(d))))
         num = num * (extra * LaurentPoly.term(1, s=shift))
         self._canon = (num, tuple(DenomFactor(k, cover[k]) for k in sorted(cover)))
         return self._canon
@@ -690,14 +673,14 @@ class SkeinScalar:
 
     def format(self, style: str = "plain") -> str:
         """Numerator over the factored denominator, in `plain` or `latex` notation."""
+        power, _, fraction, joiner = _style(style)
         num, den = self._canonical()
         if not den:
             return num.format(style)
-        _, _, fraction, joiner = _STYLES[style]
         parts = []
         for k, mult in den:
-            base = f"({_power('s', k, style)} - {_power('s', -k, style)})"
-            parts.append(_power(base, mult, style))
+            base = f"({_power('s', k, power)} - {_power('s', -k, power)})"
+            parts.append(_power(base, mult, power))
         return fraction.format(num.format(style), joiner.join(parts))
 
     __str__ = __repr__ = format

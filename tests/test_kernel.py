@@ -15,6 +15,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
+from hopflinks import ring
 from hopflinks.ring import LaurentPoly, _phi_at, _pack, _unpack, _within
 from test_ring import cyclotomic, poly_divmod
 
@@ -161,18 +162,29 @@ def test_exact_div_matches_reference(a, k):
 
 
 @contextmanager
-def cofactor_route():
-    """Count the calls to exact_div_factor, the division of the cofactor route."""
-    calls = []
-    original = LaurentPoly.exact_div_factor
+def division_route():
+    """Record the slot widths exact_div_phi screens at, and every product or other division it runs."""
+    widths, others = [], []
+    phi_at = ring._phi_at
 
-    def counted(p, k):
-        calls.append(k)
-        return original(p, k)
+    def screened(d, w):
+        widths.append(w)
+        return phi_at(d, w)
+
+    def counted(name):
+        original = getattr(LaurentPoly, name)
+
+        def wrapper(*args):
+            others.append(name)
+            return original(*args)
+
+        return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(LaurentPoly, "exact_div_factor", counted)
-        yield calls
+        mp.setattr(ring, "_phi_at", screened)
+        for name in ("__mul__", "exact_div_factor"):
+            mp.setattr(LaurentPoly, name, counted(name))
+        yield widths, others
 
 
 @given(dicts, st.integers(1, 24))
@@ -192,7 +204,7 @@ def test_exact_div_phi_matches_reference(a, d):
 @given(st.integers(1, 24), st.data())
 def test_exact_div_phi_near_the_slot(d, data):
     # Quotient coefficients at the edge of what certifies at w = 48: the
-    # cofactor route runs exactly when a coefficient leaves the mask.
+    # division widens to 96 exactly when a coefficient leaves the mask.
     _, bits = _phi_at(d, 48)
     edge = 1 << (bits - 1)
     near = st.one_of(st.integers(edge - 2, edge + 2), st.integers(-edge - 2, -edge + 2), st.integers(-9, 9))
@@ -200,36 +212,46 @@ def test_exact_div_phi_near_the_slot(d, data):
     q[0] = q[0] or 1
     a = {(0, j): c for j, c in enumerate(q) if c}
     product = LaurentPoly(dict_mul(a, phi(d)))
-    _, bits = _phi_at(d, product._w)
-    with cofactor_route() as calls:
-        assert terms_of(product.exact_div_phi(d)) == a
-    assert len(calls) == (not all(-(1 << (bits - 1)) <= c < 1 << (bits - 1) for c in q))
+    assert product._w == 48
+    with division_route() as (widths, others):
+        quotient = product.exact_div_phi(d)
+    assert terms_of(quotient) == a
+    inside = all(-edge <= c < edge for c in q)
+    assert quotient._w == (48 if inside else 96)
+    assert widths == ([48] if inside else [48, 96])
+    assert others == []
 
 
 @pytest.mark.parametrize("d", range(1, 25))
 def test_exact_div_phi_runs_the_cofactor_route(d):
-    # A quotient slot one past the mask bound at w = 48 is not certified.
+    # A quotient slot one past the mask bound at w = 48 is not certified
+    # there; it is at 96, with no product and no other division.
     _, bits = _phi_at(d, 48)
     a = {(0, j): 1 << (bits - 1) for j in range(2 * d + 1)}
     product = LaurentPoly(dict_mul(a, phi(d)))
     assert product._w == 48
-    with cofactor_route() as calls:
-        assert terms_of(product.exact_div_phi(d)) == a
-    assert calls == [d if d % 2 else d // 2]
+    with division_route() as (widths, others):
+        quotient = product.exact_div_phi(d)
+    assert terms_of(quotient) == a
+    assert quotient._w == 96 and widths == [48, 96]
+    assert others == []
 
 
 def test_exact_div_phi_false_pass_of_the_screen():
-    # N(1 + s + s^2) at s = 2^48 is N(2^96 + 2^48 + 1), a multiple of
-    # 3N = 2^48 - 1 = Phi_1(2^48), though Phi_1 = s - 1 does not divide it.
-    n = (2**48 - 1) // 3
-    p = LaurentPoly({(0, 0): n, (0, 1): n, (0, 2): n})
-    assert p._w == 48
-    ((_, row),) = p._rows.values()
-    assert row % _phi_at(1, 48)[0] == 0
-    with cofactor_route() as calls:
-        assert p.exact_div_phi(1) is None
-    assert calls == [1]
-    assert ref_div_phi({(0, 0): n, (0, 1): n, (0, 2): n}, 1) is None
+    # N(1 + s + s^2) at s = 2^w is N(2^2w + 2^w + 1), a multiple of
+    # 3N = 2^w - 1 = Phi_1(2^w), though Phi_1 = s - 1 does not divide it.
+    # The quotient fails the mask, and at the next width the screen fails.
+    for w in (48, 96):
+        n = (2**w - 1) // 3
+        p = LaurentPoly({(0, 0): n, (0, 1): n, (0, 2): n})
+        assert p._w == w
+        ((_, row),) = p._rows.values()
+        assert row % _phi_at(1, w)[0] == 0
+        with division_route() as (widths, others):
+            assert p.exact_div_phi(1) is None
+        assert widths == [w, 2 * w]
+        assert others == []
+        assert ref_div_phi({(0, 0): n, (0, 1): n, (0, 2): n}, 1) is None
 
 
 @given(st.lists(small, min_size=12, max_size=14), st.integers(1, 3))

@@ -127,6 +127,18 @@ def test_parse_rejects_garbage():
             parse_scalar(text)
 
 
+def test_parse_term_bound():
+    # Powers and products whose exponent box holds more than MAX_EXPONENT
+    # terms are refused before they are computed; each of these exponents
+    # and coefficients is inside the other bounds.
+    assert len(parse_scalar("(1+s+v)^63").num.terms()) == 2080
+    assert parse_scalar("(1+s+v)" * 63) == parse_scalar("(1+s+v)^63")
+    for text in ["(1+s+v)^4096", "(1+s+v)^300", "(1+s+v)^64", "(1+s+v)" * 64, "(1+s+v)" * 300,
+                 "(1 + s^4096)(1 + v^4096)", "(1 + s^2048) * (1 + s^2048)"]:
+        with pytest.raises(ValueError, match="term bound 4096"):
+            parse_scalar(text)
+
+
 def test_parse_exponent_bound():
     assert parse_scalar("s^4096 - v^-4096") == SkeinScalar(
         LaurentPoly.term(1, s=4096) - LaurentPoly.term(1, v=-4096)
@@ -147,6 +159,20 @@ def test_parse_exponent_bound():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         render_scalar(delta(), "yaml")
+
+
+@pytest.mark.parametrize("value", [
+    LaurentPoly.zero(), SkeinScalar.zero(), SkeinScalar(7), LaurentPoly.term(7),
+    LaurentPoly({(1, 2): 3, (0, -1): -1}), delta(),
+])
+def test_unknown_style_rejected_for_every_value(value):
+    # Zero is checked like every other value, by both `format`s and by
+    # render_scalar.
+    with pytest.raises(ValueError, match="unknown output format 'yaml'"):
+        value.format("yaml")
+    if isinstance(value, SkeinScalar):
+        with pytest.raises(ValueError, match="unknown output format 'yaml'"):
+            render_scalar(value, "yaml")
 
 
 @given(scalars)
