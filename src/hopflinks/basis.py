@@ -89,6 +89,12 @@ def monomial_to_eigen(n1: int, n2: int) -> SkeinVector:
 
 
 @cache
+def _bracket_power(c: int, mult: int) -> LaurentPoly:
+    """[N+c]^mult = (v^{-1} s^c - v s^{-c})^mult, shared by every label that holds it."""
+    return LaurentPoly({(-1, c): 1, (1, -c): -1}) ** mult
+
+
+@cache
 def plane_eval_eigen(label: BasisLabel) -> SkeinScalar:
     """Plane evaluation of an eigenbasis element (Koike 1989; Hadji-Morton 2006).
 
@@ -109,6 +115,6 @@ def plane_eval_eigen(label: BasisLabel) -> SkeinScalar:
     num = LaurentPoly.one()
     for c, mult in sorted(brackets.items()):
         if mult:
-            num = num * LaurentPoly({(-1, c): 1, (1, -c): -1}) ** mult
+            num = num * _bracket_power(c, mult)
     hooks = Counter(hook_length(shape, i, j) for shape in label for i, j in cells(shape))
     return SkeinScalar(num, hooks.items())

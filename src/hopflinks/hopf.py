@@ -72,7 +72,7 @@ def homfly_general(spec: HopfSpec) -> SkeinScalar:
 def _core_sum(spec: HopfSpec) -> SkeinScalar:
     """H(k1, k2; n1, n2) summed over the eigenbasis labels of the (n1, n2) core."""
     return SkeinScalar.sum(
-        ccw_eigenvalue(label) ** spec.k1 * cw_eigenvalue(label) ** spec.k2 * plane_eval_eigen(label) * mult
+        ccw_eigenvalue(label) ** spec.k1 * cw_eigenvalue(label) ** spec.k2 * (plane_eval_eigen(label) * mult)
         for label, mult in monomial_to_eigen(spec.n1, spec.n2).items()
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 
-from .ring import MAX_EXPONENT, LaurentPoly, SkeinScalar
+from .ring import MAX_EXPONENT, LaurentPoly, SkeinScalar, check_slots
 
 __all__ = ["FORMATS", "render_scalar", "parse_scalar"]
 
@@ -46,11 +46,10 @@ def _check_box(dv: int, ds: int, what: str) -> None:
 
 def _spans(p: LaurentPoly) -> tuple[int, int]:
     """Spans of the v- and s-exponents of p's terms; (0, 0) for zero."""
-    terms = p.terms()
-    if not terms:
+    rows = p.spans()
+    if not rows:
         return 0, 0
-    ss = [es for _, es, _ in terms]
-    return terms[-1][0] - terms[0][0], max(ss) - min(ss)
+    return max(rows) - min(rows), max(hi for _, hi in rows.values()) - min(lo for lo, _ in rows.values())
 
 
 def _normalize_latex(text: str) -> str:
@@ -107,9 +106,20 @@ class _Parser:
         elif self.peek() == "+":
             self.take()
         total = self.parse_product() * sign
+        # The summands' rows, merged, span at least what the sum packs.
+        spans = total.spans()
+        slots = sum(hi - lo + 1 for lo, hi in spans.values())
         while self.peek() in ("+", "-"):
             op = self.take()
             term = self.parse_product()
+            for ev, (lo, hi) in term.spans().items():
+                if ev in spans:
+                    lo0, hi0 = spans[ev]
+                    slots -= hi0 - lo0 + 1
+                    lo, hi = min(lo, lo0), max(hi, hi0)
+                spans[ev] = lo, hi
+                slots += hi - lo + 1
+            check_slots(slots)
             total = total + (term if op == "+" else -term)
         return total
 

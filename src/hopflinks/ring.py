@@ -17,6 +17,14 @@ row, certified by a mask test, divides it; a quotient the test cannot
 certify is screened and certified again at the next wider slot.  It is
 the one division: s^k - s^{-k} is divided out as its Phi_d, d | 2k.
 
+Terms are read out of the rows only to serialize, format or substitute
+(`_decode`).  At the base slot width on a little-endian host every row
+of a polynomial is decoded in one pass: the biased slot bytes of all
+rows are joined, spread into 64-bit lanes by strided slice assignment,
+sign-extended through a byte table and read back by one
+`memoryview.cast`.  Wider slots, and big-endian hosts, take `_unpack`,
+one `int.from_bytes` per slot.
+
 All values are immutable; operations are pure functions and safe to
 share between threads without locking (a cached canonical form is only
 ever written with the one value it can have).
@@ -25,6 +33,7 @@ ever written with the one value it can have).
 from __future__ import annotations
 
 import operator
+import sys
 from functools import cache, reduce
 from typing import Iterable, NamedTuple
 
@@ -34,6 +43,7 @@ __all__ = [
     "SkeinScalar",
     "Z",
     "MAX_EXPONENT",
+    "MAX_SLOTS",
     "delta",
     "all_distinct",
 ]
@@ -44,6 +54,11 @@ ExponentPair = tuple[int, int]  # (exponent of v, exponent of s)
 # polynomial and in the expansion of a loaded denominator.  A packed row
 # stores every slot of its s-span, so the bound caps its length.
 MAX_EXPONENT = 4096
+
+# Most slots a loaded or parsed polynomial may pack, summed over its
+# v-rows: each row stores every slot of its s-span, so sparse input within
+# MAX_EXPONENT could otherwise pack 8,193 slots per row.
+MAX_SLOTS = 1 << 16
 
 # Slot widths run 48, 96, 192, ... bits, so operands rarely differ in width.
 # Closed-form coefficients up to 7 core strings stay below 2^24.
@@ -127,13 +142,56 @@ def _pack(coeffs: list[int], w: int) -> int:
     return (raw ^ half) - half
 
 
-def _unpack(row: int, w: int) -> list[int]:
-    """The slot coefficients of a packed row, lowest first."""
-    step = w >> 3
+def _biased(row: int, w: int) -> tuple[bytes, int]:
+    """The slots of a row as little-endian two's-complement bytes, and their number."""
     n = row.bit_length() // w + 1  # exact while every |c| < 2^(w-1)
     half = _repeat(1 << (w - 1), w, n)
-    data = ((row + half) ^ half).to_bytes(n * step, "little")
+    return ((row + half) ^ half).to_bytes(n * (w >> 3), "little"), n
+
+
+def _unpack(row: int, w: int) -> list[int]:
+    """The slot coefficients of a packed row, lowest first, one `int.from_bytes` per slot.
+
+    `_decode` runs this for every row whose slots are wider than the base
+    width, and on a big-endian host; it is also the reference the bulk
+    decode is tested against.
+    """
+    step = w >> 3
+    data, n = _biased(row, w)
     return [int.from_bytes(data[i : i + step], "little", signed=True) for i in range(0, n * step, step)]
+
+
+# The bulk decode reads 64-bit lanes in the host's byte order.
+_BULK = sys.byteorder == "little"
+# Byte -> the fill of the lane bytes above a base-width slot whose top byte it is.
+_SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+
+
+def _decode(rows: list[int], w: int) -> list[list[int]]:
+    """The slot coefficients of each packed row, lowest first, as `_unpack` gives them.
+
+    At the base width on a little-endian host the rows are decoded
+    together: their biased slot bytes are joined, copied into 64-bit lanes
+    by strided slice assignment, sign-extended through a byte table, and
+    read back by one `memoryview.cast`.  Otherwise each row is `_unpack`ed.
+    """
+    if w != _BASE_WIDTH or not _BULK:
+        return [_unpack(row, w) for row in rows]
+    step = w >> 3
+    parts = [_biased(row, w) for row in rows]
+    data = b"".join(part for part, _ in parts)
+    lanes = bytearray(len(data) // step * 8)
+    for i in range(step):
+        lanes[i::8] = data[i::step]
+    fill = data[step - 1 :: step].translate(_SIGN_FILL)
+    for i in range(step, 8):
+        lanes[i::8] = fill
+    flat = memoryview(lanes).cast("q").tolist()
+    out, start = [], 0
+    for _, n in parts:
+        out.append(flat[start : start + n])
+        start += n
+    return out
 
 
 def _within(row: int, w: int, bits: int) -> bool:
@@ -149,6 +207,24 @@ def _trim(lo: int, row: int, w: int) -> tuple[int, int]:
         return lo, row
     slots = ((row & -row).bit_length() - 1) // w
     return lo + slots, row >> (w * slots)
+
+
+def _grouped(terms: dict[ExponentPair, int] | Iterable[tuple[ExponentPair, int]] | None) -> dict[int, dict[int, int]]:
+    """{ev: {es: c}} of the terms, repeated terms added and zeros dropped."""
+    flat: dict[ExponentPair, int] = {}
+    for key, c in terms.items() if isinstance(terms, dict) else terms or ():
+        flat[key] = flat.get(key, 0) + c
+    data: dict[int, dict[int, int]] = {}
+    for (ev, es), c in flat.items():
+        if c:
+            data.setdefault(ev, {})[es] = c
+    return data
+
+
+def check_slots(slots: int) -> None:
+    """ValueError when input would pack more than MAX_SLOTS slots."""
+    if slots > MAX_SLOTS:
+        raise ValueError(f"input packs {slots} slots, beyond the bound {MAX_SLOTS}")
 
 
 def _new(rows: dict[int, tuple[int, int]], w: int, bits: int) -> "LaurentPoly":
@@ -173,13 +249,10 @@ class LaurentPoly:
     __slots__ = ("_rows", "_w", "_bits")
 
     def __init__(self, terms: dict[ExponentPair, int] | Iterable[tuple[ExponentPair, int]] | None = None):
-        flat: dict[ExponentPair, int] = {}
-        for key, c in terms.items() if isinstance(terms, dict) else terms or ():
-            flat[key] = flat.get(key, 0) + c
-        data: dict[int, dict[int, int]] = {}
-        for (ev, es), c in flat.items():
-            if c:
-                data.setdefault(ev, {})[es] = c
+        self._pack_rows(_grouped(terms))
+
+    def _pack_rows(self, data: dict[int, dict[int, int]]) -> None:
+        """Pack {ev: {es: c}} (no zero c) into rows at the narrowest width."""
         self._bits = max((abs(c).bit_length() for row in data.values() for c in row.values()), default=0)
         self._w = _width(self._bits)
         self._rows = {
@@ -211,7 +284,7 @@ class LaurentPoly:
         """The rows re-encoded at slot width w >= self._w."""
         if w == self._w:
             return self._rows
-        return {ev: (lo, _pack(_unpack(row, self._w), w)) for ev, (lo, row) in self._rows.items()}
+        return {ev: (lo, _pack(coeffs, w)) for ev, lo, coeffs in self._decoded()}
 
     def _fit(self) -> int:
         """Tighten the bound to the first multiple of 8 bits the mask tests prove."""
@@ -240,13 +313,16 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._rows
 
+    def _decoded(self) -> list[tuple[int, int, list[int]]]:
+        """(ev, lo, slot coefficients) of each row, by increasing ev."""
+        evs = sorted(self._rows)
+        rows = [self._rows[ev] for ev in evs]
+        coeffs = _decode([row for _, row in rows], self._w)
+        return [(ev, lo, cs) for ev, (lo, _), cs in zip(evs, rows, coeffs)]
+
     def terms(self) -> list[tuple[int, int, int]]:
         """Sorted (ev, es, coeff) triples; the canonical serialization order."""
-        out = []
-        for ev in sorted(self._rows):
-            lo, row = self._rows[ev]
-            out.extend((ev, lo + j, c) for j, c in enumerate(_unpack(row, self._w)) if c)
-        return out
+        return [(ev, lo + j, c) for ev, lo, coeffs in self._decoded() for j, c in enumerate(coeffs) if c]
 
     def coefficient(self, v: int = 0, s: int = 0) -> int:
         return next((c for ev, es, c in self.terms() if (ev, es) == (v, s)), 0)
@@ -376,37 +452,46 @@ class LaurentPoly:
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> list[dict[str, int]]:
-        return [{"v": ev, "s": es, "c": c} for ev, es, c in self.terms()]
+        return [
+            {"v": ev, "s": lo + j, "c": c} for ev, lo, coeffs in self._decoded() for j, c in enumerate(coeffs) if c
+        ]
 
     @classmethod
     def from_json(cls, obj: Iterable[dict[str, int]]) -> "LaurentPoly":
-        """Read `to_json` output, adding repeated terms; exponents beyond MAX_EXPONENT raise ValueError."""
-        return cls([
+        """Read `to_json` output, adding repeated terms.
+
+        Exponents beyond MAX_EXPONENT, and terms whose rows would pack more
+        than MAX_SLOTS slots, raise ValueError before anything is packed.
+        """
+        data = _grouped([
             ((json_int(t, "v", MAX_EXPONENT), json_int(t, "s", MAX_EXPONENT)), json_int(t, "c"))
             for t in json_list(obj)
         ])
+        check_slots(sum(max(row) - min(row) + 1 for row in data.values()))
+        p = cls.__new__(cls)
+        p._pack_rows(data)
+        return p
+
+    def spans(self) -> dict[int, tuple[int, int]]:
+        """{ev: (lowest, highest s-exponent)} of each row; every slot between is packed."""
+        return {ev: (lo, lo + row.bit_length() // self._w) for ev, (lo, row) in self._rows.items()}
 
     def format(self, style: str = "plain") -> str:
         """Terms in canonical order, in `plain` or `latex` notation."""
         power, times, _, _ = _style(style)
-        if self.is_zero:
-            return "0"
         chunks: list[str] = []
-        for ev, es, c in self.terms():
-            factors: list[str] = []
-            if ev:
-                factors.append(_power("v", ev, power))
-            if es:
-                factors.append(_power("s", es, power))
-            mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = times.join(factors)
-            if not chunks:
-                chunks.append(f"-{body}" if c < 0 else body)
-            else:
-                chunks.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(chunks)
+        for ev, lo, coeffs in self._decoded():
+            v = [_power("v", ev, power)] if ev else []
+            for j, c in enumerate(coeffs):
+                if c:
+                    factors = v + [_power("s", lo + j, power)] if lo + j else v
+                    if c not in (1, -1) or not factors:
+                        factors = [str(abs(c)), *factors]
+                    chunks.append(("- " if c < 0 else "+ ") + times.join(factors))
+        if not chunks:
+            return "0"
+        text = " ".join(chunks)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     __str__ = __repr__ = format
 
@@ -686,8 +771,9 @@ class SkeinScalar:
     __str__ = __repr__ = format
 
 
+@cache
 def delta() -> SkeinScalar:
-    """Value of one null-homotopic loop: (v^{-1} - v) / (s - s^{-1})."""
+    """Value of one null-homotopic loop: (v^{-1} - v) / (s - s^{-1}); one shared immutable value."""
     return SkeinScalar(LaurentPoly({(-1, 0): 1, (1, 0): -1}), ((1, 1),))
 
 

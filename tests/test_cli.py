@@ -196,6 +196,18 @@ def test_decoration_exponent_beyond_bound_exits_fast(tmp_path, capsys, coeff):
     assert out == "" and "bound 4096" in err
 
 
+def test_decoration_beyond_slot_bound_exits_fast(tmp_path, capsys):
+    # 1,000 terms over 500 v-rows at s = +-4096 (31 KB) would pack 4 million slots.
+    num = [{"v": v, "s": s, "c": 1} for v in range(500) for s in (-4096, 4096)]
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps([{"coeff": {"num": num, "den": []}, "a": 1, "b": 0}]))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval-decoration", "--k1", "1", "--k2", "0", "--decoration", str(path))
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert out == "" and "bound 65536" in err
+
+
 # -- oracle ----------------------------------------------------------------------
 
 def test_oracle_family(capsys):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopflinks import ring
-from hopflinks.ring import LaurentPoly, _phi_at, _pack, _unpack, _within
+from hopflinks.ring import LaurentPoly, _decode, _phi_at, _pack, _unpack, _within
 from test_ring import cyclotomic, poly_divmod
 
 
@@ -331,6 +331,33 @@ def test_packed_row_identities(w, data):
     assert _unpack(packed, w) == row
     bits = data.draw(st.integers(1, w - 1))
     assert _within(packed, w, bits) == all(-(1 << (bits - 1)) <= c < 1 << (bits - 1) for c in row)
+
+
+def slot_rows(w):
+    """Rows of slot coefficients for width w: edge values, one-slot rows, zero interior slots."""
+    top = (1 << (w - 1)) - 1
+    coeff = st.one_of(st.sampled_from([top, -top, 0, 1, -1, 0x80 << (w - 16)]), st.integers(-top, top))
+    return st.lists(coeff, min_size=1, max_size=12).map(lambda row: row[:-1] + [row[-1] or top])
+
+
+@given(st.sampled_from([48, 96, 192]).flatmap(lambda w: st.tuples(st.just(w), st.lists(slot_rows(w), max_size=6))))
+def test_bulk_decode_matches_per_slot_unpack(case):
+    w, rows = case
+    packed = [_pack(row, w) for row in rows]
+    assert _decode(packed, w) == [_unpack(row, w) for row in packed] == rows
+
+
+def test_bulk_decode_edges(monkeypatch):
+    top = (1 << 47) - 1
+    rows = [[top], [-top], [1, 0, 0, -1], [-top, 0, top], [-1] * 5, [1 << 40, -(1 << 40)]]
+    packed = [_pack(row, 48) for row in rows]
+    assert _decode(packed, 48) == rows
+    p = LaurentPoly({(ev, es): c for ev, row in enumerate(rows) for es, c in enumerate(row)})
+    text, terms = p.format("latex"), p.terms()
+    # The path a big-endian host takes: every row through _unpack.
+    monkeypatch.setattr(ring, "_BULK", False)
+    assert _decode(packed, 48) == rows
+    assert (p.format("latex"), p.terms()) == (text, terms)
 
 
 def test_reference_division_examples():

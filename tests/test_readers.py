@@ -1,13 +1,15 @@
 """The readers of outside input raise only ValueError (MalformedDiagramError
 for diagrams), whatever shape the input has."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hopflinks.hopf import Decoration
 from hopflinks.oracle import MalformedDiagramError, PlanarDiagram
 from hopflinks.render import parse_scalar
-from hopflinks.ring import MAX_EXPONENT, SkeinScalar
+from hopflinks.ring import MAX_EXPONENT, MAX_SLOTS, LaurentPoly, SkeinScalar
 
 KEYS = ["crossings", "sign", "ends", "loops", "id", "num", "den", "v", "s", "c", "k", "mult", "coeff", "a", "b"]
 
@@ -100,3 +102,37 @@ def test_parse_scalar_bounds_juxtaposed_products():
     for text in ("(1+s^4096)(1+s^4096)(1+s^4096)", "s^4096 s", "(1 + s^4096)(1 - s^4096)", "v^-4000 * v^-97"):
         with pytest.raises(ValueError):
             parse_scalar(text)
+
+
+def sparse_terms(rows: int) -> list[dict]:
+    """Two terms per v-row at s = -4096 and 4096: 8,193 packed slots per row."""
+    return [{"v": v, "s": s, "c": 1} for v in range(rows) for s in (-MAX_EXPONENT, MAX_EXPONENT)]
+
+
+def test_slot_bound_refuses_sparse_json_fast():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"bound {MAX_SLOTS}"):
+        LaurentPoly.from_json(sparse_terms(500))
+    with pytest.raises(ValueError, match=f"bound {MAX_SLOTS}"):
+        SkeinScalar.from_json({"num": sparse_terms(500), "den": []})
+    assert time.perf_counter() - start < 0.1
+
+
+def test_slot_bound_edge():
+    # 8 rows of 8,193 slots pass 2^16; 7 rows, or 8 rows whose ends cancel, do not.
+    assert len(LaurentPoly.from_json(sparse_terms(7)).terms()) == 14
+    cancelled = sparse_terms(8) + [{"v": 7, "s": MAX_EXPONENT, "c": -1}]
+    assert len(LaurentPoly.from_json(cancelled).terms()) == 15
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json(sparse_terms(8))
+
+
+def test_slot_bound_refuses_sparse_sums_fast():
+    text = " + ".join(f"v^{v}*s^{s}" for v in range(500) for s in (-MAX_EXPONENT, MAX_EXPONENT))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"bound {MAX_SLOTS}"):
+        parse_scalar(text)
+    assert time.perf_counter() - start < 0.1
+    # Within the bound the same shape parses.
+    seven = " + ".join(f"v^{v}*s^{s}" for v in range(7) for s in (-MAX_EXPONENT, MAX_EXPONENT))
+    assert len(parse_scalar(seven).num.terms()) == 14

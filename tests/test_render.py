@@ -78,6 +78,28 @@ def test_canonical_output_bytes_pinned(capsys):
     assert digest.hexdigest() == PINNED_OUTPUT_SHA256
 
 
+# sha256 of the plain and LaTeX renderings of the same H(k1,k2;n1,n2) and of
+# their negations (whose numerators lead with a minus sign), one line each,
+# taken while `format` still read each slot on its own.
+PINNED_NOTATION_SHA256 = {
+    "plain": "f1bfcbc546db968c7707aeb82c9c696d136817cf5df8a6f4520968b7e1f3a832",
+    "latex": "e0a5db4fa108b5f1c9c4356ed1bf4b07b39d8556ec8325c2f5908bc0f9c3708c",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_NOTATION_SHA256))
+def test_notation_output_bytes_pinned(fmt):
+    digest = hashlib.sha256()
+    for k1 in range(4):
+        for k2 in range(4 - k1):
+            for n1 in range(6):
+                for n2 in range(6 - n1):
+                    value = homfly_general(HopfSpec(k1, k2, n1, n2))
+                    for x in (value, -value):
+                        digest.update(render_scalar(x, fmt).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_NOTATION_SHA256[fmt]
+
+
 def _bench_fingerprint():
     path = Path(__file__).resolve().parents[1] / "bench" / "fingerprint.py"
     spec = importlib.util.spec_from_file_location("bench_fingerprint", path)

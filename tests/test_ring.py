@@ -38,6 +38,13 @@ scalars = st.builds(SkeinScalar, polys, denominators)
 
 # -- construction -----------------------------------------------------------
 
+def test_delta_is_one_shared_value():
+    d = delta()
+    assert delta() is d
+    delta.cache_clear()
+    assert delta() is not d and delta() == d
+
+
 def test_zero_coefficients_are_dropped():
     p = LaurentPoly({(0, 0): 1, (1, 2): 0})
     assert p.terms() == [(0, 0, 1)]
