@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .basis import monomial_to_eigen, plane_eval_eigen
 from .meridian import ccw_eigenvalue, cw_eigenvalue
 from .partitions import label_count
-from .ring import SkeinScalar, json_int, json_item, json_list
+from .ring import SkeinScalar, check_slots, json_int, json_item, json_list
 
 __all__ = [
     "HopfSpec",
@@ -106,11 +106,15 @@ class Decoration:
 
     @classmethod
     def from_json(cls, obj: list) -> "Decoration":
-        terms = tuple(
-            DecorationTerm(SkeinScalar.from_json(json_item(t, "coeff")), json_int(t, "a"), json_int(t, "b"))
-            for t in json_list(obj)
-        )
-        return cls(terms)
+        """Read `to_json` output; numerators packing more than MAX_SLOTS slots in all raise ValueError."""
+        terms, slots = [], 0
+        for t in json_list(obj):
+            coeff = SkeinScalar.from_json(json_item(t, "coeff"))
+            # The numerator as loaded, before any reduction, is what is stored.
+            slots += sum(hi - lo + 1 for lo, hi in coeff._num.spans().values())
+            check_slots(slots)
+            terms.append(DecorationTerm(coeff, json_int(t, "a"), json_int(t, "b")))
+        return cls(tuple(terms))
 
     def to_json(self) -> list:
         return [

@@ -6,6 +6,15 @@ module adds the JSON form and the parser.  The three renderings describe
 the same canonical value: terms sorted by (v-exponent, s-exponent),
 denominator factors sorted by k.  Parsing a rendering therefore
 reproduces the canonical JSON exactly.
+
+One recursive-descent grammar reads both notations.  The tokenizer turns
+the LaTeX exponent `^{n}` into the plain `^n` and keeps `\\frac{`, `}{` and
+`}` as tokens, so `\\frac{num}{den}`, which is only ever the whole scalar,
+and `num / (den)` share one denominator loop.  A sum adds its summands
+once, at its end, so it is linear in its length.  The least and greatest
+exponents of a product or power follow from its factors' (leading rows
+multiply to a nonzero row), so the exponent and term bounds are checked
+before anything is multiplied.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 
-from .ring import MAX_EXPONENT, LaurentPoly, SkeinScalar, check_slots
+from .ring import MAX_EXPONENT, LaurentPoly, SkeinScalar, check_degree, check_slots
 
 __all__ = ["FORMATS", "render_scalar", "parse_scalar"]
 
@@ -31,55 +40,28 @@ def render_scalar(x: SkeinScalar, fmt: str = "plain") -> str:
 # parsing
 
 
-_TOKEN = re.compile(r"\s*(\d+|[vs]|\^|\+|-|\*|/|\(|\))")
+# A LaTeX exponent ^{n} or ^{-n} with no space inside the braces (sign and
+# digits in groups 1 and 2), or one token (group 3).
+_TOKEN = re.compile(r"\s*(?:\^\{(-?)(\d+)\}|(\d+|[vs]|\\frac\{|\}\{?|[-+*/^()]))")
 
 # Deepest nesting of parenthesized groups.  Renderings nest one deep; the
 # bound keeps the recursive parser well inside Python's recursion limit.
 _MAX_DEPTH = 100
 
 
-def _check_box(dv: int, ds: int, what: str) -> None:
-    """Refuse a result whose exponent box, spans dv in v and ds in s, holds more than MAX_EXPONENT terms."""
-    if (dv + 1) * (ds + 1) > MAX_EXPONENT:
-        raise ValueError(f"{what} exceeds the term bound {MAX_EXPONENT}")
-
-
-def _spans(p: LaurentPoly) -> tuple[int, int]:
-    """Spans of the v- and s-exponents of p's terms; (0, 0) for zero."""
+def _extremes(p: LaurentPoly) -> tuple[int, int, int, int]:
+    """Least and greatest v-exponent, then s-exponent, of p's terms; all 0 for zero."""
     rows = p.spans()
     if not rows:
-        return 0, 0
-    return max(rows) - min(rows), max(hi for _, hi in rows.values()) - min(lo for lo, _ in rows.values())
+        return 0, 0, 0, 0
+    return min(rows), max(rows), min(lo for lo, _ in rows.values()), max(hi for _, hi in rows.values())
 
 
-def _normalize_latex(text: str) -> str:
-    """Rewrite the LaTeX rendering into the plain grammar."""
-    while True:
-        start = text.find("\\frac")
-        if start < 0:
-            break
-        pos = start + len("\\frac")
-        groups = []
-        for _ in range(2):
-            if pos >= len(text) or text[pos] != "{":
-                raise ValueError("malformed \\frac")
-            depth = 0
-            for end in range(pos, len(text)):
-                if text[end] == "{":
-                    depth += 1
-                elif text[end] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        groups.append(text[pos + 1 : end])
-                        pos = end + 1
-                        break
-            else:
-                raise ValueError("unbalanced braces in \\frac")
-        text = text[:start] + f"({groups[0]}) / ({groups[1]})" + text[pos:]
-    text = re.sub(r"\^\{(-?\d+)\}", r"^\1", text)
-    if "{" in text or "}" in text or "\\" in text:
-        raise ValueError("unsupported LaTeX markup")
-    return text
+def _check_box(extremes: list[int], what: str) -> None:
+    """Refuse a result whose exponent box, given by its extremes, holds more than MAX_EXPONENT terms."""
+    v_lo, v_hi, s_lo, s_hi = extremes
+    if (v_hi - v_lo + 1) * (s_hi - s_lo + 1) > MAX_EXPONENT:
+        raise ValueError(f"{what} exceeds the term bound {MAX_EXPONENT}")
 
 
 class _Parser:
@@ -98,19 +80,26 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def group(self, opening: str, closing: str) -> LaurentPoly:
+        """The sum between the two tokens, one nesting level deeper."""
+        self.take(opening)
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ValueError(f"groups nest deeper than {_MAX_DEPTH}")
+        inner = self.parse_sum()
+        self.take(closing)
+        self.depth -= 1
+        return inner
+
     def parse_sum(self) -> LaurentPoly:
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        elif self.peek() == "+":
-            self.take()
-        total = self.parse_product() * sign
-        # The summands' rows, merged, span at least what the sum packs.
-        spans = total.spans()
-        slots = sum(hi - lo + 1 for lo, hi in spans.values())
-        while self.peek() in ("+", "-"):
-            op = self.take()
+        # Summands are added once, at the end.  One coefficient per exponent
+        # pair keeps memory within the slot bound however often a term
+        # repeats; the summands' rows, merged, span at least what the sum packs.
+        coeffs: dict[tuple[int, int], int] = {}
+        spans: dict[int, tuple[int, int]] = {}
+        slots = 0
+        op = self.take() if self.peek() in ("+", "-") else "+"
+        while True:
             term = self.parse_product()
             for ev, (lo, hi) in term.spans().items():
                 if ev in spans:
@@ -120,8 +109,11 @@ class _Parser:
                 spans[ev] = lo, hi
                 slots += hi - lo + 1
             check_slots(slots)
-            total = total + (term if op == "+" else -term)
-        return total
+            for ev, es, c in term.terms():
+                coeffs[ev, es] = coeffs.get((ev, es), 0) + (c if op == "+" else -c)
+            if self.peek() not in ("+", "-"):
+                return LaurentPoly(coeffs)
+            op = self.take()
 
     def parse_product(self) -> LaurentPoly:
         out = self.parse_factor()
@@ -132,30 +124,25 @@ class _Parser:
             elif tok is None or not (tok.isdigit() or tok in ("v", "s", "(")):
                 return out
             factor = self.parse_factor()
-            (v1, s1), (v2, s2) = _spans(out), _spans(factor)
-            _check_box(v1 + v2, s1 + s2, "product")
-            out = out * factor
-            if any(max(abs(ev), abs(es)) > MAX_EXPONENT for ev, es, _ in out.terms()):
+            # Leading rows multiply to a nonzero row, so the extremes add.
+            extremes = [a + b for a, b in zip(_extremes(out), _extremes(factor))]
+            _check_box(extremes, "product")
+            if max(map(abs, extremes)) > MAX_EXPONENT:
                 raise ValueError(f"product exceeds the exponent bound {MAX_EXPONENT}")
+            out = out * factor
 
     def parse_factor(self) -> LaurentPoly:
         tok = self.peek()
         if tok == "(":
-            self.take()
-            self.depth += 1
-            if self.depth > _MAX_DEPTH:
-                raise ValueError(f"groups nest deeper than {_MAX_DEPTH}")
-            inner = self.parse_sum()
-            self.take(")")
-            self.depth -= 1
+            inner = self.group("(", ")")
             if self.peek() == "^":
                 n = self._exponent()
                 # The power's exponents and coefficient bits grow n-fold.
-                size = max((max(abs(ev), abs(es), c.bit_length()) for ev, es, c in inner.terms()), default=0)
-                if n * size > MAX_EXPONENT:
+                extremes = _extremes(inner)
+                bits = max((c.bit_length() for _, _, c in inner.terms()), default=0)
+                if n * max(bits, *map(abs, extremes)) > MAX_EXPONENT:
                     raise ValueError(f"power of a group exceeds the exponent bound {MAX_EXPONENT}")
-                dv, ds = _spans(inner)
-                _check_box(n * dv, n * ds, "power of a group")
+                _check_box([n * e for e in extremes], "power of a group")
                 inner = inner ** n
             return inner
         if tok in ("v", "s"):
@@ -190,10 +177,8 @@ def _extract_factor(p: LaurentPoly) -> int:
 
 
 def parse_scalar(text: str) -> SkeinScalar:
-    """Parse the plain or LaTeX rendering of a scalar."""
-    if "\\" in text or "{" in text:
-        text = _normalize_latex(text)
-    tokens = []
+    """Parse the plain rendering `num / (den)` or the LaTeX `\\frac{num}{den}`."""
+    tokens: list[str] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -201,14 +186,18 @@ def parse_scalar(text: str) -> SkeinScalar:
             if text[pos:].strip():
                 raise ValueError(f"cannot tokenize {text[pos:]!r}")
             break
-        tokens.append(m.group(1))
+        tokens += [m[3]] if m[3] else ["^", *m[1], m[2]]
         pos = m.end()
     parser = _Parser(tokens)
-    num = parser.parse_sum()
+    if parser.peek() == "\\frac{":
+        num, closing = parser.group("\\frac{", "}{"), "}"
+    else:
+        num, closing = parser.parse_sum(), ")" if parser.peek() == "/" else None
+        if closing:
+            parser.take("/")
+            parser.take("(")  # the whole factored denominator is one group
     factors: list[tuple[int, int]] = []
-    if parser.peek() == "/":
-        parser.take()
-        parser.take("(")  # the whole factored denominator is one group
+    if closing:
         while True:
             parser.take("(")
             base = parser.parse_sum()
@@ -217,13 +206,10 @@ def parse_scalar(text: str) -> SkeinScalar:
             factors.append((_extract_factor(base), mult))
             if parser.peek() == "*":
                 parser.take()
-                continue
-            if parser.peek() == "(":
-                continue
-            break
-        parser.take(")")
-        if sum(k * mult for k, mult in factors) > MAX_EXPONENT:
-            raise ValueError(f"denominator degree exceeds the bound {MAX_EXPONENT}")
+            elif parser.peek() != "(":
+                break
+        parser.take(closing)
+        check_degree(factors)
     if parser.peek() is not None:
         raise ValueError(f"trailing input near {parser.peek()!r}")
     return SkeinScalar(num, factors)

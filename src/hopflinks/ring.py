@@ -227,6 +227,12 @@ def check_slots(slots: int) -> None:
         raise ValueError(f"input packs {slots} slots, beyond the bound {MAX_SLOTS}")
 
 
+def check_degree(den: Iterable[tuple[int, int]]) -> None:
+    """ValueError when denominator factors (k, mult) of input expand past MAX_EXPONENT."""
+    if sum(k * mult for k, mult in den) > MAX_EXPONENT:
+        raise ValueError(f"denominator degree exceeds the bound {MAX_EXPONENT}")
+
+
 def _new(rows: dict[int, tuple[int, int]], w: int, bits: int) -> "LaurentPoly":
     p = LaurentPoly.__new__(LaurentPoly)
     p._rows, p._w, p._bits = rows, w, bits
@@ -752,8 +758,7 @@ class SkeinScalar:
         """Read `to_json` output; a denominator of degree above MAX_EXPONENT raises ValueError."""
         num = LaurentPoly.from_json(json_item(obj, "num"))
         den = [(json_int(f, "k"), json_int(f, "mult")) for f in json_list(json_item(obj, "den"))]
-        if sum(k * mult for k, mult in den) > MAX_EXPONENT:
-            raise ValueError(f"denominator degree exceeds the bound {MAX_EXPONENT}")
+        check_degree(den)
         return cls(num, den)
 
     def format(self, style: str = "plain") -> str:

@@ -208,6 +208,18 @@ def test_decoration_beyond_slot_bound_exits_fast(tmp_path, capsys):
     assert out == "" and "bound 65536" in err
 
 
+def test_decoration_beyond_file_slot_budget_exits_fast(tmp_path, capsys):
+    # 40 terms, each numerator 7 v-rows at s = +-4096: 57,351 slots apiece.
+    num = [{"v": v, "s": s, "c": 1} for v in range(7) for s in (-4096, 4096)]
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps([{"coeff": {"num": num, "den": []}, "a": a, "b": 0} for a in range(40)]))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval-decoration", "--k1", "1", "--k2", "0", "--decoration", str(path))
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert out == "" and "bound 65536" in err
+
+
 # -- oracle ----------------------------------------------------------------------
 
 def test_oracle_family(capsys):

@@ -136,3 +136,27 @@ def test_slot_bound_refuses_sparse_sums_fast():
     # Within the bound the same shape parses.
     seven = " + ".join(f"v^{v}*s^{s}" for v in range(7) for s in (-MAX_EXPONENT, MAX_EXPONENT))
     assert len(parse_scalar(seven).num.terms()) == 14
+
+
+def one_row_coeff(lo: int, hi: int) -> dict:
+    """A coefficient whose numerator packs the s-span lo..hi in one row."""
+    return {"num": [{"v": 0, "s": lo, "c": 1}, {"v": 0, "s": hi, "c": 1}], "den": []}
+
+
+def test_decoration_slot_budget_refuses_many_terms_fast():
+    # 40 terms whose numerators each pack 57,351 slots: every one is inside
+    # MAX_SLOTS, the file is not.
+    blob = [{"coeff": {"num": sparse_terms(7), "den": []}, "a": a, "b": 0} for a in range(40)]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"bound {MAX_SLOTS}"):
+        Decoration.from_json(blob)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_decoration_slot_budget_edge():
+    # Seven rows of 8,193 slots and one of 8,185 pack exactly 2^16 slots.
+    blob = [{"coeff": one_row_coeff(-MAX_EXPONENT, MAX_EXPONENT), "a": a, "b": 0} for a in range(7)]
+    inside = blob + [{"coeff": one_row_coeff(-4092, 4092), "a": 7, "b": 0}]
+    assert len(Decoration.from_json(inside).terms) == 8
+    with pytest.raises(ValueError, match=f"packs {MAX_SLOTS + 1} slots"):
+        Decoration.from_json(blob + [{"coeff": one_row_coeff(-4092, 4093), "a": 7, "b": 0}])

@@ -225,3 +225,66 @@ def test_round_trip_on_pipeline_output():
     assert json.loads(blob) == value.to_json()
     assert parse_scalar(render_scalar(value, "plain")).to_json() == value.to_json()
     assert parse_scalar(render_scalar(value, "latex")).to_json() == value.to_json()
+
+
+def test_sum_calls_add_a_constant_number_of_times(monkeypatch):
+    # A sum is built once from its summands, not by one `+` per summand.
+    calls = []
+    add = LaurentPoly.__add__
+    monkeypatch.setattr(LaurentPoly, "__add__", lambda self, other: calls.append(1) or add(self, other))
+
+    def adds(rows):
+        calls.clear()
+        value = parse_scalar(" + ".join(f"v^{v}" for v in range(-4096, -4096 + rows)))
+        assert len(value.num.terms()) == rows
+        return len(calls)
+
+    assert adds(8000) == adds(2)
+
+
+def test_latex_exponent_braces_delimit_the_exponent():
+    assert parse_scalar("s^{2}2") == parse_scalar("2*s^2")
+    assert parse_scalar("v^{-3} s^{12}") == parse_scalar("v^-3*s^12")
+    # The braces hold the exponent alone, as the renderer writes it.
+    for text in ["s^{ 2}", "s^ {2}", "s^{2 }", "s^{+2}", "s^{{2}}", "{s}"]:
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+
+def test_frac_is_the_whole_scalar():
+    assert parse_scalar("\\frac{1}{(s - s^{-1})}") == parse_scalar("1 / ((s - s^-1))")
+    for text in [
+        "-\\frac{1}{(s - s^{-1})}",
+        "2 \\frac{1}{(s - s^{-1})}",
+        "\\frac{1}{(s - s^{-1})} + 1",
+        "(\\frac{1}{(s - s^{-1})})",
+        "\\frac {1}{(s - s^{-1})}",
+        "\\frac{1} {(s - s^{-1})}",
+        "\\frac{1}{(s - s^{-1})}{2}",
+        "\\frac{1}{2}",
+        "\\frac{1}",
+    ]:
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+
+def test_product_bounds_are_checked_before_multiplying(monkeypatch):
+    calls = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    for text, bound in [("s^4096 * s", "exponent"), ("v^-4000 v^-97", "exponent"),
+                        ("(1 + s^2048) * (1 + s^2048)", "term"), ("(1 + s^4096)(1 + v^4096)", "term")]:
+        with pytest.raises(ValueError, match=f"^product exceeds the {bound} bound 4096$"):
+            parse_scalar(text)
+    assert calls == []
+
+
+def test_both_readers_share_the_denominator_degree_message():
+    readers = [
+        lambda: parse_scalar("1 / ((s^2 - s^-2)^2049)"),
+        lambda: parse_scalar("\\frac{1}{(s^{2} - s^{-2})^{2049}}"),
+        lambda: SkeinScalar.from_json({"num": [{"v": 0, "s": 0, "c": 1}], "den": [{"k": 2, "mult": 2049}]}),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match="^denominator degree exceeds the bound 4096$"):
+            read()
