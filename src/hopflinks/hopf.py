@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .basis import monomial_to_eigen, plane_eval_eigen
-from .meridian import ccw_eigenvalue, cw_eigenvalue
-from .partitions import label_count
+from .meridian import ccw_power
+from .partitions import BasisLabel, label_count
 from .ring import SkeinScalar, check_slots, json_int, json_item, json_list
 
 __all__ = [
@@ -70,9 +70,15 @@ def homfly_general(spec: HopfSpec) -> SkeinScalar:
 
 
 def _core_sum(spec: HopfSpec) -> SkeinScalar:
-    """H(k1, k2; n1, n2) summed over the eigenbasis labels of the (n1, n2) core."""
+    """H(k1, k2; n1, n2) summed over the eigenbasis labels of the (n1, n2) core.
+
+    The clockwise eigenvalue of a label is the counterclockwise one of the
+    swapped label, so both powers come from `ccw_power`'s cache.
+    """
     return SkeinScalar.sum(
-        ccw_eigenvalue(label) ** spec.k1 * cw_eigenvalue(label) ** spec.k2 * (plane_eval_eigen(label) * mult)
+        ccw_power(label, spec.k1)
+        * ccw_power(BasisLabel(label.pos, label.neg), spec.k2)
+        * (plane_eval_eigen(label) * mult)
         for label, mult in monomial_to_eigen(spec.n1, spec.n2).items()
     )
 

@@ -4,7 +4,10 @@ evaluations of the annulus basis elements.
 A single unknotted loop around the annulus core, oriented counter-
 clockwise or clockwise, acts diagonally on the two-sided eigenbasis.
 The eigenvalue attached to a label is a content sum over the two shapes
-weighted by v^{-1} or -v, plus the unknot value.
+weighted by v^{-1} or -v, plus the unknot value.  The closed form
+raises these eigenvalues to string counts; `ccw_power` keeps each
+(label, n) power it has made, so a sweep over string counts builds each
+power once.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .ring import Z, LaurentPoly, SkeinScalar, delta
 
 __all__ = [
     "ccw_eigenvalue",
+    "ccw_power",
     "cw_eigenvalue",
     "same_sense_eigenvalue",
     "opposite_sense_eigenvalue",
@@ -41,6 +45,16 @@ def ccw_eigenvalue(label: BasisLabel) -> SkeinScalar:
     lam, mu = label
     body = Z * (-(_V * _content_sum(lam, -1)) + _V_INV * _content_sum(mu, +1))
     return SkeinScalar(body) + delta()
+
+
+@cache
+def ccw_power(label: BasisLabel, n: int) -> SkeinScalar:
+    """ccw_eigenvalue(label) ** n, made once per (label, n).
+
+    The power is the ring's one power loop; the clockwise power of a label
+    is `ccw_power` of the swapped label, as in `cw_eigenvalue`.
+    """
+    return ccw_eigenvalue(label) ** n
 
 
 def cw_eigenvalue(label: BasisLabel) -> SkeinScalar:

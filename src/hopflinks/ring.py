@@ -194,11 +194,19 @@ def _decode(rows: list[int], w: int) -> list[list[int]]:
     return out
 
 
-def _within(row: int, w: int, bits: int) -> bool:
-    """Mask test: True iff every slot c of the row has -2^(bits-1) <= c < 2^(bits-1)."""
-    n = row.bit_length() // w + 1
-    high = ((1 << w) - 1) ^ ((1 << bits) - 1)
-    return not (row + _repeat(1 << (bits - 1), w, n)) & _repeat(high, w, n)
+def _within(rows: list[int], w: int, bits: int) -> bool:
+    """Mask test: True iff every slot c of every row has -2^(bits-1) <= c < 2^(bits-1).
+
+    The bias and mask words are built once, as long as the longest row,
+    and each row is tested against them.  A shorter row stays exact: the
+    slots above its top only get the bias added, and the lowest slot out
+    of range sets a high bit inside its own slot.  An empty list is
+    within every bound.
+    """
+    n = max((row.bit_length() for row in rows), default=0) // w + 1
+    bias = _repeat(1 << (bits - 1), w, n)
+    mask = _repeat(((1 << w) - 1) ^ ((1 << bits) - 1), w, n)
+    return not any((row + bias) & mask for row in rows)
 
 
 def _trim(lo: int, row: int, w: int) -> tuple[int, int]:
@@ -294,8 +302,9 @@ class LaurentPoly:
 
     def _fit(self) -> int:
         """Tighten the bound to the first multiple of 8 bits the mask tests prove."""
+        rows = [row for _, row in self._rows.values()]
         for bits in range(8, self._bits, 8):
-            if all(_within(row, self._w, bits) for _, row in self._rows.values()):
+            if _within(rows, self._w, bits):
                 self._bits = bits
                 break
         return self._bits
@@ -451,7 +460,7 @@ class LaurentPoly:
                 if rest:
                     return None
                 out[ev] = (lo, quotient)
-            if all(_within(row, w, bits) for _, row in out.values()):
+            if _within([row for _, row in out.values()], w, bits):
                 return _new(out, w, bits)
             w = _width(w)
 

@@ -405,15 +405,18 @@ def test_verify_rejects_bad_cap_env_var(capsys, monkeypatch, env):
 
 
 def test_verify_detects_injected_eigenvalue_error(capsys, monkeypatch):
-    healthy = hopf_module.ccw_eigenvalue
+    # The closed form reads its eigenvalue powers through `ccw_power`.  The
+    # wrapper returns the powers (-t)^n of the negated eigenvalue of every
+    # nonempty label and leaves the cache underneath intact.
+    healthy = hopf_module.ccw_power
 
-    def broken(label):
-        value = healthy(label)
-        if sum(label.neg) + sum(label.pos) > 0:
+    def broken(label, n):
+        value = healthy(label, n)
+        if sum(label.neg) + sum(label.pos) > 0 and n % 2:
             return -value
         return value
 
-    monkeypatch.setattr(hopf_module, "ccw_eigenvalue", broken)
+    monkeypatch.setattr(hopf_module, "ccw_power", broken)
     code, out, _ = run_cli(capsys, "verify", "--max-encircling", "1", "--max-core", "1")
     assert code == 1
     assert "FAIL" in out

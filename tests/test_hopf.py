@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,12 +17,14 @@ from hopflinks.hopf import (
 )
 from hopflinks.meridian import (
     ccw_eigenvalue,
+    ccw_power,
     cw_eigenvalue,
     opposite_sense_eigenvalue,
     plane_eval_single,
     same_sense_eigenvalue,
 )
 from hopflinks.partitions import partitions_of, syt_count
+from hopflinks.render import render_scalar
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
 
 
@@ -132,6 +136,39 @@ def test_closed_form_bytes_match_the_fold():
     assert len(grid) == 210
     for spec in grid:
         assert homfly_general(spec).to_json() == fold_terms(closed_form_terms(spec)).to_json(), spec
+
+
+# sha256 of render_scalar(homfly_general(spec), "json") for the heaviest
+# sums that no other test or bench reference covers.
+HEAVY_SUM_SHA256 = {
+    HopfSpec(5, 5, 5, 5): "3785568550a403283285a4010d3f6c59a24db69490d4974a5594ddb8e789189b",
+    HopfSpec(3, 2, 8, 8): "feabf3035b40420e74c72baf7e74f197be872f9970e111e70fd126e38a610d67",
+    HopfSpec(4, 3, 6, 5): "9ad540a33050aa0787aa35fff7daab09ac561d25667c3707de535202c49033aa",
+}
+
+
+@pytest.mark.parametrize("spec", list(HEAVY_SUM_SHA256), ids=str)
+def test_heavy_sums_keep_their_bytes(spec):
+    text = render_scalar(homfly_general(spec), "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == HEAVY_SUM_SHA256[spec]
+
+
+def test_repeated_sum_takes_no_new_power(monkeypatch):
+    calls = []
+    power = SkeinScalar.__pow__
+
+    def counted(self, n):
+        calls.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(SkeinScalar, "__pow__", counted)
+    ccw_power.cache_clear()
+    spec = HopfSpec(2, 1, 3, 2)
+    first = homfly_general(spec)
+    assert calls
+    calls.clear()
+    assert homfly_general(spec).to_json() == first.to_json()
+    assert calls == []
 
 
 @pytest.fixture

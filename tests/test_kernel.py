@@ -330,7 +330,50 @@ def test_packed_row_identities(w, data):
     assert packed == sum(c << (w * j) for j, c in enumerate(row))
     assert _unpack(packed, w) == row
     bits = data.draw(st.integers(1, w - 1))
-    assert _within(packed, w, bits) == all(-(1 << (bits - 1)) <= c < 1 << (bits - 1) for c in row)
+    assert _within([packed], w, bits) == all(-(1 << (bits - 1)) <= c < 1 << (bits - 1) for c in row)
+
+
+def within_reference(rows, bits):
+    """The per-slot check the mask test must agree with."""
+    return all(-(1 << (bits - 1)) <= c < 1 << (bits - 1) for row in rows for c in row)
+
+
+@st.composite
+def mask_case(draw):
+    """A width, a bound, and rows of mixed lengths and signs with slots at and beside +-2^(bits-1)."""
+    w = draw(st.sampled_from([48, 96, 192]))
+    bits = draw(st.integers(1, w - 1))
+    top, edge = (1 << (w - 1)) - 1, 1 << (bits - 1)
+    coeff = st.one_of(
+        st.sampled_from([edge, -edge, edge - 1, -edge - 1, 0, 1, -1, top, -top]), st.integers(-top, top)
+    )
+    row = st.lists(coeff, min_size=1, max_size=10).map(lambda r: r[:-1] + [r[-1] or -edge])
+    return w, bits, draw(st.lists(row, max_size=5))
+
+
+@given(mask_case())
+def test_mask_test_over_rows_matches_per_slot_check(case):
+    w, bits, rows = case
+    assert _within([_pack(row, w) for row in rows], w, bits) == within_reference(rows, bits)
+
+
+@pytest.mark.parametrize("w", [48, 96, 192])
+def test_mask_test_short_rows_beside_long_ones(w):
+    bits = 16
+    edge = 1 << (bits - 1)
+    long_row = [1] * 9
+    cases = [
+        [],
+        [[-1], long_row],  # a short negative row beside a long one
+        [[-1], long_row[:-1] + [edge]],  # ... out of range above the short row's top
+        [[-edge], long_row],
+        [[-edge - 1], long_row],
+        [[edge - 1], [edge]],  # one-slot rows at the bound
+        [long_row, [3, -edge - 1]],
+        [[-edge, 0, 0, -edge], [5]],
+    ]
+    for rows in cases:
+        assert _within([_pack(row, w) for row in rows], w, bits) == within_reference(rows, bits)
 
 
 def slot_rows(w):

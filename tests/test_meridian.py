@@ -3,6 +3,7 @@ from partition_tools import conjugate
 
 from hopflinks.meridian import (
     ccw_eigenvalue,
+    ccw_power,
     cw_eigenvalue,
     opposite_sense_eigenvalue,
     plane_eval_product,
@@ -105,6 +106,24 @@ def test_cw_is_ccw_of_swapped_label(label):
 @given(label_strategy())
 def test_mirror_exchanges_the_two_eigenvalues(label):
     assert ccw_eigenvalue(label).mirror() == cw_eigenvalue(label)
+
+
+def test_power_cache_matches_eigenvalue_powers():
+    labels = [lab for lab in all_labels(4) if sum(lab.neg) + sum(lab.pos) <= 4]
+    for label in labels:
+        swapped = BasisLabel(label.pos, label.neg)
+        for n in range(9):
+            ccw, cw = ccw_eigenvalue(label) ** n, cw_eigenvalue(label) ** n
+            assert ccw_power(label, n) == ccw
+            assert ccw_power(label, n).to_json() == ccw.to_json()
+            assert ccw_power(swapped, n).to_json() == cw.to_json()
+
+
+def test_power_cache_is_a_functools_cache():
+    # bench/run.py clears every module-level cache with `cache_clear`
+    # before each cold round.
+    ccw_power.cache_clear()
+    assert ccw_power.cache_info().currsize == 0
 
 
 def test_degeneration_to_one_sided_values():
