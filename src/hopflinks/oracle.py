@@ -404,17 +404,15 @@ def _encode_from(
     Arcs are labeled in breadth-first order from `start`; each visited
     crossing emits (sign, labels of its ends).  Every end is labeled when
     its crossing is visited, so each item is final once emitted and the
-    encoding can be compared with `best` item by item as it grows.
+    encoding can be compared with `best` item by item as it grows.  The
+    first item is `_first_item` of the crossing `start` enters.
     """
     arc_label: dict[int, int] = {start: 0}
     order = [start]
     items: list[tuple] = []
     visited: set[int] = set()
     tied = best is not None
-    pointer = 0
-    while pointer < len(order):
-        arc = order[pointer]
-        pointer += 1
+    for arc in order:
         ci, pos = in_end[arc]
         if ci in visited:
             continue
@@ -424,7 +422,8 @@ def _encode_from(
             if e not in arc_label:
                 arc_label[e] = len(order)
                 order.append(e)
-        item = (sign, tuple([arc_label[e] for e in ends]))
+        e0, e1, e2, e3 = ends
+        item = (sign, (arc_label[e0], arc_label[e1], arc_label[e2], arc_label[e3]))
         if tied:
             rival = best[len(items)]
             if item > rival:
@@ -434,35 +433,75 @@ def _encode_from(
     return tuple(items), order
 
 
+# The first item from an in-arc at `pos` of a crossing with four distinct
+# ends: its ends labeled 0-3 from `pos` on.
+_DISTINCT_FIRST = {0: (0, 1, 2, 3), 1: (3, 0, 1, 2), 3: (1, 2, 3, 0)}
+
+
+def _first_item(cr: Crossing, pos: int) -> tuple:
+    """The first item of every encoding that starts at the arc entering
+    `cr` at `pos`: its sign and its ends labeled in order of first
+    appearance from `pos` on."""
+    sign, ends = cr
+    if len(set(ends)) == 4:
+        return sign, _DISTINCT_FIRST[pos]
+    label: dict[int, int] = {}
+    for e in ends[pos:] + ends[:pos]:
+        label.setdefault(e, len(label))
+    return sign, tuple([label[e] for e in ends])
+
+
 def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
     """Relabeling-invariant encoding of a crossing set.
 
     Per connected piece, the key is the minimum traversal encoding over
     all starting arcs; split pieces commute, so their encodings are
-    sorted.  Every start is tried, in order of the sign and entry
-    position of the crossing it enters, and two shortcuts leave the
-    minimum unchanged.  Every encoding of a piece has one item per
-    crossing, so the minimum is decided item by item: an encoding is
-    dropped at its first item above the best one so far.  And when an
-    encoding ties the best one, mapping the best's arc order onto its
-    own is an automorphism of the piece; the starts in one orbit of the
-    automorphisms found so far all give one encoding, so a start is
-    skipped once its orbit holds an encoded start (automorphism pruning,
-    as in nauty).  Orbits are kept by union-find.
+    sorted.  Three shortcuts leave the minimum unchanged.  An encoding's
+    first item depends only on its start (`_first_item`), so only the
+    starts whose first item ties the piece's least are encoded; the
+    first items are read in the same pass that collects the piece's
+    arcs.  Every encoding of a piece has one item per crossing, so the
+    minimum is decided item by item: an encoding is dropped at its first
+    item above the best one so far.  And when an encoding ties the best
+    one, mapping the best's arc order onto its own is an automorphism of
+    the piece; the starts in one orbit of the automorphisms found so far
+    all give one encoding, so a start is skipped once its orbit holds an
+    encoded start (automorphism pruning, as in nauty).  Orbits are kept
+    by union-find.
 
-    The order only saves work.  A crossing with four distinct ends, as
-    every crossing of a reduced diagram has, gives the first item
-    `(sign, (0, 1, 2, 3))` from its under-strand in-arc and a rotation
-    of it from its over-strand in-arc.  So the under-strand in-arcs of
-    the least sign come first and hold the least first items, and every
-    later start stops after one crossing.
+    A crossing with four distinct ends, as every crossing of a reduced
+    diagram has, gives the first item `(sign, (0, 1, 2, 3))` from its
+    under-strand in-arc and a larger rotation of it from its over-strand
+    in-arc, so a reduced diagram is encoded only from the under-strand
+    in-arcs of its least-sign crossings.
     """
     keys = []
-    for arcs in _pieces(crossings, in_end):
+    seen: set[int] = set()
+    for first in in_end:
+        if first in seen:
+            continue
+        seen.add(first)
+        # Strands are closed, so following the ends of every crossing
+        # reached from an arc reaches the whole piece.
+        piece = [first]
+        least = None
+        starts: list[int] = []
+        for arc in piece:
+            ci, pos = in_end[arc]
+            cr = crossings[ci]
+            for e in cr.ends:
+                if e not in seen:
+                    seen.add(e)
+                    piece.append(e)
+            item = _first_item(cr, pos)
+            if least is None or item < least:
+                least, starts = item, [arc]
+            elif item == least:
+                starts.append(arc)
         best = best_order = None
         links: dict[int, int] = {}
         encoded: set[int] = set()  # roots of orbits holding an encoded start
-        for a in sorted(arcs, key=lambda arc: (crossings[in_end[arc][0]].sign, in_end[arc][1])):
+        for a in starts:
             root = _root(links, a)
             if root in encoded:
                 continue
@@ -493,8 +532,12 @@ def canonical_key(diagram: PlanarDiagram) -> tuple:
 # evaluation
 
 
-def _v_power(n: int) -> SkeinScalar:
-    return SkeinScalar(LaurentPoly.term(1, v=n))
+def _v_delta(v_exp: int, loops: int) -> SkeinScalar:
+    """v^v_exp * delta^loops, without a product by a factor that is 1."""
+    if loops and not v_exp:
+        return delta() ** loops
+    v_val = SkeinScalar(LaurentPoly.term(1, v=v_exp))
+    return v_val * delta() ** loops if loops else v_val
 
 
 def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> Generator:
@@ -504,32 +547,31 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> G
     v_exp, loops, core = _simplify(crossings, near)
     del crossings
     if not core:
-        result = SkeinScalar.one()
-    else:
-        in_end = _in_ends(core)
-        key = _canonical(core, in_end)
-        result = memo.get(key)
-        if result is None:
-            bad, strands = _strands(core, in_end)
-            if bad is None:
-                result = _v_power(-sum(cr.sign for cr in core)) * delta() ** strands
-            else:
-                # Switching keeps the cyclic order of the split crossing's
-                # arcs and smoothing splices only them, so a child's new
-                # kinks and clasps all have a boundary arc among them.
-                sign, near = core[bad]
-                z_term = SkeinScalar(Z if sign > 0 else -Z)
-                smoothed, sm_loops = _smooth(core, bad)
-                children = [_switch(core, bad), smoothed]
-                # While its children run, a node keeps only what it reads again.
-                del core, in_end, smoothed
-                smooth_val = (yield children.pop(), near) * delta() ** sm_loops
-                result = (yield children.pop(), near) + z_term * smooth_val
-            memo[key] = result
-    if v_exp:
-        result = result * _v_power(v_exp)
-    if loops:
-        result = result * delta() ** loops
+        return _v_delta(v_exp, loops)  # the empty diagram is 1
+    in_end = _in_ends(core)
+    key = _canonical(core, in_end)
+    result = memo.get(key)
+    if result is None:
+        bad, strands = _strands(core, in_end)
+        if bad is None:
+            result = _v_delta(-sum(cr.sign for cr in core), strands)
+        else:
+            # Switching keeps the cyclic order of the split crossing's
+            # arcs and smoothing splices only them, so a child's new
+            # kinks and clasps all have a boundary arc among them.
+            sign, near = core[bad]
+            z_term = SkeinScalar(Z if sign > 0 else -Z)
+            smoothed, sm_loops = _smooth(core, bad)
+            children = [_switch(core, bad), smoothed]
+            # While its children run, a node keeps only what it reads again.
+            del core, in_end, smoothed
+            smooth_val = yield children.pop(), near
+            if sm_loops:
+                smooth_val = smooth_val * delta() ** sm_loops
+            result = (yield children.pop(), near) + z_term * smooth_val
+        memo[key] = result
+    if v_exp or loops:
+        result = result * _v_delta(v_exp, loops)
     return result
 
 

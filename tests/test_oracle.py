@@ -548,7 +548,7 @@ def test_symmetric_twists_take_a_fixed_number_of_encodings(monkeypatch):
         calls.clear()
         canonical_key(braid_closure(2, [1] * n))
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 3, counts
+    assert counts == [2, 2], counts
 
 
 @given(key_corpus)
@@ -577,6 +577,60 @@ def test_reduced_diagrams_encode_in_full_only_from_least_under_strand_starts(d):
         ci, pos = in_end[start]
         assert pos == 0
         assert crossings[ci].sign == min(crossings[in_end[a][0]].sign for a in piece)
+
+
+def _first_item_reference(crossings, in_end, start):
+    """The first item of an encoding from `start`: the entered crossing's sign
+    and its ends labeled in order of first appearance from the entry position."""
+    ci, pos = in_end[start]
+    sign, ends = crossings[ci]
+    label = {}
+    for off in range(4):
+        label.setdefault(ends[(pos + off) % 4], len(label))
+    return sign, tuple(label[e] for e in ends)
+
+
+@given(key_corpus)
+def test_encodings_start_only_at_the_least_first_item_of_their_piece(d):
+    # Through canonical_key on the diagram as drawn (kinks included), and at
+    # every node of the skein tree the oracle walks.
+    real = oracle_module._encode_from
+    calls = []
+
+    def recording(crossings, in_end, start, best):
+        calls.append((crossings, in_end, start))
+        return real(crossings, in_end, start, best)
+
+    oracle_module._encode_from = recording
+    try:
+        canonical_key(d)
+        homfly_of_diagram(PlanarDiagram(d.crossings), max_crossings=len(d.crossings))
+    finally:
+        oracle_module._encode_from = real
+    assert bool(calls) == bool(d.crossings)
+    for crossings, in_end, start in calls:
+        piece = next(arcs for arcs in oracle_module._pieces(crossings, in_end) if start in arcs)
+        item = _first_item_reference(crossings, in_end, start)
+        assert real(crossings, in_end, start, None)[0][0] == item
+        assert item == min(_first_item_reference(crossings, in_end, a) for a in piece)
+
+
+def test_nodes_make_no_product_by_one(monkeypatch):
+    # None of these diagrams has a free loop, so every product is made in a
+    # skein-tree node or in a power it takes.
+    real = SkeinScalar.__mul__
+    by_one = []
+
+    def counting(a, b):
+        if a == 1 or b == 1:
+            by_one.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(SkeinScalar, "__mul__", counting)
+    for d in (braid_closure(2, [1] * 12), build_diagram(HopfSpec(2, 0, 2, 0)), build_diagram(HopfSpec(1, 1, 2, 1))):
+        assert not d.free_loops
+        homfly_of_diagram(d)
+    assert by_one == []
 
 
 # -- simplification: moves near the split crossing against the full face rescan -------------
