@@ -21,9 +21,10 @@ faces (and hence planarity) are derived, not assumed.
 Evaluation uses only the two defining relations: switching a crossing
 costs (s - s^{-1}) times the oriented smoothing, and a kink contributes
 v^{-sign}.  Curls, reducible clasps, and crossing-free loops are
-stripped eagerly; what remains recurses on the first crossing met on
-its under-strand along a fixed traversal, and traversal-descending
-diagrams are unlinks weighted by v^{-writhe}.
+stripped eagerly; what remains recurses on a crossing met first on its
+under-strand along a fixed traversal, preferring one whose switch
+leaves a reducible clasp and whose smoothing leaves a kink, and
+traversal-descending diagrams are unlinks weighted by v^{-writhe}.
 """
 
 from __future__ import annotations
@@ -69,11 +70,6 @@ def _over_in(sign: int) -> int:
 
 def _over_out(sign: int) -> int:
     return 1 if sign > 0 else 3
-
-
-def _next_arc(cr: Crossing, pos: int) -> int:
-    """The arc leaving `cr` along the strand that entered at `pos`."""
-    return cr.ends[2] if pos == 0 else cr.ends[_over_out(cr.sign)]
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ class PlanarDiagram:
         return sum(cr.sign for cr in self.crossings)
 
     def component_count(self) -> int:
-        return _strands(self.crossings, _in_ends(self.crossings))[1] + self.free_loops
+        return _strands(self.crossings, _in_ends(self.crossings))[2] + self.free_loops
 
     def to_json(self) -> dict:
         return {
@@ -215,30 +211,96 @@ def _pieces(crossings: tuple[Crossing, ...], in_end: InEnd) -> list[list[int]]:
     return pieces
 
 
-def _strands(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple[int | None, int]:
+OutEnd = dict[int, tuple[int, int]]  # arc -> (crossing, position) it leaves
+
+
+def _strands(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple[list[int], OutEnd, int]:
     """Walk every strand from its smallest arc id, in order of those ids.
 
-    Returns the first crossing met on its under-strand, or None for a
-    descending diagram (hence an unlink), and the number of strands.
+    Returns the crossings met first on their under-strand, in the order
+    the walk meets them (none for a descending diagram, hence an
+    unlink), the out-end map (each arc to the crossing and position it
+    leaves) and the number of strands.
+
+    Any of them is a split that ends.  Smoothing removes a crossing.
+    Switching keeps every arc and every strand's arc sequence, so the
+    same walk then meets the split crossing first on its over-strand:
+    the list loses it and keeps the others, unless `_simplify` removes
+    crossings.  Each child has fewer crossings, or as many and a
+    shorter list.
     """
-    seen_arcs: set[int] = set()
+    out_end: OutEnd = {}
     seen_crossings: set[int] = set()
-    bad = None
+    under_first: list[int] = []
     count = 0
     for start in sorted(in_end):
-        if start in seen_arcs:
+        if start in out_end:
             continue
         count += 1
         arc = start
-        while arc not in seen_arcs:
-            seen_arcs.add(arc)
+        # The walk stops where it would leave along an arc left before: one
+        # step past `start`, or anywhere in a diagram that is malformed.
+        while True:
             ci, pos = in_end[arc]
             if ci not in seen_crossings:
                 seen_crossings.add(ci)
-                if pos == 0 and bad is None:
-                    bad = ci
-            arc = _next_arc(crossings[ci], pos)
-    return bad, count
+                if pos == 0:
+                    under_first.append(ci)
+            sign, ends = crossings[ci]
+            out = 2 if pos == 0 else _over_out(sign)
+            arc = ends[out]
+            if arc in out_end:
+                break
+            out_end[arc] = (ci, out)
+    return under_first, out_end, count
+
+
+def _split_crossing(
+    crossings: tuple[Crossing, ...], in_end: InEnd, out_end: OutEnd, candidates: list[int]
+) -> int:
+    """The crossing to split, from the `_strands` list `candidates`.
+
+    The first whose switch leaves a reducible clasp and whose smoothing
+    leaves a kink, else the first whose switch leaves a reducible clasp,
+    else the first.  Both children then shrink when `_simplify` runs.
+
+    A reduced diagram has no kink and no reducible clasp, so a child's
+    new one comes from a bigon face at the candidate c.  The face at
+    corner (c, p) runs along arc p to its other end (x, q) and turns to
+    x's end q + 1; it is a bigon when that end is c's arc p - 1.
+    Switching flips c's sign and rotates its ends by one, so the bigon
+    is then a reducible clasp when x has c's sign and the shared strand
+    alternates at it now.  Smoothing splices the two arcs of c's odd
+    corners for sign +1 and of its even corners for sign -1, so a bigon
+    there leaves a kink at x.  Each test reads four ends: no child is
+    built.
+    """
+    first_clasp = None
+    # Where each arc of c has its other end, by c's sign: arcs that enter c
+    # leave x, the others enter it.
+    other = {1: (out_end, in_end, in_end, out_end), -1: (out_end, out_end, in_end, in_end)}
+    for ci in candidates:
+        sign, ends = crossings[ci]
+        maps = other[sign]
+        clasp = kink = False
+        for p in range(4):
+            x, q = maps[p][ends[p]]
+            if x == ci:
+                continue
+            x_sign, x_ends = crossings[x]
+            q2 = (q + 1) % 4
+            if x_ends[q2] != ends[p - 1]:
+                continue
+            if x_sign == sign and p % 2 != (q2 - 1) % 2:
+                clasp = True
+            if p % 2 == (sign > 0):
+                kink = True
+        if clasp:
+            if kink:
+                return ci
+            if first_clasp is None:
+                first_clasp = ci
+    return candidates[0] if first_clasp is None else first_clasp
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +614,11 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> G
     key = _canonical(core, in_end)
     result = memo.get(key)
     if result is None:
-        bad, strands = _strands(core, in_end)
-        if bad is None:
+        candidates, out_end, strands = _strands(core, in_end)
+        if not candidates:
             result = _v_delta(-sum(cr.sign for cr in core), strands)
         else:
+            bad = _split_crossing(core, in_end, out_end, candidates)
             # Switching keeps the cyclic order of the split crossing's
             # arcs and smoothing splices only them, so a child's new
             # kinks and clasps all have a boundary arc among them.
@@ -564,7 +627,7 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> G
             smoothed, sm_loops = _smooth(core, bad)
             children = [_switch(core, bad), smoothed]
             # While its children run, a node keeps only what it reads again.
-            del core, in_end, smoothed
+            del core, in_end, out_end, candidates, smoothed
             smooth_val = yield children.pop(), near
             if sm_loops:
                 smooth_val = smooth_val * delta() ** sm_loops
@@ -617,9 +680,14 @@ def homfly_of_diagram(
     `memo` may be shared across calls; it is keyed by canonical form and
     only ever maps a key to one exact value, so concurrent or repeated
     population cannot change results.
+
+    The cap is checked before validation traces the faces, so a diagram
+    above it raises CrossingLimitError even when it is malformed.
     """
-    diagram.validate()
     _check_cap(len(diagram.crossings), diagram.free_loops, max_crossings)
+    diagram.validate()
+    if not diagram.crossings:
+        return delta() ** diagram.free_loops
     if memo is None:
         memo = {}
     value = _eval(diagram.crossings, memo)

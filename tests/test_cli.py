@@ -12,6 +12,7 @@ import pytest
 
 import hopflinks.cli as cli
 import hopflinks.hopf as hopf_module
+import hopflinks.oracle as oracle_module
 from hopflinks.hopf import HopfSpec, homfly_general
 from hopflinks.oracle import build_diagram
 from hopflinks.render import parse_scalar, render_scalar
@@ -310,6 +311,20 @@ def test_oracle_free_loops_beyond_cap_exit_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "100000 free loops exceed cap 16" in err
+
+
+def test_oracle_pd_beyond_cap_traces_faces_once(tmp_path, capsys, monkeypatch):
+    # Only reading the file validates it; the library call checks the cap
+    # before it would validate the diagram a second time.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(build_diagram(HopfSpec(3, 0, 6, 0)).to_json()))
+    real = oracle_module._faces
+    traces = []
+    monkeypatch.setattr(oracle_module, "_faces", lambda crossings: traces.append(len(crossings)) or real(crossings))
+    code, _, err = run_cli(capsys, "oracle", "--pd", str(path), "--max-crossings", "16")
+    assert code == 3
+    assert err == "error: 36 crossings exceed cap 16\n"
+    assert traces == [36]
 
 
 @pytest.mark.parametrize("family,message", [

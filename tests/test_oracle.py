@@ -633,6 +633,19 @@ def test_nodes_make_no_product_by_one(monkeypatch):
     assert by_one == []
 
 
+def test_crossing_free_diagrams_make_no_product_by_one(monkeypatch):
+    real = SkeinScalar.__mul__
+    calls = []
+    monkeypatch.setattr(SkeinScalar, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
+    for m in (1, 2, 3):
+        calls.clear()
+        value = homfly_of_diagram(PlanarDiagram((), m))
+        products = list(calls)
+        assert len(products) == m - 1  # delta ** m alone
+        assert not any(a == 1 or b == 1 for a, b in products), (m, products)
+        assert value == delta() ** m
+
+
 # -- simplification: moves near the split crossing against the full face rescan -------------
 
 def _splice_reference(crossings, skip, pairs):
@@ -803,12 +816,94 @@ def test_family_cap_check_matches_the_built_diagram():
             assert refusal(lambda: check_family_cap(spec, cap)) == built, (spec, cap)
 
 
+# -- the split crossing -----------------------------------------------------------------------
+
+def _under_first_reference(crossings):
+    """Crossings met first on their under-strand, walking each strand from its
+    least arc id in order of those ids."""
+    in_end = oracle_module._in_ends(crossings)
+    seen_arcs, seen, out = set(), set(), []
+    for start in sorted(in_end):
+        arc = start
+        while arc not in seen_arcs:
+            seen_arcs.add(arc)
+            ci, pos = in_end[arc]
+            if ci not in seen:
+                seen.add(ci)
+                if pos == 0:
+                    out.append(ci)
+            sign, ends = crossings[ci]
+            arc = ends[2] if pos == 0 else ends[1 if sign > 0 else 3]
+    return out
+
+
+def _split_reference(crossings):
+    """The split rule on the children themselves: the first candidate whose
+    switched child has a reducible clasp and whose smoothed child a kink,
+    else the first whose switched child has a reducible clasp, else the first."""
+    candidates = _under_first_reference(crossings)
+    clasps = []
+    for ci in candidates:
+        switched = list(_switch(crossings, ci))
+        if oracle_module._reducible_face(switched, {e for cr in switched for e in cr.ends}) is None:
+            continue
+        smoothed = _smooth(crossings, ci)[0]
+        if any(cr.ends[p] == cr.ends[p - 1] for cr in smoothed for p in range(4)):
+            return ci
+        clasps.append(ci)
+    return (clasps or candidates)[0]
+
+
+def _splits(d):
+    """(reduced diagram, split crossing) at every split node of the skein tree."""
+    splits = []
+
+    def recording(crossings, idx):
+        splits.append((crossings, idx))
+        return _switch(crossings, idx)
+
+    oracle_module._switch = recording
+    try:
+        homfly_of_diagram(PlanarDiagram(d.crossings), max_crossings=max(len(d.crossings), 1))
+    finally:
+        oracle_module._switch = _switch
+    return splits
+
+
+def _check_splits(d):
+    for crossings, idx in _splits(d):
+        # The property that makes every branch end.
+        assert idx in _under_first_reference(crossings)
+        assert idx == _split_reference(crossings)
+
+
+def test_split_crossings_on_families_and_twists():
+    corpus = [build_diagram(spec) for spec in grid_specs()]
+    corpus += [braid_closure(2, [1] * n) for n in range(1, 13)]
+    for d in corpus:
+        _check_splits(d)
+
+
+@given(key_corpus)
+def test_split_crossings_on_random_diagrams(d):
+    _check_splits(d)
+
+
+@pytest.mark.parametrize("spec,bound", [(HopfSpec(4, 0, 4, 0), 1600), (HopfSpec(2, 2, 2, 2), 1900)])
+def test_split_rule_keeps_the_memo_small(spec, bound):
+    # With the first candidate always, these took 6,288 and 6,924 entries.
+    memo: dict = {}
+    homfly_of_diagram(build_diagram(spec), max_crossings=32, memo=memo)
+    assert len(memo) <= bound, len(memo)
+
+
 # -- pinned memo contents ---------------------------------------------------------------------
 
 # sha256 over canonical_key, memo keys and values in insertion order, and
 # the value JSON, on the verify-grid family diagrams and the sigma1^n
-# closures for n = 1..12; captured before the structural helpers merged.
-MEMO_DIGEST = "a6ac563d1d5606d66c67ce3fd906390a20cf04a9ef55cb826824cfc1a71aa45a"
+# closures for n = 1..12; captured when the split rule last changed which
+# diagrams the tree visits.
+MEMO_DIGEST = "44a755149f8559102bc99680b617914af76f3e26064570f4e0c6f7e9492bc5f4"
 
 
 def memo_digest():
