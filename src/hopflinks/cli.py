@@ -8,17 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .basis import plane_eval_eigen
 from .hopf import Decoration, HopfSpec, check_symmetries, homfly_decorated, homfly_general
-from .meridian import (
-    ccw_eigenvalue,
-    cw_eigenvalue,
-    opposite_sense_eigenvalue,
-    same_sense_eigenvalue,
-)
+from .meridian import ccw_eigenvalue, cw_eigenvalue
 from .oracle import (
     DEFAULT_MAX_CROSSINGS,
     CrossingLimitError,
@@ -67,13 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p_oracle.add_mutually_exclusive_group(required=True)
     src.add_argument("--pd", metavar="FILE", help="planar-diagram JSON file")
     src.add_argument("--family", metavar="K1,K2,N1,N2", help="build the standard diagram")
-    p_oracle.add_argument("--max-crossings", type=_nonneg, default=None)
+    p_oracle.add_argument("--max-crossings", type=_nonneg, default=DEFAULT_MAX_CROSSINGS)
     add_format(p_oracle)
 
     p_verify = sub.add_parser("verify", help="closed form vs oracle plus invariants")
     p_verify.add_argument("--max-encircling", type=_nonneg, default=2)
     p_verify.add_argument("--max-core", type=_nonneg, default=3)
-    p_verify.add_argument("--max-crossings", type=_nonneg, default=None)
+    p_verify.add_argument("--max-crossings", type=_nonneg, default=DEFAULT_MAX_CROSSINGS)
 
     p_table = sub.add_parser("table", help="eigenvalue and evaluation table")
     p_table.add_argument("--max-size", type=_nonneg, required=True)
@@ -179,25 +173,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
             print(f"FAIL  {spec}: symmetry identities failed: {', '.join(report.failures())}")
 
-    singles = [
-        lam for size in range(9) for lam in partitions_of(size)
-    ]
-    if all_distinct(same_sense_eigenvalue(lam) for lam in singles) and all_distinct(
-        opposite_sense_eigenvalue(lam) for lam in singles
-    ):
-        print("PASS  eigenvalues distinct across single shapes of size <= 8")
-    else:
-        failures += 1
-        print("FAIL  eigenvalue collision among single shapes of size <= 8")
-
-    pair_labels = _label_grid(4)
-    if all_distinct(ccw_eigenvalue(lab) for lab in pair_labels) and all_distinct(
-        cw_eigenvalue(lab) for lab in pair_labels
-    ):
-        print("PASS  eigenvalues distinct across shape pairs of size <= 4")
-    else:
-        failures += 1
-        print("FAIL  eigenvalue collision among shape pairs of size <= 4")
+    # A single shape lam is the label ((), lam): its ccw and cw eigenvalues
+    # are the same-sense and opposite-sense ones.
+    singles = [BasisLabel((), lam) for size in range(9) for lam in partitions_of(size)]
+    for labels, what in ((singles, "single shapes of size <= 8"), (_label_grid(4), "shape pairs of size <= 4")):
+        if all_distinct(map(ccw_eigenvalue, labels)) and all_distinct(map(cw_eigenvalue, labels)):
+            print(f"PASS  eigenvalues distinct across {what}")
+        else:
+            failures += 1
+            print(f"FAIL  eigenvalue collision among {what}")
 
     if failures:
         print(f"{failures} check(s) failed")
@@ -233,14 +217,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # An absent --max-crossings falls back to HOPF_MAX_CROSSINGS, then to the default.
-    if getattr(args, "max_crossings", 0) is None:
-        env = os.environ.get("HOPF_MAX_CROSSINGS")
-        try:
-            args.max_crossings = DEFAULT_MAX_CROSSINGS if env is None else _nonneg(env)
-        except (ValueError, argparse.ArgumentTypeError):
-            print(f"error: HOPF_MAX_CROSSINGS={env!r} is not a nonnegative integer", file=sys.stderr)
-            return 2
     return _COMMANDS[args.command](args)
 
 

@@ -718,80 +718,56 @@ def check_family_cap(spec: HopfSpec, max_crossings: int) -> None:
     """
     n = spec.n1 + spec.n2
     k = spec.k1 + spec.k2
-    if n == 0 or k == 0:
-        _check_cap(0, n + k, max_crossings)
-    else:
-        _check_cap(2 * k * n, 0, max_crossings)
+    _check_cap(2 * k * n, 0 if k and n else n + k, max_crossings)
 
 
 def build_diagram(spec: HopfSpec) -> PlanarDiagram:
     """Standard zero-curl diagram of H(k1, k2; n1, n2).
 
     The core strings are parallel closed strands; each encircling string
-    crosses every core strand twice, once passing over (its upper arc)
-    and once under.  Counterclockwise core strands and counterclockwise
-    encircling strands are listed first; a crossing between core strand
-    i and encircling strand j has sign a_j * b_i where a and b are the
-    two orientation signs.  With k or n zero there are no crossings and
-    every strand is a free loop.
+    (ring) crosses every core strand twice, once passing over it (their
+    upper crossing, where the core is under) and once under it (their
+    lower crossing).  Crossing (j, i, upper|lower) of ring j and core i
+    sits at position 2(j*n + i) or 2(j*n + i) + 1, with sign a_j * b_i
+    where a and b are the two orientation signs.
+
+    Strand rule: each strand lists the crossings it meets in walk order.
+    A counterclockwise core i meets (j, i, lower), (j, i, upper) for
+    j = 0..k-1, and a clockwise one walks that path reversed.  A
+    counterclockwise ring j meets its upper crossings for i = 0..n-1 and
+    then its lower ones for i = n-1..0; a clockwise ring meets the upper
+    ones for i = n-1..0 and then the lower ones for i = 0..n-1.  Core
+    strands and then rings take the next run of arc ids, the t-th arc
+    leaving the t-th crossing.  A crossing's ends are (under-in,
+    over-out, under-out, over-in) for sign +1 and (under-in, over-in,
+    under-out, over-out) for sign -1.  With k or n zero there are no
+    crossings and every strand is a free loop.
     """
     n = spec.n1 + spec.n2
     k = spec.k1 + spec.k2
     if n == 0 or k == 0:
         return PlanarDiagram((), free_loops=n + k)
-
-    counter = 0
-
-    def fresh() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
-
-    # upper[i][j] / lower[i][j]: the two crossings of core i with ring j
-    upper = [[("U", i, j) for j in range(k)] for i in range(n)]
-    lower = [[("L", i, j) for j in range(k)] for i in range(n)]
-    core_sign = [1 if i < spec.n1 else -1 for i in range(n)]
-    ring_sign = [1 if j < spec.k1 else -1 for j in range(k)]
-
-    core_in: dict[tuple, int] = {}
-    core_out: dict[tuple, int] = {}
-    ring_in: dict[tuple, int] = {}
-    ring_out: dict[tuple, int] = {}
-
+    # walks[s]: the crossings (j, i, lower) that strand s meets, in walk order
+    walks = []
     for i in range(n):
-        if core_sign[i] > 0:
-            path = [x for j in range(k) for x in (lower[i][j], upper[i][j])]
-        else:
-            path = [x for j in reversed(range(k)) for x in (upper[i][j], lower[i][j])]
-        arcs = [fresh() for _ in path]
-        for t, node in enumerate(path):
-            core_in[node] = arcs[t - 1]
-            core_out[node] = arcs[t]
-
+        walk = [(j, i, lower) for j in range(k) for lower in (True, False)]
+        walks.append(walk if i < spec.n1 else walk[::-1])
     for j in range(k):
-        if ring_sign[j] > 0:
-            path = [upper[i][j] for i in range(n)] + [lower[i][j] for i in reversed(range(n))]
-        else:
-            path = [upper[i][j] for i in reversed(range(n))] + [lower[i][j] for i in range(n)]
-        arcs = [fresh() for _ in path]
-        for t, node in enumerate(path):
-            ring_in[node] = arcs[t - 1]
-            ring_out[node] = arcs[t]
-
+        upper = [(j, i, False) for i in range(n)]
+        lower = [(j, i, True) for i in range(n)]
+        walks.append(upper + lower[::-1] if j < spec.k1 else upper[::-1] + lower)
+    under: dict[tuple, tuple[int, int]] = {}
+    over: dict[tuple, tuple[int, int]] = {}
+    arc = 0
+    for s, walk in enumerate(walks):
+        for t, x in enumerate(walk):
+            # the core is under at the upper crossing, the ring at the lower
+            (under if (s < n) != x[2] else over)[x] = (arc + (t - 1) % len(walk), arc + t)
+        arc += len(walk)
     crossings = []
-    for j in range(k):
-        for i in range(n):
-            sign = ring_sign[j] * core_sign[i]
-            u = upper[i][j]
-            if sign > 0:
-                ends_u = (core_in[u], ring_out[u], core_out[u], ring_in[u])
-            else:
-                ends_u = (core_in[u], ring_in[u], core_out[u], ring_out[u])
-            crossings.append(Crossing(sign, ends_u))
-            low = lower[i][j]
-            if sign > 0:
-                ends_l = (ring_in[low], core_out[low], ring_out[low], core_in[low])
-            else:
-                ends_l = (ring_in[low], core_in[low], ring_out[low], core_out[low])
-            crossings.append(Crossing(sign, ends_l))
+    for j, i, lower in sorted(under):
+        sign = 1 if (i < spec.n1) == (j < spec.k1) else -1
+        (u_in, u_out), (o_in, o_out) = under[j, i, lower], over[j, i, lower]
+        ends = (u_in, o_out, u_out, o_in) if sign > 0 else (u_in, o_in, u_out, o_out)
+        crossings.append(Crossing(sign, ends))
     return PlanarDiagram(tuple(crossings))

@@ -259,12 +259,6 @@ def test_oracle_cap_override(capsys):
     assert parse_scalar(out.strip()) == homfly_general(HopfSpec(2, 1, 1, 2))
 
 
-def test_oracle_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("HOPF_MAX_CROSSINGS", "18")
-    code, _, _ = run_cli(capsys, "oracle", "--family", "2,1,1,2")
-    assert code == 0
-
-
 def test_oracle_malformed_family(capsys):
     for family in ("1,2", "1,1,1,1,1", "1,a,1,1", "1,,1,1"):
         code, out, err = run_cli(capsys, "oracle", "--family", family)
@@ -410,15 +404,6 @@ def test_verify_rejects_negative_cap(capsys):
     assert "--max-crossings" in err
 
 
-@pytest.mark.parametrize("env", ["-3", "abc"])
-def test_verify_rejects_bad_cap_env_var(capsys, monkeypatch, env):
-    monkeypatch.setenv("HOPF_MAX_CROSSINGS", env)
-    code, out, err = run_cli(capsys, "verify")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: HOPF_MAX_CROSSINGS")
-
-
 def test_verify_detects_injected_eigenvalue_error(capsys, monkeypatch):
     # The closed form reads its eigenvalue powers through `ccw_power`.  The
     # wrapper returns the powers (-t)^n of the negated eigenvalue of every
@@ -435,6 +420,15 @@ def test_verify_detects_injected_eigenvalue_error(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--max-encircling", "1", "--max-core", "1")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_reports_eigenvalue_collisions(capsys, monkeypatch):
+    # With every clockwise eigenvalue equal, both distinctness checks fail.
+    monkeypatch.setattr(cli, "cw_eigenvalue", lambda label: delta())
+    code, out, _ = run_cli(capsys, "verify", "--max-encircling", "0", "--max-core", "0")
+    assert code == 1
+    assert "FAIL  eigenvalue collision among single shapes of size <= 8\n" in out
+    assert "FAIL  eigenvalue collision among shape pairs of size <= 4\n" in out
 
 
 # -- table --------------------------------------------------------------------------

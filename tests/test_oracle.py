@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import sys
 import tracemalloc
@@ -84,6 +85,18 @@ def test_build_signs_follow_orientations():
     d = build_diagram(HopfSpec(1, 1, 1, 1))
     signs = sorted(cr.sign for cr in d.crossings)
     assert signs == [-1] * 4 + [1] * 4
+
+
+# sha256 of the JSON of every family diagram with each count in 0..4 (625
+# specs): pins every arc id and crossing position, which the memo's
+# insertion order and every oracle output follow from.
+BUILD_DIGEST = "d407b5a3a26295e8ce4d4040a7d68f96ef681b05fd1a02202dccfa254f70d626"
+
+
+def test_build_diagrams_pinned():
+    diagrams = [build_diagram(HopfSpec(*c)).to_json() for c in itertools.product(range(5), repeat=4)]
+    text = json.dumps(diagrams, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILD_DIGEST
 
 
 # -- validation ---------------------------------------------------------------------

@@ -110,11 +110,12 @@ def sparse_terms(rows: int) -> list[dict]:
 
 
 def test_slot_bound_refuses_sparse_json_fast():
+    terms = sparse_terms(500)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"bound {MAX_SLOTS}"):
-        LaurentPoly.from_json(sparse_terms(500))
+        LaurentPoly.from_json(terms)
     with pytest.raises(ValueError, match=f"bound {MAX_SLOTS}"):
-        SkeinScalar.from_json({"num": sparse_terms(500), "den": []})
+        SkeinScalar.from_json({"num": terms, "den": []})
     assert time.perf_counter() - start < 0.1
 
 
