@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="closed form vs oracle plus invariants")
     p_verify.add_argument("--max-encircling", type=_nonneg, default=2)
-    p_verify.add_argument("--max-core", type=_nonneg, default=3)
+    p_verify.add_argument("--max-core", type=_nonneg, default=4)
     p_verify.add_argument("--max-crossings", type=_nonneg, default=DEFAULT_MAX_CROSSINGS)
 
     p_table = sub.add_parser("table", help="eigenvalue and evaluation table")
@@ -176,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # A single shape lam is the label ((), lam): its ccw and cw eigenvalues
     # are the same-sense and opposite-sense ones.
     singles = [BasisLabel((), lam) for size in range(9) for lam in partitions_of(size)]
-    for labels, what in ((singles, "single shapes of size <= 8"), (_label_grid(4), "shape pairs of size <= 4")):
+    for labels, what in ((singles, "single shapes of size <= 8"), (_label_grid(6), "shape pairs of size <= 6")):
         if all_distinct(map(ccw_eigenvalue, labels)) and all_distinct(map(cw_eigenvalue, labels)):
             print(f"PASS  eigenvalues distinct across {what}")
         else:

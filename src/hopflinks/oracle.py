@@ -104,11 +104,17 @@ class PlanarDiagram:
                 bucket[arc] = ci
         if set(ins) != set(outs):
             raise MalformedDiagramError("every arc needs one entering and one leaving end")
+        # Each link joins two pieces of arcs, so pieces = arcs - links.
+        links: dict[int, int] = {}
+        for cr in self.crossings:
+            root = _root(links, cr.ends[0])
+            for e in cr.ends[1:]:
+                if (other := _root(links, e)) != root:
+                    links[other] = root
         # E = 2V in a 4-valent piece, so F <= V + 2 with equality iff its genus
         # is zero: the totals agree iff every piece is planar.
         faces = sum(1 for _ in _faces(self.crossings))
-        pieces = _pieces(self.crossings, _in_ends(self.crossings))
-        if faces != len(self.crossings) + 2 * len(pieces):
+        if faces != len(self.crossings) + 2 * (len(ins) - len(links)):
             raise MalformedDiagramError("rotation system is not planar")
 
     def arcs(self) -> list[int]:
@@ -189,28 +195,6 @@ def _in_ends(crossings: tuple[Crossing, ...]) -> InEnd:
     return in_end
 
 
-def _pieces(crossings: tuple[Crossing, ...], in_end: InEnd) -> list[list[int]]:
-    """The arcs of each connected piece.
-
-    Strands are closed, so following the ends of every crossing reached
-    from an arc reaches the whole piece.
-    """
-    seen: set[int] = set()
-    pieces = []
-    for start in in_end:
-        if start in seen:
-            continue
-        seen.add(start)
-        piece = [start]
-        for arc in piece:
-            for e in crossings[in_end[arc][0]].ends:
-                if e not in seen:
-                    seen.add(e)
-                    piece.append(e)
-        pieces.append(piece)
-    return pieces
-
-
 OutEnd = dict[int, tuple[int, int]]  # arc -> (crossing, position) it leaves
 
 
@@ -285,8 +269,6 @@ def _split_crossing(
         clasp = kink = False
         for p in range(4):
             x, q = maps[p][ends[p]]
-            if x == ci:
-                continue
             x_sign, x_ends = crossings[x]
             q2 = (q + 1) % 4
             if x_ends[q2] != ends[p - 1]:
@@ -357,12 +339,12 @@ def _switch(crossings: tuple[Crossing, ...], idx: int) -> tuple[Crossing, ...]:
     return crossings[:idx] + (new,) + crossings[idx + 1 :]
 
 
-def _smooth(crossings: tuple[Crossing, ...], idx: int) -> tuple[tuple[Crossing, ...], int]:
-    """Oriented smoothing of one crossing; returns (diagram, new loops)."""
+def _smooth(crossings: tuple[Crossing, ...], idx: int) -> tuple[Crossing, ...]:
+    """Oriented smoothing of a crossing with four distinct ends, which
+    splices two pairs of distinct arcs and so closes no loop."""
     sign, (a, b, c, d) = crossings[idx]
     pairs = [(a, b), (d, c)] if sign > 0 else [(a, d), (b, c)]
-    out, loops = _apply_renames(list(crossings), {idx}, pairs)
-    return tuple(out), loops
+    return tuple(_apply_renames(list(crossings), {idx}, pairs)[0])
 
 
 Corner = tuple[int, int]  # (crossing, position)
@@ -467,7 +449,8 @@ def _encode_from(
     crossing emits (sign, labels of its ends).  Every end is labeled when
     its crossing is visited, so each item is final once emitted and the
     encoding can be compared with `best` item by item as it grows.  The
-    first item is `_first_item` of the crossing `start` enters.
+    first item is the sign of the crossing `start` enters and its ends
+    labeled in order of first appearance from the entry position.
     """
     arc_label: dict[int, int] = {start: 0}
     order = [start]
@@ -495,47 +478,35 @@ def _encode_from(
     return tuple(items), order
 
 
-# The first item from an in-arc at `pos` of a crossing with four distinct
-# ends: its ends labeled 0-3 from `pos` on.
-_DISTINCT_FIRST = {0: (0, 1, 2, 3), 1: (3, 0, 1, 2), 3: (1, 2, 3, 0)}
-
-
-def _first_item(cr: Crossing, pos: int) -> tuple:
-    """The first item of every encoding that starts at the arc entering
-    `cr` at `pos`: its sign and its ends labeled in order of first
-    appearance from `pos` on."""
-    sign, ends = cr
-    if len(set(ends)) == 4:
-        return sign, _DISTINCT_FIRST[pos]
-    label: dict[int, int] = {}
-    for e in ends[pos:] + ends[:pos]:
-        label.setdefault(e, len(label))
-    return sign, tuple([label[e] for e in ends])
-
-
 def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
     """Relabeling-invariant encoding of a crossing set.
 
     Per connected piece, the key is the minimum traversal encoding over
     all starting arcs; split pieces commute, so their encodings are
-    sorted.  Three shortcuts leave the minimum unchanged.  An encoding's
-    first item depends only on its start (`_first_item`), so only the
-    starts whose first item ties the piece's least are encoded; the
-    first items are read in the same pass that collects the piece's
-    arcs.  Every encoding of a piece has one item per crossing, so the
-    minimum is decided item by item: an encoding is dropped at its first
-    item above the best one so far.  And when an encoding ties the best
-    one, mapping the best's arc order onto its own is an automorphism of
-    the piece; the starts in one orbit of the automorphisms found so far
-    all give one encoding, so a start is skipped once its orbit holds an
+    sorted.  Three shortcuts leave the minimum unchanged.
+
+    Only the under-strand in-arcs of the piece's least-sign crossings
+    are encoded, picked in the same pass that collects the piece's arcs.
+    An encoding's first item is the sign of the crossing its start
+    enters and that crossing's ends labeled in order of first appearance
+    from the entry position.  From position 0 the ends are labeled in
+    reading order, so the first label is 0 and no other labeling of the
+    same ends is smaller.  From the over-strand in-arc the first label
+    is above 0, because the end at position 0 is another arc: an arc
+    enters only once.  So every start whose first item is the piece's
+    least is picked, kinked crossings included.  On a reduced diagram,
+    where every crossing has four distinct ends, the picked starts are
+    exactly those whose first item is `(sign, (0, 1, 2, 3))` for the
+    least sign.
+
+    Every encoding of a piece has one item per crossing, so the minimum
+    is decided item by item: an encoding is dropped at its first item
+    above the best one so far.  And when an encoding ties the best one,
+    mapping the best's arc order onto its own is an automorphism of the
+    piece; the starts in one orbit of the automorphisms found so far all
+    give one encoding, so a start is skipped once its orbit holds an
     encoded start (automorphism pruning, as in nauty).  Orbits are kept
     by union-find.
-
-    A crossing with four distinct ends, as every crossing of a reduced
-    diagram has, gives the first item `(sign, (0, 1, 2, 3))` from its
-    under-strand in-arc and a larger rotation of it from its over-strand
-    in-arc, so a reduced diagram is encoded only from the under-strand
-    in-arcs of its least-sign crossings.
     """
     keys = []
     seen: set[int] = set()
@@ -546,20 +517,20 @@ def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
         # Strands are closed, so following the ends of every crossing
         # reached from an arc reaches the whole piece.
         piece = [first]
-        least = None
+        least = 2  # above either sign
         starts: list[int] = []
         for arc in piece:
             ci, pos = in_end[arc]
-            cr = crossings[ci]
-            for e in cr.ends:
+            sign, ends = crossings[ci]
+            for e in ends:
                 if e not in seen:
                     seen.add(e)
                     piece.append(e)
-            item = _first_item(cr, pos)
-            if least is None or item < least:
-                least, starts = item, [arc]
-            elif item == least:
-                starts.append(arc)
+            if pos or sign > least:
+                continue
+            if sign < least:
+                least, starts = sign, []
+            starts.append(arc)
         best = best_order = None
         links: dict[int, int] = {}
         encoded: set[int] = set()  # roots of orbits holding an encoded start
@@ -605,7 +576,14 @@ def _v_delta(v_exp: int, loops: int) -> SkeinScalar:
 def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> Generator:
     """One skein-tree node: yields each child to evaluate as (diagram, arcs
     next to the split crossing), is sent its value, and returns the node's
-    value (see `_eval`)."""
+    value (see `_eval`).
+
+    Every crossing of the reduced core has four distinct ends: `_simplify`
+    strips the kinks, whose ends repeat next to each other, and a
+    crossing whose opposite ends repeat is not planar.  So every arc of
+    the split crossing has its other end at another crossing
+    (`_split_crossing`), and smoothing it closes no loop (`_smooth`).
+    """
     v_exp, loops, core = _simplify(crossings, near)
     del crossings
     if not core:
@@ -624,13 +602,10 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> G
             # kinks and clasps all have a boundary arc among them.
             sign, near = core[bad]
             z_term = SkeinScalar(Z if sign > 0 else -Z)
-            smoothed, sm_loops = _smooth(core, bad)
-            children = [_switch(core, bad), smoothed]
+            children = [_switch(core, bad), _smooth(core, bad)]
             # While its children run, a node keeps only what it reads again.
-            del core, in_end, out_end, candidates, smoothed
+            del core, in_end, out_end, candidates
             smooth_val = yield children.pop(), near
-            if sm_loops:
-                smooth_val = smooth_val * delta() ** sm_loops
             result = (yield children.pop(), near) + z_term * smooth_val
         memo[key] = result
     if v_exp or loops:

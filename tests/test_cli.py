@@ -360,14 +360,14 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
 
 # -- verify ------------------------------------------------------------------------
 
-# sha256 of the stdout of `verify` with default flags (123 lines).
-VERIFY_STDOUT_SHA256 = "ceb573a03f70cf4ef4b7d34abb4558c34680c0990983b375f0dcae2c6a5351cb"
+# sha256 of the stdout of `verify` with default flags (183 lines).
+VERIFY_STDOUT_SHA256 = "bf7bcb42503cd07252639dbd7046274bb46b805acb51b466819052244d8c2cfb"
 
 
 def test_verify_default_output_pinned(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
-    assert out.count("\n") == 123
+    assert out.count("\n") == 183
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
 
 
@@ -428,7 +428,7 @@ def test_verify_reports_eigenvalue_collisions(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--max-encircling", "0", "--max-core", "0")
     assert code == 1
     assert "FAIL  eigenvalue collision among single shapes of size <= 8\n" in out
-    assert "FAIL  eigenvalue collision among shape pairs of size <= 4\n" in out
+    assert "FAIL  eigenvalue collision among shape pairs of size <= 6\n" in out
 
 
 # -- table --------------------------------------------------------------------------

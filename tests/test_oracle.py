@@ -564,6 +564,20 @@ def test_symmetric_twists_take_a_fixed_number_of_encodings(monkeypatch):
     assert counts == [2, 2], counts
 
 
+def _piece_of(crossings, arc):
+    """The arcs of the connected piece that holds `arc`: every end of a
+    crossing that meets the piece joins it."""
+    piece = {arc}
+    grew = True
+    while grew:
+        grew = False
+        for cr in crossings:
+            if not piece.isdisjoint(cr.ends) and not piece.issuperset(cr.ends):
+                piece.update(cr.ends)
+                grew = True
+    return piece
+
+
 @given(key_corpus)
 def test_reduced_diagrams_encode_in_full_only_from_least_under_strand_starts(d):
     # Every crossing that _simplify leaves has four distinct ends, so an
@@ -586,7 +600,7 @@ def test_reduced_diagrams_encode_in_full_only_from_least_under_strand_starts(d):
         oracle_module._encode_from = real
     for crossings, in_end, start in kept:
         assert all(len(set(cr.ends)) == 4 for cr in crossings)
-        piece = next(arcs for arcs in oracle_module._pieces(crossings, in_end) if start in arcs)
+        piece = _piece_of(crossings, start)
         ci, pos = in_end[start]
         assert pos == 0
         assert crossings[ci].sign == min(crossings[in_end[a][0]].sign for a in piece)
@@ -603,10 +617,18 @@ def _first_item_reference(crossings, in_end, start):
     return sign, tuple(label[e] for e in ends)
 
 
+def _start_rule(crossings, in_end, piece):
+    """The under-strand in-arcs of the least-sign crossings of `piece`."""
+    least = min(crossings[in_end[a][0]].sign for a in piece)
+    return {a for a in piece if in_end[a][1] == 0 and crossings[in_end[a][0]].sign == least}
+
+
 @given(key_corpus)
-def test_encodings_start_only_at_the_least_first_item_of_their_piece(d):
+def test_encodings_start_by_the_rule_and_it_holds_every_least_first_item(d):
     # Through canonical_key on the diagram as drawn (kinks included), and at
-    # every node of the skein tree the oracle walks.
+    # every node of the skein tree the oracle walks: every encoding starts at
+    # an under-strand in-arc of a least-sign crossing of its piece, and those
+    # arcs hold every arc whose first item is the piece's least.
     real = oracle_module._encode_from
     calls = []
 
@@ -622,10 +644,13 @@ def test_encodings_start_only_at_the_least_first_item_of_their_piece(d):
         oracle_module._encode_from = real
     assert bool(calls) == bool(d.crossings)
     for crossings, in_end, start in calls:
-        piece = next(arcs for arcs in oracle_module._pieces(crossings, in_end) if start in arcs)
-        item = _first_item_reference(crossings, in_end, start)
-        assert real(crossings, in_end, start, None)[0][0] == item
-        assert item == min(_first_item_reference(crossings, in_end, a) for a in piece)
+        piece = _piece_of(crossings, start)
+        rule = _start_rule(crossings, in_end, piece)
+        assert start in rule
+        assert real(crossings, in_end, start, None)[0][0] == _first_item_reference(crossings, in_end, start)
+        items = {a: _first_item_reference(crossings, in_end, a) for a in piece}
+        least = min(items.values())
+        assert {a for a, item in items.items() if item == least} <= rule
 
 
 def test_nodes_make_no_product_by_one(monkeypatch):
@@ -733,7 +758,7 @@ def test_simplify_near_the_split_crossing_matches_the_full_rescan(d):
     # the skein tree the oracle walks, the root (every arc near) included.
     core = _simplify_reference(d.crossings)[2]
     for i, cr in enumerate(core):
-        for child in (_switch(core, i), _smooth(core, i)[0]):
+        for child in (_switch(core, i), _smooth(core, i)):
             assert _simplify(child, cr.ends) == _simplify_reference(child)
     calls = []
 
@@ -860,7 +885,7 @@ def _split_reference(crossings):
         switched = list(_switch(crossings, ci))
         if oracle_module._reducible_face(switched, {e for cr in switched for e in cr.ends}) is None:
             continue
-        smoothed = _smooth(crossings, ci)[0]
+        smoothed = _smooth(crossings, ci)
         if any(cr.ends[p] == cr.ends[p - 1] for cr in smoothed for p in range(4)):
             return ci
         clasps.append(ci)
@@ -913,9 +938,9 @@ def test_split_rule_keeps_the_memo_small(spec, bound):
 # -- pinned memo contents ---------------------------------------------------------------------
 
 # sha256 over canonical_key, memo keys and values in insertion order, and
-# the value JSON, on the verify-grid family diagrams and the sigma1^n
-# closures for n = 1..12; captured when the split rule last changed which
-# diagrams the tree visits.
+# the value JSON, on the family diagrams with k1+k2 <= 2 and n1+n2 <= 3
+# and the sigma1^n closures for n = 1..12; captured when the split rule
+# last changed which diagrams the tree visits.
 MEMO_DIGEST = "44a755149f8559102bc99680b617914af76f3e26064570f4e0c6f7e9492bc5f4"
 
 
