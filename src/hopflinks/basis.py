@@ -11,11 +11,11 @@ one closed hook-content product.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
 
-from .partitions import BasisLabel, basis_labels, cells, contents, hook_length, label_sort_key, syt_count
+from .partitions import BasisLabel, basis_labels, cells, contents, hook_length, syt_count
 from .ring import LaurentPoly, SkeinScalar
 
 __all__ = [
@@ -28,39 +28,16 @@ __all__ = [
 
 @dataclass
 class SkeinVector:
-    """Finite combination of eigenbasis labels with scalar coefficients.
+    """Eigenbasis labels with their integer multiplicities.
 
-    All labels must share one winding class, i.e. one common value of
-    |neg| - |pos|; zero coefficients are dropped on construction.
+    The labels share one winding class, one common value of
+    |neg| - |pos|, as `basis_labels` builds them.
     """
 
-    coeffs: dict[BasisLabel, SkeinScalar] = field(default_factory=dict)
+    coeffs: dict[BasisLabel, int]
 
-    def __post_init__(self) -> None:
-        cleaned = {}
-        windings = set()
-        for label, coeff in self.coeffs.items():
-            if not isinstance(coeff, SkeinScalar):
-                coeff = SkeinScalar(coeff)
-            if coeff.is_zero:
-                continue
-            cleaned[label] = coeff
-            windings.add(sum(label.neg) - sum(label.pos))
-        if len(windings) > 1:
-            raise ValueError(f"labels mix winding classes {sorted(windings)}")
-        self.coeffs = cleaned
-
-    def items(self) -> list[tuple[BasisLabel, SkeinScalar]]:
-        return sorted(self.coeffs.items(), key=lambda kv: label_sort_key(kv[0]))
-
-    def to_json(self) -> dict:
-        return {
-            "basis": "Q",
-            "terms": [
-                {"label": label.to_json(), "coeff": coeff.to_json()}
-                for label, coeff in self.items()
-            ],
-        }
+    def items(self):
+        return self.coeffs.items()
 
 
 def pair_multiplicity(label: BasisLabel, n1: int, n2: int) -> int:
@@ -81,11 +58,7 @@ def monomial_to_eigen(n1: int, n2: int) -> SkeinVector:
     """Eigenbasis expansion of n1 counterclockwise and n2 clockwise strings."""
     if n1 < 0 or n2 < 0:
         raise ValueError("string counts must be nonnegative")
-    coeffs = {
-        label: SkeinScalar(pair_multiplicity(label, n1, n2))
-        for label in basis_labels(n2, n1)
-    }
-    return SkeinVector(coeffs)
+    return SkeinVector({label: pair_multiplicity(label, n1, n2) for label in basis_labels(n2, n1)})
 
 
 @cache

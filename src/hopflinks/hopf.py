@@ -28,7 +28,6 @@ __all__ = [
     "Decoration",
     "homfly_general",
     "homfly_decorated",
-    "SymmetryReport",
     "check_symmetries",
 ]
 
@@ -133,22 +132,7 @@ def homfly_decorated(k1: int, k2: int, decoration: Decoration) -> SkeinScalar:
     return SkeinScalar.sum(coeff * homfly_general(HopfSpec(k1, k2, a, b)) for coeff, a, b in decoration.terms)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Outcome of the equivalent-links identities for one spec."""
-
-    spec: HopfSpec
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    def failures(self) -> list[str]:
-        return [name for name, ok in self.checks if not ok]
-
-
-def check_symmetries(spec: HopfSpec) -> SymmetryReport:
+def check_symmetries(spec: HopfSpec) -> list[tuple[str, bool]]:
     """Verify the eight-link equivalence class of H(k1, k2; n1, n2).
 
     Swapping the encircling and core families, or reversing both string
@@ -156,7 +140,8 @@ def check_symmetries(spec: HopfSpec) -> SymmetryReport:
     in one family yields the reflected link, whose value is the mirror
     substitution of the original.  Every spec is summed over its own
     (n1, n2) core, never swapped, so each identity compares two
-    independent label sums.
+    independent label sums.  Returns the seven (identity, holds) pairs in
+    order; a name repeats when a swap fixes the spec.
     """
     k1, k2, n1, n2 = spec.k1, spec.k2, spec.n1, spec.n2
     base = _core_sum(spec)
@@ -165,5 +150,4 @@ def check_symmetries(spec: HopfSpec) -> SymmetryReport:
         HopfSpec(k2, k1, n1, n2), HopfSpec(n1, n2, k2, k1), HopfSpec(k1, k2, n2, n1), HopfSpec(n2, n1, k1, k2)
     ]
     checks = [(f"P({other})", base == _core_sum(other)) for other in direct]
-    checks += [(f"mirror P({other})", base == _core_sum(other).mirror()) for other in mirrored]
-    return SymmetryReport(spec, tuple(checks))
+    return checks + [(f"mirror P({other})", base == _core_sum(other).mirror()) for other in mirrored]

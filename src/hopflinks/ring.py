@@ -35,11 +35,10 @@ from __future__ import annotations
 import operator
 import sys
 from functools import cache, reduce
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 __all__ = [
     "LaurentPoly",
-    "DenomFactor",
     "SkeinScalar",
     "Z",
     "MAX_EXPONENT",
@@ -519,15 +518,8 @@ def _s_binomial(k: int) -> LaurentPoly:
 Z = _s_binomial(1)  # z = s - s^{-1}, the factor of the crossing exchange
 
 
-class DenomFactor(NamedTuple):
-    """One denominator factor (s^k - s^{-k})^mult."""
-
-    k: int
-    mult: int
-
-
 @cache
-def _den_poly(den: tuple[DenomFactor, ...]) -> LaurentPoly:
+def _den_poly(den: tuple[tuple[int, int], ...]) -> LaurentPoly:
     """Expanded product of a factored denominator."""
     out = LaurentPoly.one()
     for k, mult in den:
@@ -538,7 +530,7 @@ def _den_poly(den: tuple[DenomFactor, ...]) -> LaurentPoly:
 def _cofactor(den: dict[int, int], lcm: dict[int, int]) -> LaurentPoly:
     """Expanded product of the factors that raise `den` to `lcm`."""
     gaps = ((k, m - den.get(k, 0)) for k, m in sorted(lcm.items()))
-    return _den_poly(tuple(DenomFactor(k, gap) for k, gap in gaps if gap))
+    return _den_poly(tuple((k, gap) for k, gap in gaps if gap))
 
 
 def _phi_k(d: int) -> int:
@@ -612,10 +604,10 @@ class SkeinScalar:
         if num.is_zero:
             merged = {}
         self._num = num
-        self._den = tuple(DenomFactor(k, merged[k]) for k in sorted(merged))
+        self._den = tuple(sorted(merged.items()))
         self._canon = None
 
-    def _canonical(self) -> tuple[LaurentPoly, tuple[DenomFactor, ...]]:
+    def _canonical(self) -> tuple[LaurentPoly, tuple[tuple[int, int], ...]]:
         if self._canon is not None:
             return self._canon
         num, e = self._num, {}
@@ -643,7 +635,7 @@ class SkeinScalar:
                 else:
                     extra = extra * LaurentPoly(((0, j), c) for j, c in enumerate(reversed(_cyclotomic(d))))
         num = num * (extra * LaurentPoly.term(1, s=shift))
-        self._canon = (num, tuple(DenomFactor(k, cover[k]) for k in sorted(cover)))
+        self._canon = (num, tuple(sorted(cover.items())))
         return self._canon
 
     # -- constructors -------------------------------------------------
@@ -663,7 +655,8 @@ class SkeinScalar:
         return self._canonical()[0]
 
     @property
-    def den(self) -> tuple[DenomFactor, ...]:
+    def den(self) -> tuple[tuple[int, int], ...]:
+        """(k, mult) pairs, sorted by k: the factors (s^k - s^{-k})^mult."""
         return self._canonical()[1]
 
     @property
@@ -691,7 +684,7 @@ class SkeinScalar:
     @classmethod
     def sum(cls, values: Iterable["SkeinScalar | LaurentPoly | int"]) -> "SkeinScalar":
         """The sum of `values`: numerators over one denominator are added, then the groups over their lcm."""
-        groups: dict[tuple[DenomFactor, ...], LaurentPoly] = {}
+        groups: dict[tuple[tuple[int, int], ...], LaurentPoly] = {}
         for x in map(cls._coerce, values):
             groups[x._den] = groups[x._den] + x._num if x._den in groups else x._num
         groups = {den: num for den, num in groups.items() if num}

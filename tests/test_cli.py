@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -289,6 +290,23 @@ def test_python_m_prints_what_main_prints(capsys):
     assert result.stdout == out.encode()
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_python_m_ends_quietly_when_stdout_closes():
+    # `hopflinks table --max-size 6 | head -n 1`: about 3 MB of rows meet a
+    # closed pipe, and the process ends by SIGPIPE, as `cat` does.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen(
+        [sys.executable, "-m", "hopflinks", "table", "--max-size", "6"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b'{"label":')
+    assert (err, code) == (b"", -signal.SIGPIPE)
+
+
 def test_oracle_malformed_pd(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"crossings": [{"id": 0, "sign": 1, "ends": [0, 1, 2, 3]}]}))
@@ -371,6 +389,17 @@ def test_verify_default_output_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
 
 
+# sha256 of the stdout of `table --max-size 6` (900 lines).
+TABLE_STDOUT_SHA256 = "b591450e4dfe4555ebaf819eb437a483aed94c8bfb99ba41d32a02f30aef05d5"
+
+
+def test_table_default_grid_output_pinned(capsys):
+    code, out, _ = run_cli(capsys, "table", "--max-size", "6")
+    assert code == 0
+    assert out.count("\n") == 900
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_STDOUT_SHA256
+
+
 def test_verify_small_grid_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-encircling", "1", "--max-core", "2")
     assert code == 0
@@ -429,6 +458,26 @@ def test_verify_reports_eigenvalue_collisions(capsys, monkeypatch):
     assert code == 1
     assert "FAIL  eigenvalue collision among single shapes of size <= 8\n" in out
     assert "FAIL  eigenvalue collision among shape pairs of size <= 6\n" in out
+
+
+def test_verify_reports_failed_symmetry_identities(capsys, monkeypatch):
+    # Break the sum of H(0,1;0,0) alone: the grid's closed-form checks never
+    # sum it, and each core's symmetry line names the identities it breaks.
+    healthy = hopf_module._core_sum
+
+    def broken(spec):
+        value = healthy(spec)
+        return value + 1 if spec == HopfSpec(0, 1, 0, 0) else value
+
+    monkeypatch.setattr(hopf_module, "_core_sum", broken)
+    code, out, _ = run_cli(capsys, "verify", "--max-encircling", "0", "--max-core", "1")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  H(0,0;0,1): symmetry identities failed: P(H(0,1;0,0)), mirror P(H(0,1;0,0))",
+        "FAIL  H(0,0;1,0): symmetry identities failed: P(H(0,1;0,0)), mirror P(H(0,1;0,0))",
+    ]
+    assert "PASS  H(0,0;0,0): equivalent-link symmetries\n" in out
+    assert out.endswith("2 check(s) failed\n")
 
 
 # -- table --------------------------------------------------------------------------

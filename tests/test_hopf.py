@@ -309,22 +309,21 @@ def test_decoration_json_round_trip():
 # -- symmetry identities ----------------------------------------------------------------
 
 def test_symmetries_hopf():
-    report = check_symmetries(HopfSpec(1, 0, 1, 0))
-    assert report.passed
-    assert len(report.checks) == 7
+    checks = check_symmetries(HopfSpec(1, 0, 1, 0))
+    assert all(holds for _, holds in checks)
+    assert len(checks) == 7
 
 
 def test_symmetries_bigger_case():
-    assert check_symmetries(HopfSpec(2, 1, 1, 2)).passed
+    assert all(holds for _, holds in check_symmetries(HopfSpec(2, 1, 1, 2)))
 
 
 def test_symmetries_unlink():
-    assert check_symmetries(HopfSpec(0, 0, 3, 0)).passed
+    assert all(holds for _, holds in check_symmetries(HopfSpec(0, 0, 3, 0)))
 
 
 def test_symmetry_check_names():
-    report = check_symmetries(HopfSpec(2, 1, 3, 0))
-    assert [name for name, _ in report.checks] == [
+    assert [name for name, _ in check_symmetries(HopfSpec(2, 1, 3, 0))] == [
         "P(H(3,0;2,1))",
         "P(H(1,2;0,3))",
         "P(H(0,3;1,2))",
@@ -338,7 +337,7 @@ def test_symmetry_check_names():
 def test_symmetries_sum_every_spec_over_its_own_core(expanded_cores):
     # No swap: both sides of H(2,1;3,0) = H(3,0;2,1) are summed, over
     # the cores (3,0) and (2,1).
-    assert check_symmetries(HopfSpec(2, 1, 3, 0)).passed
+    assert all(holds for _, holds in check_symmetries(HopfSpec(2, 1, 3, 0)))
     assert expanded_cores == [(3, 0), (2, 1), (0, 3), (1, 2), (3, 0), (1, 2), (0, 3), (2, 1)]
 
 
@@ -347,4 +346,4 @@ def test_symmetries_full_grid():
         for k2 in range(3 - k1):
             for n1 in range(4):
                 for n2 in range(4 - n1):
-                    assert check_symmetries(HopfSpec(k1, k2, n1, n2)).passed
+                    assert all(holds for _, holds in check_symmetries(HopfSpec(k1, k2, n1, n2)))
