@@ -23,7 +23,6 @@ __all__ = [
     "label_count",
     "syt_count",
     "lr_coeff",
-    "label_sort_key",
 ]
 
 Partition = tuple[int, ...]
@@ -102,15 +101,6 @@ class BasisLabel(NamedTuple):
 
     def to_json(self) -> dict[str, list[int]]:
         return {"neg": list(self.neg), "pos": list(self.pos)}
-
-
-def label_sort_key(label: BasisLabel):
-    """Global label order: |neg| descending, then reverse-lex on each side."""
-    return (
-        -sum(label.neg),
-        tuple(-p for p in label.neg),
-        tuple(-p for p in label.pos),
-    )
 
 
 @cache

@@ -3,19 +3,24 @@
 Everything downstream works in Z[v^{+-1}, s^{+-1}] localized at the
 binomials s^k - s^{-k}.  A scalar is stored as a Laurent-polynomial
 numerator over a *factored* denominator, and no multivariate gcd is ever
-needed: since s^k - s^{-k} = s^{-k} prod_{d | 2k} Phi_d(s), a value has
-one canonical form, found by dividing out cyclotomic factors alone, so
-equal values compare, hash and serialize alike.  Arithmetic never
-divides; that canonical form is the only reduction, and it runs once,
-when a value is first read.  Every denominator produced by the
+needed: since s^k - s^{-k} = s^{-k} prod_{e | k} Phi_e(s^2), a value has
+one canonical form, found by dividing out cyclotomic factors in t = s^2
+alone, so equal values compare, hash and serialize alike.  Arithmetic
+never divides; that canonical form is the only reduction, and it runs
+once, when a value is first read.  Every denominator produced by the
 eigenvalue pipeline (the unknot value, the hook-content evaluations)
 has this shape.
 
-A Phi_d(s) is divided out on the packed rows (`LaurentPoly.exact_div_phi`):
+A polynomial is packed as rows in t = s^2, one per v-exponent and parity
+of the s-exponent: every value the skein theory builds from z = s - s^{-1},
+delta and the bracket factors has s-exponents of one parity in each
+v-degree, so a row in s would hold a zero in every other slot.
+
+A Phi_e(t) is divided out on the packed rows (`LaurentPoly.exact_div_phi`):
 one integer remainder per row screens it, and one integer quotient per
 row, certified by a mask test, divides it; a quotient the test cannot
 certify is screened and certified again at the next wider slot.  It is
-the one division: s^k - s^{-k} is divided out as its Phi_d, d | 2k.
+the one division: s^k - s^{-k} is divided out as its Phi_e(t), e | k.
 
 Terms are read out of the rows only to serialize, format or substitute
 (`_decode`).  At the base slot width on a little-endian host every row
@@ -51,12 +56,13 @@ ExponentPair = tuple[int, int]  # (exponent of v, exponent of s)
 
 # Largest |exponent| accepted from outside: in a loaded or parsed
 # polynomial and in the expansion of a loaded denominator.  A packed row
-# stores every slot of its s-span, so the bound caps its length.
+# stores every slot of its span, so the bound caps its length.
 MAX_EXPONENT = 4096
 
-# Most slots a loaded or parsed polynomial may pack, summed over its
-# v-rows: each row stores every slot of its s-span, so sparse input within
-# MAX_EXPONENT could otherwise pack 8,193 slots per row.
+# Most slots a loaded or parsed polynomial may span, summed over the
+# s-spans of its v-rows: the two parity rows of a v-row pack at most its
+# s-span, so sparse input within MAX_EXPONENT could otherwise pack 8,193
+# slots per v-row.
 MAX_SLOTS = 1 << 16
 
 # Slot widths run 48, 96, 192, ... bits, so operands rarely differ in width.
@@ -217,15 +223,30 @@ def _trim(lo: int, row: int, w: int) -> tuple[int, int]:
 
 
 def _grouped(terms: dict[ExponentPair, int] | Iterable[tuple[ExponentPair, int]] | None) -> dict[int, dict[int, int]]:
-    """{ev: {es: c}} of the terms, repeated terms added and zeros dropped."""
+    """{2 ev + es % 2: {es // 2: c}} of the terms, repeated terms added and zeros dropped."""
     flat: dict[ExponentPair, int] = {}
     for key, c in terms.items() if isinstance(terms, dict) else terms or ():
         flat[key] = flat.get(key, 0) + c
     data: dict[int, dict[int, int]] = {}
     for (ev, es), c in flat.items():
         if c:
-            data.setdefault(ev, {})[es] = c
+            data.setdefault(2 * ev + (es & 1), {})[es >> 1] = c
     return data
+
+
+def _s_spans(rows: Iterable[tuple[int, int, int]]) -> dict[int, tuple[int, int]]:
+    """{ev: (lowest, highest s-exponent)} of rows given as (key, lowest t, highest t)."""
+    out: dict[int, tuple[int, int]] = {}
+    for key, lo, hi in rows:
+        lo, hi = 2 * lo + (key & 1), 2 * hi + (key & 1)
+        lo0, hi0 = out.get(key >> 1, (lo, hi))
+        out[key >> 1] = min(lo, lo0), max(hi, hi0)
+    return out
+
+
+def _shifted(rows: dict[int, tuple[int, int]], m: int) -> dict[int, tuple[int, int]]:
+    """The rows times s^m: an odd m swaps the parities, and s^(p + m) = t^((p + m) // 2) s^((p + m) % 2)."""
+    return {key - (key & 1) + ((key + m) & 1): (lo + ((key & 1) + m >> 1), row) for key, (lo, row) in rows.items()}
 
 
 def check_slots(slots: int) -> None:
@@ -249,14 +270,17 @@ def _new(rows: dict[int, tuple[int, int]], w: int, bits: int) -> "LaurentPoly":
 class LaurentPoly:
     """Integer-coefficient Laurent polynomial in the variables v and s.
 
-    One packed row per v-exponent (Kronecker substitution): `_rows[ev] =
-    (lo, R)`, lo the lowest s-exponent with a nonzero coefficient and
-    R = sum c_j * 2^(w*j) with the coefficient of s^(lo+j) as signed
-    digit j.  Exactness rests on `_bits`, a certified |c| < 2^_bits <=
-    2^(w-1): before an operation whose result could leave the slots, the
-    bound is tightened by mask tests and, failing that, the operands are
-    re-encoded at a wider w.  Tightening only ever writes a valid bound,
-    so values stay safe to share between threads.
+    One packed row per v-exponent ev and s-parity p, a polynomial in
+    t = s^2 (Kronecker substitution): `_rows[2 ev + p] = (lo, R)`, lo the
+    lowest t-exponent with a nonzero coefficient and R = sum c_j * 2^(w*j)
+    with the coefficient of v^ev s^(2 (lo+j) + p) as signed digit j.  A
+    product adds keys and carries two odd parities into lo.  The layout is
+    private: terms, spans and renderings speak of s-exponents.  Exactness
+    rests on `_bits`, a certified |c| < 2^_bits <= 2^(w-1): before an
+    operation whose result could leave the slots, the bound is tightened
+    by mask tests and, failing that, the operands are re-encoded at a
+    wider w.  Tightening only ever writes a valid bound, so values stay
+    safe to share between threads.
     """
 
     __slots__ = ("_rows", "_w", "_bits")
@@ -265,12 +289,12 @@ class LaurentPoly:
         self._pack_rows(_grouped(terms))
 
     def _pack_rows(self, data: dict[int, dict[int, int]]) -> None:
-        """Pack {ev: {es: c}} (no zero c) into rows at the narrowest width."""
+        """Pack {key: {t: c}} (no zero c) into rows at the narrowest width."""
         self._bits = max((abs(c).bit_length() for row in data.values() for c in row.values()), default=0)
         self._w = _width(self._bits)
         self._rows = {
-            ev: (min(row), _pack([row.get(es, 0) for es in range(min(row), max(row) + 1)], self._w))
-            for ev, row in data.items()
+            key: (min(row), _pack([row.get(t, 0) for t in range(min(row), max(row) + 1)], self._w))
+            for key, row in data.items()
         }
 
     # -- constructors ------------------------------------------------
@@ -289,7 +313,7 @@ class LaurentPoly:
         if not coeff:
             return cls.zero()
         bits = abs(coeff).bit_length()
-        return _new({v: (s, coeff)}, _width(bits), bits)
+        return _new({2 * v + (s & 1): (s >> 1, coeff)}, _width(bits), bits)
 
     # -- packed rows ---------------------------------------------------
 
@@ -297,7 +321,9 @@ class LaurentPoly:
         """The rows re-encoded at slot width w >= self._w."""
         if w == self._w:
             return self._rows
-        return {ev: (lo, _pack(coeffs, w)) for ev, lo, coeffs in self._decoded()}
+        rows = self._rows.values()
+        coeffs = _decode([row for _, row in rows], self._w)
+        return {key: (lo, _pack(cs, w)) for key, (lo, _), cs in zip(self._rows, rows, coeffs)}
 
     def _fit(self) -> int:
         """Tighten the bound to the first multiple of 8 bits the mask tests prove."""
@@ -327,16 +353,32 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._rows
 
-    def _decoded(self) -> list[tuple[int, int, list[int]]]:
-        """(ev, lo, slot coefficients) of each row, by increasing ev."""
-        evs = sorted(self._rows)
-        rows = [self._rows[ev] for ev in evs]
-        coeffs = _decode([row for _, row in rows], self._w)
-        return [(ev, lo, cs) for ev, (lo, _), cs in zip(evs, rows, coeffs)]
+    def _decoded(self) -> list[tuple[int, int, int, list[int]]]:
+        """(ev, lowest s-exponent, step, coefficients) of each v-row, by increasing ev.
+
+        Coefficient j is that of s^(lowest + step j): a row of one parity
+        has step 2, and the two rows of a v-row holding both parities are
+        interleaved into one of step 1.
+        """
+        keys = sorted(self._rows)
+        rows = [self._rows[key] for key in keys]
+        out: list[tuple[int, int, int, list[int]]] = []
+        for key, (lo, _), cs in zip(keys, rows, _decode([row for _, row in rows], self._w)):
+            ev, es = key >> 1, 2 * lo + (key & 1)
+            if key & 1 and out and out[-1][0] == ev:
+                _, even, _, evens = out.pop()
+                low = min(even, es)
+                spread = [0] * (max(even + 2 * len(evens), es + 2 * len(cs)) - 1 - low)
+                spread[even - low : even - low + 2 * len(evens) - 1 : 2] = evens
+                spread[es - low : es - low + 2 * len(cs) - 1 : 2] = cs
+                out.append((ev, low, 1, spread))
+            else:
+                out.append((ev, es, 2, cs))
+        return out
 
     def terms(self) -> list[tuple[int, int, int]]:
         """Sorted (ev, es, coeff) triples; the canonical serialization order."""
-        return [(ev, lo + j, c) for ev, lo, coeffs in self._decoded() for j, c in enumerate(coeffs) if c]
+        return [(ev, lo + step * j, c) for ev, lo, step, coeffs in self._decoded() for j, c in enumerate(coeffs) if c]
 
     def coefficient(self, v: int = 0, s: int = 0) -> int:
         return next((c for ev, es, c in self.terms() if (ev, es) == (v, s)), 0)
@@ -390,19 +432,21 @@ class LaurentPoly:
         # A product coefficient sums at most as many terms as either factor has slots.
         spread = (min(self, other, key=lambda p: len(p._rows))._slots() - 1).bit_length()
         w, bits = self._room(other, int.__add__, spread)
-        b = [(eb, lb, rb) for eb, (lb, rb) in other._at(w).items()]
-        acc: dict[int, list[int]] = {}  # ev -> [lo, row]
-        for ea, (la, ra) in self._at(w).items():
-            for eb, lb, rb in b:
-                lo, part = la + lb, ra * rb
-                cur = acc.get(ea + eb)
+        b = [(kb, lb, rb) for kb, (lb, rb) in other._at(w).items()]
+        acc: dict[int, list[int]] = {}  # key -> [lo, row]
+        for ka, (la, ra) in self._at(w).items():
+            for kb, lb, rb in b:
+                # Two odd parities make an even one and carry one t = s^2 into lo.
+                c = ka & kb & 1
+                key, lo, part = ka + kb - c - c, la + lb + c, ra * rb
+                cur = acc.get(key)
                 if cur is None:
-                    acc[ea + eb] = [lo, part]
+                    acc[key] = [lo, part]
                 elif lo >= cur[0]:
                     cur[1] += part << (w * (lo - cur[0]))
                 else:
                     cur[:] = lo, (cur[1] << (w * (cur[0] - lo))) + part
-        return _new({ev: _trim(lo, row, w) for ev, (lo, row) in acc.items() if row}, w, bits)
+        return _new({key: _trim(lo, row, w) for key, (lo, row) in acc.items() if row}, w, bits)
 
     __rmul__ = __mul__
     __pow__ = _pow
@@ -422,25 +466,26 @@ class LaurentPoly:
     def exact_div_factor(self, k: int) -> "LaurentPoly | None":
         """Quotient by s^k - s^{-k} when exact, else None.
 
-        s^k - s^{-k} = s^{-k} prod_{d | 2k} Phi_d(s), so this divides by each
-        Phi_d in turn (`exact_div_phi`) and multiplies by s^k.
+        s^k - s^{-k} = s^{-k} prod_{e | k} Phi_e(s^2), so this divides by each
+        Phi_e(s^2) in turn (`exact_div_phi`) and multiplies by s^k.
         """
         if k < 1:
             raise ValueError("factor index k must be >= 1")
         q = self
-        for d in _phis(k):
-            if (q := q.exact_div_phi(d)) is None:
+        for e in _divisors(k):
+            if (q := q.exact_div_phi(e)) is None:
                 return None
-        return _new({ev: (lo + k, row) for ev, (lo, row) in q._rows.items()}, q._w, q._bits)
+        return _new(_shifted(q._rows, k), q._w, q._bits)
 
     def exact_div_phi(self, d: int) -> "LaurentPoly | None":
-        """Quotient by the cyclotomic polynomial Phi_d(s) when exact, else None.
+        """Quotient by the cyclotomic polynomial Phi_d(s^2) when exact, else None.
 
-        A row R is P(2^w), so m = Phi_d(2^w) divides R when Phi_d divides P:
-        a nonzero R mod m on any row proves that it does not.  Otherwise the
-        slots of each R // m are the quotient once a mask test bounds them
-        so that Phi_d times them stays inside the slots, where the integer
-        identity is the polynomial one.  Input the mask test cannot certify
+        A row R is P(2^w), P a polynomial in t = s^2, so m = Phi_d(2^w)
+        divides R when Phi_d(t) divides P: a nonzero R mod m on any row
+        proves that it does not.  Otherwise the slots of each R // m are
+        the quotient once a mask test bounds them so that Phi_d times them
+        stays inside the slots, where the integer identity is the
+        polynomial one.  Input the mask test cannot certify
         (a wide quotient, or a false pass of the remainder screen) is
         re-encoded one step up the slot widths and screened and certified
         again.  That ends: if Phi_d divides P, its quotient's coefficients
@@ -454,11 +499,11 @@ class LaurentPoly:
         while True:
             m, bits = _phi_at(d, w)
             out = {}
-            for ev, (lo, row) in self._at(w).items():
+            for key, (lo, row) in self._at(w).items():
                 quotient, rest = divmod(row, m)
                 if rest:
                     return None
-                out[ev] = (lo, quotient)
+                out[key] = (lo, quotient)
             if _within([row for _, row in out.values()], w, bits):
                 return _new(out, w, bits)
             w = _width(w)
@@ -466,9 +511,8 @@ class LaurentPoly:
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> list[dict[str, int]]:
-        return [
-            {"v": ev, "s": lo + j, "c": c} for ev, lo, coeffs in self._decoded() for j, c in enumerate(coeffs) if c
-        ]
+        rows = self._decoded()
+        return [{"v": ev, "s": lo + step * j, "c": c} for ev, lo, step, cs in rows for j, c in enumerate(cs) if c]
 
     @classmethod
     def from_json(cls, obj: Iterable[dict[str, int]]) -> "LaurentPoly":
@@ -481,24 +525,26 @@ class LaurentPoly:
             ((json_int(t, "v", MAX_EXPONENT), json_int(t, "s", MAX_EXPONENT)), json_int(t, "c"))
             for t in json_list(obj)
         ])
-        check_slots(sum(max(row) - min(row) + 1 for row in data.values()))
+        spans = _s_spans((key, min(row), max(row)) for key, row in data.items())
+        check_slots(sum(hi - lo + 1 for lo, hi in spans.values()))
         p = cls.__new__(cls)
         p._pack_rows(data)
         return p
 
     def spans(self) -> dict[int, tuple[int, int]]:
-        """{ev: (lowest, highest s-exponent)} of each row; every slot between is packed."""
-        return {ev: (lo, lo + row.bit_length() // self._w) for ev, (lo, row) in self._rows.items()}
+        """{ev: (lowest, highest s-exponent)} of each v-row; its rows pack at most the slots between."""
+        return _s_spans((key, lo, lo + row.bit_length() // self._w) for key, (lo, row) in self._rows.items())
 
     def format(self, style: str = "plain") -> str:
         """Terms in canonical order, in `plain` or `latex` notation."""
         power, times, _, _ = _style(style)
         chunks: list[str] = []
-        for ev, lo, coeffs in self._decoded():
+        for ev, lo, step, coeffs in self._decoded():
             v = [_power("v", ev, power)] if ev else []
             for j, c in enumerate(coeffs):
                 if c:
-                    factors = v + [_power("s", lo + j, power)] if lo + j else v
+                    es = lo + step * j
+                    factors = v + [_power("s", es, power)] if es else v
                     if c not in (1, -1) or not factors:
                         factors = [str(abs(c)), *factors]
                     chunks.append(("- " if c < 0 else "+ ") + times.join(factors))
@@ -533,14 +579,9 @@ def _cofactor(den: dict[int, int], lcm: dict[int, int]) -> LaurentPoly:
     return _den_poly(tuple((k, gap) for k, gap in gaps if gap))
 
 
-def _phi_k(d: int) -> int:
-    """Smallest k with d | 2k: the first binomial s^k - s^{-k} that holds Phi_d."""
-    return d if d % 2 else d // 2
-
-
-def _phis(k: int) -> list[int]:
-    """The d with Phi_d(s) dividing s^k - s^{-k}, i.e. the divisors of 2k."""
-    return [d for d in range(1, 2 * k + 1) if 2 * k % d == 0]
+def _divisors(k: int) -> list[int]:
+    """The e with Phi_e(s^2) dividing s^k - s^{-k}, i.e. the divisors of k."""
+    return [e for e in range(1, k + 1) if k % e == 0]
 
 
 def _divide(p: list[int], q: tuple[int, ...]) -> list[int]:
@@ -564,7 +605,7 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
 
 @cache
 def _phi_at(d: int, w: int) -> tuple[int, int]:
-    """Phi_d(2^w), and the slot bound b that certifies a quotient row.
+    """Phi_d(2^w), the packed row of Phi_d(s^2), and the slot bound b that certifies a quotient row.
 
     With ||Phi_d||_1 < 2^n and b = w - 1 - n, Phi_d times slots in
     [-2^(b-1), 2^(b-1)) has slots below 2^(w-2) in size, and the balanced
@@ -582,11 +623,14 @@ class SkeinScalar:
     zero is the zero numerator with an empty denominator.  What a scalar
     shows (`num`, `den`, JSON, notation, equality and hash) is its
     canonical form, the one reduction, computed once on first read:
-    divide out of the numerator every Phi_d(s), d | 2k, that it holds
-    (`LaurentPoly.exact_div_phi`), leaving the exponent vector e of the reduced denominator
-    prod Phi_d^{e_d}; cover e by repeatedly adding s^k - s^{-k} with
-    k = _phi_k(d) for the largest uncovered d.  The cover reads only e,
-    so each value has exactly one representative.
+    divide out of the numerator every Phi_e(s^2), e | k, that it holds
+    (`LaurentPoly.exact_div_phi`), leaving the exponent vector of the
+    reduced denominator prod Phi_e(s^2)^{n_e}; cover it by repeatedly
+    adding s^k - s^{-k} with k = e for the largest uncovered e.  The cover
+    reads only the vector, so each value has exactly one representative.
+    It is the cover in s too: Phi_e(s^2) is Phi_e(s) Phi_2e(s) for odd e
+    and Phi_2e(s) for even e, and a binomial holds one of those factors
+    exactly when it holds the other.
     """
 
     __slots__ = ("_num", "_den", "_canon")
@@ -612,30 +656,28 @@ class SkeinScalar:
             return self._canon
         num, e = self._num, {}
         for k, mult in self._den:
-            for d in _phis(k):
+            for d in _divisors(k):
                 e[d] = e.get(d, 0) + mult
         for d in e:
             while e[d] and (q := num.exact_div_phi(d)) is not None:
                 num, e[d] = q, e[d] - 1
         if num is self._num:
             # The cover of a multiset of binomials is that multiset: the
-            # largest d is twice the largest k.
+            # largest d is the largest k.
             self._canon = (self._num, self._den)
             return self._canon
-        # value = num s^shift / prod Phi_d^e_d; the cover adds s^-k Phi_d for each d | 2k.
+        # value = num s^shift / prod Phi_d(s^2)^e_d; the cover adds s^-k Phi_d(s^2) for each d | k.
         cover: dict[int, int] = {}
-        shift, extra = sum(k * mult for k, mult in self._den), LaurentPoly.one()
-        while top := max((d for d in e if e[d]), default=0):
-            k = _phi_k(top)
+        shift = sum(k * mult for k, mult in self._den)
+        while k := max((d for d in e if e[d]), default=0):
             cover[k] = cover.get(k, 0) + 1
             shift -= k
-            for d in _phis(k):
+            for d in _divisors(k):
                 if e.get(d):
                     e[d] -= 1
                 else:
-                    extra = extra * LaurentPoly(((0, j), c) for j, c in enumerate(reversed(_cyclotomic(d))))
-        num = num * (extra * LaurentPoly.term(1, s=shift))
-        self._canon = (num, tuple(sorted(cover.items())))
+                    num = num * LaurentPoly(((0, 2 * j), c) for j, c in enumerate(reversed(_cyclotomic(d))))
+        self._canon = (_new(_shifted(num._rows, shift), num._w, num._bits), tuple(sorted(cover.items())))
         return self._canon
 
     # -- constructors -------------------------------------------------

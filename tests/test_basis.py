@@ -10,11 +10,20 @@ from hopflinks.basis import (
     plane_eval_eigen,
 )
 from hopflinks.meridian import plane_eval_product, plane_eval_single
-from hopflinks.partitions import BasisLabel, label_sort_key, lr_coeff, partitions_of
+from hopflinks.partitions import BasisLabel, lr_coeff, partitions_of
 from hopflinks.ring import SkeinScalar, delta
 
 
 # -- reference: the juxtaposed product basis and its Littlewood-Richardson inverse ----
+
+def label_sort_key(label: BasisLabel):
+    """Global label order: |neg| descending, then reverse-lex on each side."""
+    return (
+        -sum(label.neg),
+        tuple(-p for p in label.neg),
+        tuple(-p for p in label.pos),
+    )
+
 
 @cache
 def _product_to_eigen_int(label: BasisLabel) -> tuple[tuple[BasisLabel, int], ...]:

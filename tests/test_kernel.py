@@ -2,7 +2,7 @@
 
 `dict_mul` and `dict_exact_div` are the multiply and divide loops the ring
 ran before its rows were packed; they stay here as the reference, and
-`ref_div_phi` divides by the cyclotomic Phi_d(s) by long division.  A
+`ref_div_phi` divides by the cyclotomic Phi_d(s^2) by long division.  A
 polynomial is a dict {(v-exponent, s-exponent): coefficient} without zeros.
 The strategies mix small coefficients with ones beyond 2^64 and up to
 10^40, so products and quotients cross the slot width and force both the
@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopflinks import ring
-from hopflinks.ring import LaurentPoly, _decode, _phi_at, _pack, _unpack, _within
+from hopflinks.hopf import Decoration
+from hopflinks.render import parse_scalar
+from hopflinks.ring import MAX_SLOTS, LaurentPoly, _decode, _phi_at, _pack, _unpack, _within
 from test_ring import cyclotomic, poly_divmod
 
 
@@ -71,15 +73,22 @@ def dict_add(a: dict, b: dict) -> dict:
     return out
 
 
+def cyclotomic_s2(d: int) -> list[int]:
+    """Coefficients of Phi_d(s^2), lowest first: Phi_d with s -> s^2."""
+    out = [0] * (2 * len(cyclotomic(d)) - 1)
+    out[::2] = cyclotomic(d)
+    return out
+
+
 def ref_div_phi(terms: dict, d: int) -> dict | None:
-    """Quotient by Phi_d(s) when exact, else None, by long division row by row."""
+    """Quotient by Phi_d(s^2) when exact, else None, by long division row by row."""
     rows: dict = {}
     for (ev, es), c in terms.items():
         rows.setdefault(ev, {})[es] = c
     out = {}
     for ev, row in rows.items():
         lo = min(row)
-        quot, rest = poly_divmod([row.get(es, 0) for es in range(lo, max(row) + 1)], cyclotomic(d))
+        quot, rest = poly_divmod([row.get(es, 0) for es in range(lo, max(row) + 1)], cyclotomic_s2(d))
         if any(rest):
             return None
         out.update({(ev, lo + j): c for j, c in enumerate(quot) if c})
@@ -87,7 +96,7 @@ def ref_div_phi(terms: dict, d: int) -> dict | None:
 
 
 def phi(d: int) -> dict:
-    return {(0, j): c for j, c in enumerate(cyclotomic(d)) if c}
+    return {(0, j): c for j, c in enumerate(cyclotomic_s2(d)) if c}
 
 
 def binomial(k: int) -> dict:
@@ -238,12 +247,12 @@ def test_exact_div_phi_runs_the_cofactor_route(d):
 
 
 def test_exact_div_phi_false_pass_of_the_screen():
-    # N(1 + s + s^2) at s = 2^w is N(2^2w + 2^w + 1), a multiple of
-    # 3N = 2^w - 1 = Phi_1(2^w), though Phi_1 = s - 1 does not divide it.
-    # The quotient fails the mask, and at the next width the screen fails.
+    # N(1 + t + t^2), t = s^2, at t = 2^w is N(2^2w + 2^w + 1), a multiple
+    # of 3N = 2^w - 1 = Phi_1(2^w), though Phi_1(t) = t - 1 does not divide
+    # it.  The quotient fails the mask, and at the next width the screen fails.
     for w in (48, 96):
         n = (2**w - 1) // 3
-        p = LaurentPoly({(0, 0): n, (0, 1): n, (0, 2): n})
+        p = LaurentPoly({(0, 0): n, (0, 2): n, (0, 4): n})
         assert p._w == w
         ((_, row),) = p._rows.values()
         assert row % _phi_at(1, w)[0] == 0
@@ -251,7 +260,7 @@ def test_exact_div_phi_false_pass_of_the_screen():
             assert p.exact_div_phi(1) is None
         assert widths == [w, 2 * w]
         assert others == []
-        assert ref_div_phi({(0, 0): n, (0, 1): n, (0, 2): n}, 1) is None
+        assert ref_div_phi({(0, 0): n, (0, 2): n, (0, 4): n}, 1) is None
 
 
 @given(st.lists(small, min_size=12, max_size=14), st.integers(1, 3))
@@ -401,6 +410,69 @@ def test_bulk_decode_edges(monkeypatch):
     monkeypatch.setattr(ring, "_BULK", False)
     assert _decode(packed, 48) == rows
     assert (p.format("latex"), p.terms()) == (text, terms)
+
+
+# -- reads of rows that mix both s-parities ------------------------------------
+
+
+def ref_format(a: dict, style: str) -> str:
+    """The notation of `LaurentPoly.format`, from a dict of terms."""
+    power, times = ("^{}", "*") if style == "plain" else ("^{{{}}}", " ")
+    chunks = []
+    for (ev, es), c in sorted(a.items()):
+        factors = [base + (power.format(e) if e != 1 else "") for base, e in (("v", ev), ("s", es)) if e]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        chunks.append(("- " if c < 0 else "+ ") + times.join(factors))
+    text = " ".join(chunks) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+@st.composite
+def mixed_parity(draw):
+    """Terms with at least one v-row holding both an even and an odd s-exponent."""
+    a = draw(dicts)
+    ev, even, odd = draw(exponents), draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    a[(ev, 2 * even)] = draw(coeffs) or 1
+    a[(ev, 2 * odd + 1)] = draw(coeffs) or -1
+    return a
+
+
+@given(mixed_parity(), st.sampled_from([1, 3, 5, 7]))
+def test_mixed_parity_reads_match_reference(a, k):
+    p = LaurentPoly(a)
+    assert p.terms() == sorted((ev, es, c) for (ev, es), c in a.items())
+    assert p.to_json() == [{"v": ev, "s": es, "c": c} for (ev, es), c in sorted(a.items())]
+    for style in ("plain", "latex"):
+        assert p.format(style) == ref_format(a, style)
+    spans: dict = {}
+    for ev, es in a:
+        lo, hi = spans.get(ev, (es, es))
+        spans[ev] = min(lo, es), max(hi, es)
+    assert p.spans() == spans
+    # Odd k moves every term to the other s-parity.
+    assert terms_of((p * LaurentPoly(binomial(k))).exact_div_factor(k)) == a
+    quotient, expected = p.exact_div_factor(k), dict_exact_div(a, k)
+    assert (quotient is None) == (expected is None)
+    assert quotient is None or terms_of(quotient) == expected
+
+
+def test_bounds_count_s_spans_of_rows_of_one_parity():
+    # A row of odd s-exponents packs half its s-span in t = s^2; the slot
+    # budgets and the parser's exponent box still count s-exponents.
+    rows = [{"v": v, "s": s, "c": 1} for v in range(8) for s in (-4095, 4095)]  # 8 x 8,191 slots
+    inside = rows + [{"v": 8, "s": 1, "c": 1}, {"v": 8, "s": 7, "c": 1}]  # + 7: 2^16 - 1
+    edge = rows + [{"v": 8, "s": 1, "c": 1}, {"v": 8, "s": 9, "c": 1}]  # + 9: 2^16 + 1
+    assert LaurentPoly.from_json(inside).spans()[0] == (-4095, 4095)
+    assert len(Decoration.from_json([{"coeff": {"num": inside, "den": []}, "a": 1, "b": 0}]).terms) == 1
+    with pytest.raises(ValueError, match=f"{MAX_SLOTS + 1} slots"):
+        LaurentPoly.from_json(edge)
+    with pytest.raises(ValueError, match=f"{MAX_SLOTS + 1} slots"):
+        Decoration.from_json([{"coeff": {"num": edge, "den": []}, "a": 1, "b": 0}])
+    # A 63 x 63 exponent box holds at most 4,096 terms; 63 x 67 does not.
+    assert len(parse_scalar("(s^-31 + s^31)(v^-31 + v^31)").num.terms()) == 4
+    with pytest.raises(ValueError, match="term bound"):
+        parse_scalar("(s^-33 + s^33)(v^-31 + v^31)")
 
 
 def test_reference_division_examples():

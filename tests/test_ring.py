@@ -470,6 +470,89 @@ def test_sum_and_product_forms_are_canonical(x, y):
     assert_same_form(x + y - y, x)
 
 
+# -- the reduction in s ---------------------------------------------------------------
+# The canonical form as the ring computed it while its rows were packed in
+# s: divide out each Phi_d(s), d | 2k, then cover the exponents left by
+# adding s^k - s^-k with k = d for odd d and k = d/2 for even d, the first
+# binomial that holds Phi_d(s), for the largest uncovered d.  The ring now
+# divides by Phi_e(s^2), e | k; the two must give one form.
+
+def convolve(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def reduce_in_s(num, den):
+    """(terms, den) of num / prod (s^k - s^-k)^mult in canonical form, reduced by Phi_d(s), d | 2k."""
+    merged = {}
+    for k, mult in den:
+        merged[k] = merged.get(k, 0) + mult
+    den = tuple(sorted(merged.items()))
+    rows = {}
+    for ev, es, c in num.terms():
+        rows.setdefault(ev, {})[es] = c
+    rows = {ev: (min(row), [row.get(es, 0) for es in range(min(row), max(row) + 1)]) for ev, row in rows.items()}
+    e, divided = phi_vector(den), False
+    for d in e:
+        while e[d]:
+            parts = {ev: (lo, poly_divmod(cs, cyclotomic(d))) for ev, (lo, cs) in rows.items()}
+            if any(any(rest) for _, (_, rest) in parts.values()):
+                break
+            rows = {ev: (lo, quot) for ev, (lo, (quot, _)) in parts.items()}
+            e[d], divided = e[d] - 1, True
+    if not divided:
+        return num.terms(), den
+    cover, shift, extra = {}, sum(k * mult for k, mult in den), [1]
+    while top := max((d for d in e if e[d]), default=0):
+        k = top if top % 2 else top // 2
+        cover[k] = cover.get(k, 0) + 1
+        shift -= k
+        for d in phi_vector([(k, 1)]):
+            if e.get(d):
+                e[d] -= 1
+            else:
+                extra = convolve(extra, cyclotomic(d))
+    terms = []
+    for ev, (lo, cs) in sorted(rows.items()):
+        terms += [(ev, lo + shift + j, c) for j, c in enumerate(convolve(cs, extra)) if c]
+    return terms, tuple(sorted(cover.items()))
+
+
+@st.composite
+def mixed_parity_scalars(draw):
+    """(num, den), k up to 12: num times some Phi_d(s), d | 2k, with one v-row holding both s-parities."""
+    den = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 2)), min_size=1, max_size=3))
+    ds = sorted(phi_vector(den))
+    base = draw(st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-4, 4)), st.integers(-9, 9), max_size=4))
+    base.update({(0, 0): draw(st.integers(1, 9)), (0, draw(st.sampled_from([-3, -1, 1, 3]))): draw(st.integers(-9, -1))})
+    num = LaurentPoly(base)
+    for d in draw(st.lists(st.sampled_from(ds), max_size=6)):
+        num = num * LaurentPoly(((0, j), c) for j, c in enumerate(cyclotomic(d)))
+    return num, den
+
+
+def mixes_parities(num):
+    parities = {}
+    for ev, es, _ in num.terms():
+        parities.setdefault(ev, set()).add(es % 2)
+    return any(len(p) == 2 for p in parities.values())
+
+
+@settings(deadline=None)
+@given(mixed_parity_scalars().filter(lambda case: mixes_parities(case[0])))
+@example((LaurentPoly({(0, 1): 1, (0, 0): -1}), [(1, 1)]))  # Phi_1(s) alone: no Phi_1(s^2) divides
+@example((LaurentPoly({(0, 2): 1, (0, 1): 1, (0, 0): 1}), [(3, 1)]))  # Phi_3(s) of Phi_3(s^2) = Phi_3(s) Phi_6(s)
+def test_canonical_form_matches_the_reduction_in_s(case):
+    num, den = case
+    x = SkeinScalar(num, den)
+    terms, reduced_den = reduce_in_s(num, den)
+    assert x.num.terms() == terms
+    assert x.den == reduced_den
+
+
 # -- one reduction -------------------------------------------------------------------
 
 def test_arithmetic_never_divides(monkeypatch):
