@@ -5,17 +5,17 @@ Two bases of the same span appear here: parallel-string monomials and
 the eigenbasis of the encircling operators.  The monomial expansion has
 the classical tableau-count multiplicities; an eigenbasis element
 evaluates in the plane to the Weyl dimension of a mixed GL(N) weight,
-one closed hook-content product.
+one closed hook-content product, whose brackets [N+c] are counted by
+content and multiplied out in one pass.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
 
-from .partitions import BasisLabel, basis_labels, cells, contents, hook_length, syt_count
+from .partitions import BasisLabel, basis_labels, contents, hook_lengths, syt_count
 from .ring import LaurentPoly, SkeinScalar
 
 __all__ = [
@@ -62,32 +62,30 @@ def monomial_to_eigen(n1: int, n2: int) -> SkeinVector:
 
 
 @cache
-def _bracket_power(c: int, mult: int) -> LaurentPoly:
-    """[N+c]^mult = (v^{-1} s^c - v s^{-c})^mult, shared by every label that holds it."""
-    return LaurentPoly({(-1, c): 1, (1, -c): -1}) ** mult
-
-
-@cache
 def plane_eval_eigen(label: BasisLabel) -> SkeinScalar:
     """Plane evaluation of an eigenbasis element (Koike 1989; Hadji-Morton 2006).
 
     <Q_neg> <Q_pos> prod_{i <= l(neg), j <= l(pos)} [N+A][N+B] / ([N+C][N+D])
     with B = 1-i-j, A = neg_i+pos_j+B, C = neg_i+B and D = pos_j+B: the
     brackets [N+c] = v^{-1} s^c - v s^{-c} (v = s^{-N}) are counted by
-    content, every C and D cancels against one, and the hook lengths of
-    both shapes make the denominator.
+    content, every C and D cancels against one, and the numerator is built
+    from the counts in one pass (`LaurentPoly.brackets`).  The hook lengths
+    of both shapes make the denominator.
     """
     lam, mu = label
-    brackets = Counter(contents(lam) + contents(mu))
+    # counts[c + off] is the multiplicity of [N+c]; every c lies in [1 - off, neg_1 + pos_1 - 1].
+    off = len(lam) + len(mu)
+    counts = [0] * (off + (lam[0] if lam else 0) + (mu[0] if mu else 0))
+    for c in contents(lam) + contents(mu):
+        counts[c + off] += 1
     for i, a in enumerate(lam, 1):
         for j, b in enumerate(mu, 1):
-            brackets.update((a + b + 1 - i - j, 1 - i - j))
-            brackets.subtract((a + 1 - i - j, b + 1 - i - j))
-    if min(brackets.values(), default=0) < 0:
+            base = off + 1 - i - j
+            counts[a + b + base] += 1
+            counts[base] += 1
+            counts[a + base] -= 1
+            counts[b + base] -= 1
+    if min(counts, default=0) < 0:
         raise ArithmeticError(f"a bracket [N+c] is left in the denominator of {label}")
-    num = LaurentPoly.one()
-    for c, mult in sorted(brackets.items()):
-        if mult:
-            num = num * _bracket_power(c, mult)
-    hooks = Counter(hook_length(shape, i, j) for shape in label for i, j in cells(shape))
-    return SkeinScalar(num, hooks.items())
+    num = LaurentPoly.brackets((c - off, mult) for c, mult in enumerate(counts))
+    return SkeinScalar(num, [(h, 1) for h in hook_lengths(lam) + hook_lengths(mu)])

@@ -4,10 +4,11 @@ evaluations of the annulus basis elements.
 A single unknotted loop around the annulus core, oriented counter-
 clockwise or clockwise, acts diagonally on the two-sided eigenbasis.
 The eigenvalue attached to a label is a content sum over the two shapes
-weighted by v^{-1} or -v, plus the unknot value.  The closed form
-raises these eigenvalues to string counts; `ccw_power` keeps each
-(label, n) power it has made, so a sweep over string counts builds each
-power once.
+weighted by v^{-1} or -v, plus the unknot value; it is built as one
+numerator over z = s - s^{-1}, the unknot value's denominator.  The
+closed form raises these eigenvalues to string counts; `ccw_power` keeps
+each (label, n) power it has made, so a sweep over string counts builds
+each power once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from functools import cache
 
 from .partitions import BasisLabel, Partition, cells, contents, hook_length
-from .ring import Z, LaurentPoly, SkeinScalar, delta
+from .ring import LaurentPoly, SkeinScalar
 
 __all__ = [
     "ccw_eigenvalue",
@@ -27,24 +28,21 @@ __all__ = [
     "plane_eval_product",
 ]
 
-_V = LaurentPoly.term(1, v=1)
-_V_INV = LaurentPoly.term(1, v=-1)
-
-
-def _content_sum(lam: Partition, direction: int) -> LaurentPoly:
-    """Sum of s^(2 * direction * content) over the cells of lam."""
-    return LaurentPoly(((0, 2 * direction * c), 1) for c in contents(lam))
-
-
 @cache
 def ccw_eigenvalue(label: BasisLabel) -> SkeinScalar:
     """Eigenvalue of the counterclockwise encircling loop on `label`.
 
-    (s - s^{-1}) (-v * sum_neg s^{-2c} + v^{-1} * sum_pos s^{2c}) + delta
+    z (-v * sum_neg s^{-2c} + v^{-1} * sum_pos s^{2c}) + delta, with
+    z = s - s^{-1} and delta = (v^{-1} - v) / z, built over z at once:
+    (v^{-1} (1 + z^2 sum_pos s^{2c}) - v (1 + z^2 sum_neg s^{-2c})) / z.
     """
     lam, mu = label
-    body = Z * (-(_V * _content_sum(lam, -1)) + _V_INV * _content_sum(mu, +1))
-    return SkeinScalar(body) + delta()
+    terms = [((-1, 0), 1), ((1, 0), -1)]
+    for ev, shape in ((-1, mu), (1, lam)):
+        for c in contents(shape):
+            es = -2 * ev * c  # the cell's term -ev v^ev z^2 s^es, with z^2 = s^2 - 2 + s^{-2}
+            terms += (((ev, es + 2), -ev), ((ev, es), 2 * ev), ((ev, es - 2), -ev))
+    return SkeinScalar(LaurentPoly(terms), ((1, 1),))
 
 
 @cache

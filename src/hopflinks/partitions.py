@@ -8,7 +8,7 @@ empty partition is ().  Cells are 1-indexed (row, col) pairs.
 from __future__ import annotations
 
 from functools import cache
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "cells",
     "contents",
     "hook_length",
+    "hook_lengths",
     "partitions_of",
     "partition_counts",
     "basis_labels",
@@ -55,6 +56,16 @@ def hook_length(lam: Partition, i: int, j: int) -> int:
     arm = lam[i - 1] - j
     leg = sum(1 for r in range(i, len(lam)) if lam[r] >= j)
     return arm + leg + 1
+
+
+def hook_lengths(lam: Partition) -> list[int]:
+    """Hook lengths of all cells, row-major, with the shape checked once.
+
+    Cell (i, j) has arm lam_i - j and leg lam'_j - i, lam' the conjugate shape.
+    """
+    _check_partition(lam)
+    conj = [sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0)]
+    return [row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row)]
 
 
 @cache
@@ -129,14 +140,7 @@ def label_count(n: int, p: int) -> int:
 
 def syt_count(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook-length formula)."""
-    _check_partition(lam)
-    n = sum(lam)
-    if n == 0:
-        return 1
-    hooks = 1
-    for i, j in cells(lam):
-        hooks *= hook_length(lam, i, j)
-    return factorial(n) // hooks
+    return factorial(sum(lam)) // prod(hook_lengths(lam))
 
 
 def _contains(outer: Partition, inner: Partition) -> bool:

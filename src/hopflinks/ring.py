@@ -15,6 +15,9 @@ A polynomial is packed as rows in t = s^2, one per v-exponent and parity
 of the s-exponent: every value the skein theory builds from z = s - s^{-1},
 delta and the bracket factors has s-exponents of one parity in each
 v-degree, so a row in s would hold a zero in every other slot.
+A product of brackets [N+c] = v^{-1} s^c - v s^{-c}, the numerator of a
+plane evaluation, is built straight into rows (`LaurentPoly.brackets`),
+and a product by an int scales each row: neither runs a row-pair product.
 
 A Phi_e(t) is divided out on the packed rows (`LaurentPoly.exact_div_phi`):
 one integer remainder per row screens it, and one integer quotient per
@@ -40,6 +43,7 @@ from __future__ import annotations
 import operator
 import sys
 from functools import cache, reduce
+from itertools import accumulate
 from typing import Iterable
 
 __all__ = [
@@ -315,6 +319,31 @@ class LaurentPoly:
         bits = abs(coeff).bit_length()
         return _new({2 * v + (s & 1): (s >> 1, coeff)}, _width(bits), bits)
 
+    @classmethod
+    def brackets(cls, counts: Iterable[tuple[int, int]]) -> "LaurentPoly":
+        """prod [N+c]^mult over the (c, mult) pairs, with [N+c] = v^{-1} s^c - v s^{-c}.
+
+        For n brackets of content sum C, the row of v^(2k-n) is
+        (-1)^k s^C e_k(t^{-c_1}, ..., t^{-c_n}), e_k the elementary symmetric
+        polynomial.  Each bracket subtracts t^{-c} E_{k-1} from E_k, k from
+        the top down, which carries the sign (-1)^k: a shift and an add of
+        packed rows.  Taken by decreasing c, E_k starts at minus the sum of
+        the k largest contents, so each shift is known in advance.  The
+        coefficients of a row share its sign, so no slot cancels and every
+        row stays trimmed, and each is at most C(n, k) < 2^n in size.
+        """
+        cs = sorted((c for c, mult in counts for _ in range(mult)), reverse=True)
+        n, total = len(cs), sum(cs)
+        w = _width(max(n, 1))
+        rows = [1]
+        for m, c in enumerate(cs):
+            rows.append(-rows[-1])
+            for k in range(m, 0, -1):
+                rows[k] -= rows[k - 1] << (w * (cs[k - 1] - c))
+        lows = accumulate(cs, initial=0)  # E_k starts at t^-(c_1 + ... + c_k)
+        keys = range((total & 1) - 2 * n, 2 * n + 2, 4)  # 2 (2k - n) + parity of C
+        return _new({key: ((total >> 1) - low, row) for key, low, row in zip(keys, lows, rows)}, w, max(n, 1))
+
     # -- packed rows ---------------------------------------------------
 
     def _at(self, w: int) -> dict[int, tuple[int, int]]:
@@ -424,8 +453,12 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            other = LaurentPoly.term(other)
-        elif not isinstance(other, LaurentPoly):
+            if not other or not self._rows:
+                return LaurentPoly.zero()
+            # Each row is scaled; against zero's bound 0, `_room` gives |c n| < 2^(bits + n.bit_length()).
+            w, bits = self._room(LaurentPoly.zero(), max, other.bit_length())
+            return _new({key: (lo, row * other) for key, (lo, row) in self._at(w).items()}, w, bits)
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self._rows or not other._rows:
             return LaurentPoly.zero()
@@ -752,6 +785,8 @@ class SkeinScalar:
         return self._coerce(other) - self
 
     def __mul__(self, other: "SkeinScalar | LaurentPoly | int") -> "SkeinScalar":
+        if isinstance(other, int):
+            return SkeinScalar(self._num * other, self._den)
         try:
             other = self._coerce(other)
         except TypeError:

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -10,8 +11,8 @@ from hopflinks.basis import (
     plane_eval_eigen,
 )
 from hopflinks.meridian import plane_eval_product, plane_eval_single
-from hopflinks.partitions import BasisLabel, lr_coeff, partitions_of
-from hopflinks.ring import SkeinScalar, delta
+from hopflinks.partitions import BasisLabel, cells, contents, hook_length, lr_coeff, partitions_of
+from hopflinks.ring import LaurentPoly, SkeinScalar, delta
 
 
 # -- reference: the juxtaposed product basis and its Littlewood-Richardson inverse ----
@@ -86,6 +87,21 @@ def plane_eval_eigen_lr(label: BasisLabel) -> SkeinScalar:
     for lab, c in _eigen_to_product_int(label):
         out = out + plane_eval_product(lab) * c
     return out
+
+
+def plane_eval_eigen_ring(label: BasisLabel) -> SkeinScalar:
+    """The hook-content product through ring arithmetic: a product of bracket powers."""
+    lam, mu = label
+    brackets = Counter(contents(lam) + contents(mu))
+    for i, a in enumerate(lam, 1):
+        for j, b in enumerate(mu, 1):
+            brackets.update((a + b + 1 - i - j, 1 - i - j))
+            brackets.subtract((a + 1 - i - j, b + 1 - i - j))
+    num = LaurentPoly.one()
+    for c, mult in sorted(brackets.items()):
+        num = num * LaurentPoly({(-1, c): 1, (1, -c): -1}) ** mult
+    hooks = Counter(hook_length(shape, i, j) for shape in label for i, j in cells(shape))
+    return SkeinScalar(num, hooks.items())
 
 
 def all_labels(max_size):
@@ -217,6 +233,15 @@ def test_closed_product_matches_lr_reference():
         closed, reference = plane_eval_eigen(label), plane_eval_eigen_lr(label)
         assert closed == reference, label
         assert closed.to_json() == reference.to_json(), label
+
+
+def test_plane_eval_matches_the_ring_reference_to_size_6():
+    # Equal raw numerators and denominators keep SkeinScalar.sum grouping
+    # the closed form's terms as the ring-built values did.
+    for label in all_labels(6):
+        value, reference = plane_eval_eigen(label), plane_eval_eigen_ring(label)
+        assert value == reference, label
+        assert value._num == reference._num and value._den == reference._den, label
 
 
 def test_unlink_normalization_sum_rule():

@@ -10,7 +10,7 @@ from hopflinks.meridian import (
     plane_eval_single,
     same_sense_eigenvalue,
 )
-from hopflinks.partitions import BasisLabel, partitions_of
+from hopflinks.partitions import BasisLabel, contents, partitions_of
 from hopflinks.ring import LaurentPoly, SkeinScalar, all_distinct, delta
 
 
@@ -43,6 +43,26 @@ def label_strategy(draw, max_n=4):
         return opts[draw(st.integers(0, len(opts) - 1))]
 
     return BasisLabel(side(), side())
+
+
+def ccw_eigenvalue_reference(label):
+    """The eigenvalue through ring arithmetic: z times the content sums, plus delta."""
+    lam, mu = label
+
+    def content_sum(shape, direction):
+        return LaurentPoly(((0, 2 * direction * c), 1) for c in contents(shape))
+
+    body = Z * (-(mono(1, v=1) * content_sum(lam, -1)) + mono(1, v=-1) * content_sum(mu, +1))
+    return SkeinScalar(body) + delta()
+
+
+def test_eigenvalue_matches_the_ring_reference_to_size_6():
+    # Equal raw numerators and denominators keep SkeinScalar.sum grouping
+    # the closed form's terms as the ring-built values did.
+    for label in all_labels(6):
+        value, reference = ccw_eigenvalue(label), ccw_eigenvalue_reference(label)
+        assert value == reference, label
+        assert value._num == reference._num and value._den == reference._den, label
 
 
 # -- one-sided eigenvalues -----------------------------------------------------

@@ -11,6 +11,7 @@ from hopflinks.partitions import (
     cells,
     contents,
     hook_length,
+    hook_lengths,
     label_count,
     lr_coeff,
     partitions_of,
@@ -134,6 +135,17 @@ def test_hook_lengths_known():
         (2, 1): 1,
     }
     assert hook_length((2,), 1, 1) == 2
+
+
+@given(partition_strategy())
+def test_hook_lengths_match_hook_length_per_cell(lam):
+    assert hook_lengths(lam) == [hook_length(lam, i, j) for i, j in cells(lam)]
+
+
+def test_hook_lengths_reject_invalid_partitions():
+    for bad in ((1, 2), (2, 0), (1.0,)):
+        with pytest.raises(ValueError):
+            hook_lengths(bad)
 
 
 def test_hook_length_outside_cell():

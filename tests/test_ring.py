@@ -106,6 +106,57 @@ def test_delta_squared():
     assert delta() ** 2 == expected
 
 
+def assert_certified(p):
+    """Every coefficient below 2^_bits <= 2^(_w-1), and every row trimmed."""
+    assert p._bits <= p._w - 1
+    assert all(abs(c) < 1 << p._bits for _, _, c in p.terms())
+    assert all(row & ((1 << p._w) - 1) for _, row in p._rows.values())
+
+
+@given(polys, st.one_of(st.integers(-9, 9), st.integers(-(1 << 100), 1 << 100)))
+@example(LaurentPoly({(0, 0): (1 << 46) - 1, (1, 3): -5}), 1 << 20)
+def test_int_product_scales_the_rows(p, n):
+    scaled = p * n
+    assert scaled == p * LaurentPoly.term(n)
+    assert n * p == scaled
+    assert_certified(scaled)
+
+
+def test_scalar_times_int_keeps_its_denominator():
+    x = SkeinScalar(V_INV - V * 3, [(2, 1), (1, 1)])
+    assert (x * 6)._den == x._den and x * 6 == x * SkeinScalar(6)
+    zero = x * 0
+    assert zero.is_zero and zero._den == () and (0 * x)._den == ()
+
+
+# -- products of brackets -----------------------------------------------------
+
+bracket_counts = st.lists(st.tuples(st.integers(-12, 12), st.integers(0, 12)), max_size=8).filter(
+    lambda counts: sum(m for _, m in counts) <= 60
+)
+
+
+@settings(deadline=None)
+@given(bracket_counts)
+@example([(c, 5) for c in range(-6, 6)])  # n = 60, past the 48-bit slot
+@example([(0, 47), (1, 1)])  # n = 48, the first count at 96 bits
+@example([])
+def test_brackets_match_the_product_of_powers(counts):
+    expected = LaurentPoly.one()
+    for c, mult in counts:
+        expected = expected * LaurentPoly({(-1, c): 1, (1, -c): -1}) ** mult
+    p = LaurentPoly.brackets(counts)
+    assert p == expected
+    assert_certified(p)
+    n = sum(m for _, m in counts)
+    assert p._bits == max(n, 1) and p._w == (48 if n < 48 else 96)
+
+
+def test_brackets_of_nothing_are_one():
+    assert LaurentPoly.brackets([]) == LaurentPoly.one()
+    assert LaurentPoly.brackets([(3, 0)]) == 1
+
+
 # -- exact division -----------------------------------------------------------
 
 def test_exact_div_simple_factorization():
