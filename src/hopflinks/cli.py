@@ -192,14 +192,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    # Each row is the compact JSON of {"label", "t", "tbar", "evalQ"}, its
+    # scalars written by the JSON renderer.
     for label in _label_grid(args.max_size):
-        row = {
-            "label": label.to_json(),
-            "t": ccw_eigenvalue(label).to_json(),
-            "tbar": cw_eigenvalue(label).to_json(),
-            "evalQ": plane_eval_eigen(label).to_json(),
-        }
-        print(json.dumps(row, separators=(",", ":")))
+        values = (ccw_eigenvalue(label), cw_eigenvalue(label), plane_eval_eigen(label))
+        t, tbar, eval_q = (render_scalar(x, "json") for x in values)
+        label_text = json.dumps(label.to_json(), separators=(",", ":"))
+        print(f'{{"label":{label_text},"t":{t},"tbar":{tbar},"evalQ":{eval_q}}}')
     return 0
 
 

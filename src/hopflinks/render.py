@@ -1,11 +1,14 @@
 """Text renderings of scalars (plain, LaTeX, canonical JSON) and a
 parser that reads the plain and LaTeX forms back.
 
-The plain and LaTeX notations are written by `SkeinScalar.format`; this
-module adds the JSON form and the parser.  The three renderings describe
-the same canonical value: terms sorted by (v-exponent, s-exponent),
-denominator factors sorted by k.  Parsing a rendering therefore
-reproduces the canonical JSON exactly.
+The plain and LaTeX notations are written by `SkeinScalar.format` and the
+numerator's JSON text by `LaurentPoly.json_text`, both straight from the
+packed rows; this module puts the JSON numerator and denominator
+together, dispatches on the format, and holds the parser.  The JSON
+bytes are those of `json.dumps(x.to_json(), separators=(",", ":"))`.
+The three renderings describe the same canonical value: terms sorted by
+(v-exponent, s-exponent), denominator factors sorted by k.  Parsing a
+rendering therefore reproduces the canonical JSON exactly.
 
 One recursive-descent grammar reads both notations.  The tokenizer turns
 the LaTeX exponent `^{n}` into the plain `^n` and keeps `\\frac{`, `}{` and
@@ -19,7 +22,6 @@ before anything is multiplied.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .ring import MAX_EXPONENT, LaurentPoly, SkeinScalar, check_degree, check_slots
@@ -32,7 +34,8 @@ FORMATS = ("plain", "json", "latex")
 def render_scalar(x: SkeinScalar, fmt: str = "plain") -> str:
     """`x` in one of FORMATS; ValueError for any other format."""
     if fmt == "json":
-        return json.dumps(x.to_json(), separators=(",", ":"))
+        den = ",".join(f'{{"k":{k},"mult":{mult}}}' for k, mult in x.den)
+        return f'{{"num":{x.num.json_text()},"den":[{den}]}}'
     return x.format(fmt)
 
 

@@ -1,0 +1,34 @@
+"""Ring helpers used only by the tests."""
+
+from hopflinks.ring import LaurentPoly
+
+# Per style: exponent template and factor joiner.
+_NOTATION = {"plain": ("^{}", "*"), "latex": ("^{{{}}}", " ")}
+
+
+def reference_format(p: LaurentPoly, style: str) -> str:
+    """The notation of `LaurentPoly.format`, put together term by term.
+
+    This is the formatter the ring used before it wrote each row at once:
+    every term builds its list of factors, each factor by its own power,
+    and joins them.  It reads the same decoded rows.
+    """
+    power, times = _NOTATION[style]
+
+    def factor(base: str, exp: int) -> str:
+        return base if exp == 1 else base + power.format(exp)
+
+    chunks: list[str] = []
+    for ev, lo, step, coeffs in p._decoded():
+        v = [factor("v", ev)] if ev else []
+        for j, c in enumerate(coeffs):
+            if c:
+                es = lo + step * j
+                factors = v + [factor("s", es)] if es else v
+                if c not in (1, -1) or not factors:
+                    factors = [str(abs(c)), *factors]
+                chunks.append(("- " if c < 0 else "+ ") + times.join(factors))
+    if not chunks:
+        return "0"
+    text = " ".join(chunks)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

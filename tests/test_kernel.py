@@ -392,11 +392,50 @@ def slot_rows(w):
     return st.lists(coeff, min_size=1, max_size=12).map(lambda row: row[:-1] + [row[-1] or top])
 
 
+@contextmanager
+def bulk_from(slots: int):
+    """Let `_decode` take its bulk pass from `slots` slots on."""
+    saved = ring._BULK_MIN_SLOTS
+    ring._BULK_MIN_SLOTS = slots
+    try:
+        yield
+    finally:
+        ring._BULK_MIN_SLOTS = saved
+
+
 @given(st.sampled_from([48, 96, 192]).flatmap(lambda w: st.tuples(st.just(w), st.lists(slot_rows(w), max_size=6))))
 def test_bulk_decode_matches_per_slot_unpack(case):
     w, rows = case
     packed = [_pack(row, w) for row in rows]
     assert _decode(packed, w) == [_unpack(row, w) for row in packed] == rows
+    with bulk_from(0):  # the bulk pass below the crossover too
+        assert _decode(packed, w) == rows
+
+
+@pytest.mark.parametrize("nrows", [1, 2, 5])
+@pytest.mark.parametrize("shift", [-ring._BULK_MIN_SLOTS + 5, -1, 0, 1, 20])
+def test_decode_routes_by_slot_count(monkeypatch, nrows, shift):
+    # Rows of `_BULK_MIN_SLOTS + shift` slots in all, edge values among
+    # them: below the crossover each row is `_unpack`ed, from it on none is,
+    # and both read the same coefficients.  A top slot of 1 keeps the
+    # bit-length count of the slots exact.
+    top = (1 << 47) - 1
+    slots = ring._BULK_MIN_SLOTS + shift
+    values = [top, -top, 0, 1, -1, 1 << 40, -(1 << 46)]
+    flat = [values[i % len(values)] for i in range(slots)]
+    sizes = [slots // nrows + (i < slots % nrows) for i in range(nrows)]
+    rows = [flat[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(nrows)]
+    rows = [row[:-1] + [1] for row in rows]
+    packed = [_pack(row, 48) for row in rows]
+    calls = []
+    unpack = ring._unpack
+    monkeypatch.setattr(ring, "_unpack", lambda row, w: calls.append(row) or unpack(row, w))
+    assert _decode(packed, 48) == rows
+    assert len(calls) == (nrows if slots < ring._BULK_MIN_SLOTS else 0)
+    with bulk_from(0):
+        assert _decode(packed, 48) == rows
+    with bulk_from(1 << 20):
+        assert _decode(packed, 48) == rows
 
 
 def test_bulk_decode_edges(monkeypatch):

@@ -4,12 +4,13 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hopflinks.cli import main
 from hopflinks.hopf import HopfSpec, homfly_general
 from hopflinks.render import parse_scalar, render_scalar
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
+from ring_tools import reference_format
 
 exponents = st.integers(min_value=-3, max_value=3)
 polys = st.dictionaries(
@@ -225,6 +226,100 @@ def test_round_trip_on_pipeline_output():
     assert json.loads(blob) == value.to_json()
     assert parse_scalar(render_scalar(value, "plain")).to_json() == value.to_json()
     assert parse_scalar(render_scalar(value, "latex")).to_json() == value.to_json()
+
+
+# -- the row writers against the term-by-term renderings ------------------------
+
+# Coefficients from 2^47 up put a polynomial in 96-bit slots and beyond,
+# where `_decode` reads every row through `_unpack`; v in -3..3 and s in
+# -4..4 reach ev = +-1, es = +-1 and v-rows holding both s-parities.
+text_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**47, -(2**47), 2**47 - 1, 2**95, -(10**30)]),
+    st.integers(-(2**100), 2**100),
+)
+constants = st.integers(-3, 3) | st.sampled_from([2**47, -(2**60)])
+text_polys = st.one_of(
+    st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-4, 4)), text_coeffs, max_size=8),
+    constants.map(lambda c: {(0, 0): c}),  # zero, +-1 and other constants
+).map(LaurentPoly)
+dens = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)), max_size=3)
+
+# Cases each property must see whatever hypothesis draws: zero, the
+# constants +-1 and 7, a 96-bit slot, v^+-1 and s^+-1 with both s-parities
+# in one v-row, and unit coefficients beside and away from the factors.
+TEXT_EXAMPLES = [
+    {},
+    {(0, 0): 1},
+    {(0, 0): -1},
+    {(0, 0): 7},
+    {(0, 0): -(2**47)},
+    {(1, 1): 1, (1, 0): -1, (1, -1): 2**47, (-1, 1): -1, (-1, -2): 3, (0, 1): 1, (0, -1): -5},
+    {(-1, 0): 1, (1, 0): -1, (2, 3): -2, (2, 4): 1},
+]
+
+
+def with_text_examples(*extra):
+    """Run a test on each of TEXT_EXAMPLES, with `extra` as its further arguments."""
+    def decorate(test):
+        for terms in TEXT_EXAMPLES:
+            test = example(LaurentPoly(terms), *extra)(test)
+        return test
+    return decorate
+
+
+@with_text_examples([(1, 1), (3, 2)])
+@given(text_polys, dens)
+def test_json_writer_matches_json_dumps_of_to_json(p, den):
+    assert p.json_text() == json.dumps(p.to_json(), separators=(",", ":"))
+    x = SkeinScalar(p, den)
+    assert render_scalar(x, "json") == json.dumps(x.to_json(), separators=(",", ":"))
+
+
+@with_text_examples()
+@given(text_polys)
+def test_row_formatter_matches_the_term_by_term_reference(p):
+    for style in ("plain", "latex"):
+        assert p.format(style) == reference_format(p, style)
+        assert (-p).format(style) == reference_format(-p, style)
+
+
+def test_text_examples_reach_wide_slots_and_mixed_parity_rows():
+    # The fixed cases above hold what the strategies must reach.
+    polys = [LaurentPoly(terms) for terms in TEXT_EXAMPLES]
+    assert any(p._w == 96 for p in polys)
+    assert any(step == 1 for p in polys for _, _, step, _ in p._decoded())
+    assert any({-1, 1} <= {ev for ev, _, _ in p.terms()} for p in polys)
+    assert any({-1, 1} <= {es for _, es, _ in p.terms()} for p in polys)
+
+
+# sha256 of the JSON, LaTeX and plain renderings of H(k1,k2;n1,n2) for
+# k1+k2 <= 4, n1+n2 <= 8, one line each, taken while every rendering was
+# still put together term by term.
+PINNED_GRID_SHA256 = {
+    "json": "9417b821f64a229335b656a1af15aaa5a05b1d45672b7bf40809acb6ff3c3a79",
+    "latex": "b2706e6f87126142034078f7a6fc3c2bba0f7af64fa4c59b4578f3dc6290767c",
+    "plain": "4cd4c13abadcd7b140090fa4ddf2ca761be37fd4267de0afb6ede2b904bca5cb",
+}
+
+
+def test_renderings_of_the_675_spec_grid():
+    digests = {fmt: hashlib.sha256() for fmt in PINNED_GRID_SHA256}
+    specs = 0
+    for k1 in range(5):
+        for k2 in range(5 - k1):
+            for n1 in range(9):
+                for n2 in range(9 - n1):
+                    value = homfly_general(HopfSpec(k1, k2, n1, n2))
+                    specs += 1
+                    text = render_scalar(value, "json")
+                    assert text == json.dumps(value.to_json(), separators=(",", ":"))
+                    for style in ("plain", "latex"):
+                        assert value.num.format(style) == reference_format(value.num, style)
+                    for fmt, digest in digests.items():
+                        digest.update((text if fmt == "json" else render_scalar(value, fmt)).encode() + b"\n")
+    assert specs == 675
+    assert {fmt: digest.hexdigest() for fmt, digest in digests.items()} == PINNED_GRID_SHA256
 
 
 def test_sum_calls_add_a_constant_number_of_times(monkeypatch):
