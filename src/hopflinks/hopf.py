@@ -8,6 +8,14 @@ finite sum of eigenvalue powers times plane evaluations.  The two
 components of the Hopf link are interchangeable, H(k1,k2;n1,n2) =
 H(n1,n2;k1,k2), so the sum runs over whichever family has fewer
 eigenbasis labels and costs the smaller of the two label counts.
+
+What a sum needs of its core alone is made once per core
+(`_core_weights`): the labels, each with its multiplicity times the
+numerator of its plane evaluation, grouped by that evaluation's
+denominator, and the cofactor that raises each group to the lcm of them
+all.  A request then adds numerators only: per group, the products of
+the two eigenvalue powers and the weight, and each group sum times its
+cofactor, over the lcm times z^(k1 + k2).
 Conventions are pinned so that H(1,0;1,0) is the positive Hopf link with
 value delta^2 + v^{-2} - 1.
 """
@@ -15,12 +23,13 @@ value delta^2 + v^{-2} - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .basis import monomial_to_eigen, plane_eval_eigen
 from .meridian import ccw_power
 from .partitions import BasisLabel, label_count
-from .ring import SkeinScalar, check_slots, json_int, json_item, json_list
+from .ring import SkeinScalar, _cofactor, check_slots, json_int, json_item, json_list
 
 __all__ = [
     "HopfSpec",
@@ -68,18 +77,49 @@ def homfly_general(spec: HopfSpec) -> SkeinScalar:
     return _core_sum(spec)
 
 
+@cache
+def _core_weights(n1: int, n2: int) -> tuple[tuple[tuple[int, int], ...], tuple]:
+    """The common denominator `top` of the (n1, n2) core and its weight groups.
+
+    The core's labels are grouped by the denominator of their plane
+    evaluation, in order of first appearance.  A group holds one
+    (label, swapped label, multiplicity times plane-evaluation numerator)
+    entry per label and the cofactor that raises its denominator to `top`,
+    the lcm of them all; None when it is `top` already.  `top` is fixed per
+    core, even where a group's terms cancel; the canonical form, and so
+    every output, does not depend on it.
+    """
+    groups: dict[tuple[tuple[int, int], ...], list] = {}
+    for label, mult in monomial_to_eigen(n1, n2).items():
+        weight = plane_eval_eigen(label)
+        groups.setdefault(weight._den, []).append((label, BasisLabel(label.pos, label.neg), weight._num * mult))
+    lcm: dict[int, int] = {}
+    for den in groups:
+        for k, mult in den:
+            lcm[k] = max(lcm.get(k, 0), mult)
+    top = tuple(sorted(lcm.items()))
+    cofactors = [None if den == top else _cofactor(dict(den), lcm) for den in groups]
+    return top, tuple(zip(cofactors, map(tuple, groups.values())))
+
+
 def _core_sum(spec: HopfSpec) -> SkeinScalar:
     """H(k1, k2; n1, n2) summed over the eigenbasis labels of the (n1, n2) core.
 
-    The clockwise eigenvalue of a label is the counterclockwise one of the
-    swapped label, so both powers come from `ccw_power`'s cache.
+    The term of a label is its ccw power k1 times the ccw power k2 of the
+    swapped label (its cw power, as in `cw_eigenvalue`) times its weight;
+    every power is over z^k, so the sum is over `top` times z^(k1 + k2).
     """
-    return SkeinScalar.sum(
-        ccw_power(label, spec.k1)
-        * ccw_power(BasisLabel(label.pos, label.neg), spec.k2)
-        * (plane_eval_eigen(label) * mult)
-        for label, mult in monomial_to_eigen(spec.n1, spec.n2).items()
-    )
+    k1, k2 = spec.k1, spec.k2
+    top, groups = _core_weights(spec.n1, spec.n2)
+    total = None
+    for cofactor, entries in groups:
+        part = None
+        for label, swapped, weight in entries:
+            term = ccw_power(label, k1)._num * ccw_power(swapped, k2)._num * weight
+            part = term if part is None else part + term
+        part = part if cofactor is None else part * cofactor
+        total = part if total is None else total + part
+    return SkeinScalar(total, top + ((1, k1 + k2),) if k1 + k2 else top)
 
 
 class DecorationTerm(NamedTuple):

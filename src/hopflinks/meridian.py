@@ -7,8 +7,9 @@ The eigenvalue attached to a label is a content sum over the two shapes
 weighted by v^{-1} or -v, plus the unknot value; it is built as one
 numerator over z = s - s^{-1}, the unknot value's denominator.  The
 closed form raises these eigenvalues to string counts; `ccw_power` keeps
-each (label, n) power it has made, so a sweep over string counts builds
-each power once.
+each (label, n) power it has made and builds it as the power below times
+the eigenvalue, one product by a two-row value, so a sweep over string
+counts builds each power once and with one product.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ __all__ = [
     "ccw_eigenvalue",
     "ccw_power",
     "cw_eigenvalue",
-    "same_sense_eigenvalue",
-    "opposite_sense_eigenvalue",
     "plane_eval_single",
     "plane_eval_product",
 ]
@@ -49,10 +48,17 @@ def ccw_eigenvalue(label: BasisLabel) -> SkeinScalar:
 def ccw_power(label: BasisLabel, n: int) -> SkeinScalar:
     """ccw_eigenvalue(label) ** n, made once per (label, n).
 
-    The power is the ring's one power loop; the clockwise power of a label
-    is `ccw_power` of the swapped label, as in `cw_eigenvalue`.
+    From n = 2 on it is `ccw_power(label, n - 1)` times the eigenvalue.  A
+    miss first asks for the powers below it in increasing order, so each
+    is a cache hit or one product over a hit, and no recursion deepens
+    with n.  The clockwise power of a label is `ccw_power` of the swapped
+    label, as in `cw_eigenvalue`.
     """
-    return ccw_eigenvalue(label) ** n
+    if n < 2:
+        return ccw_eigenvalue(label) ** n
+    for m in range(2, n):
+        ccw_power(label, m)
+    return ccw_power(label, n - 1) * ccw_eigenvalue(label)
 
 
 def cw_eigenvalue(label: BasisLabel) -> SkeinScalar:
@@ -61,16 +67,6 @@ def cw_eigenvalue(label: BasisLabel) -> SkeinScalar:
     Equals the counterclockwise eigenvalue of the swapped label.
     """
     return ccw_eigenvalue(BasisLabel(label.pos, label.neg))
-
-
-def same_sense_eigenvalue(lam: Partition) -> SkeinScalar:
-    """Encircling loop oriented the same way as the strings it encircles."""
-    return ccw_eigenvalue(BasisLabel((), tuple(lam)))
-
-
-def opposite_sense_eigenvalue(lam: Partition) -> SkeinScalar:
-    """Encircling loop oriented against the strings it encircles."""
-    return ccw_eigenvalue(BasisLabel(tuple(lam), ()))
 
 
 @cache

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from meridian_tools import opposite_sense_eigenvalue, same_sense_eigenvalue
 
 from hopflinks import hopf
 from hopflinks.basis import monomial_to_eigen, plane_eval_eigen
@@ -11,6 +12,7 @@ from hopflinks.hopf import (
     DecorationTerm,
     HopfSpec,
     _core_sum,
+    _core_weights,
     check_symmetries,
     homfly_decorated,
     homfly_general,
@@ -19,11 +21,9 @@ from hopflinks.meridian import (
     ccw_eigenvalue,
     ccw_power,
     cw_eigenvalue,
-    opposite_sense_eigenvalue,
     plane_eval_single,
-    same_sense_eigenvalue,
 )
-from hopflinks.partitions import partitions_of, syt_count
+from hopflinks.partitions import BasisLabel, partitions_of, syt_count
 from hopflinks.render import render_scalar
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
 
@@ -138,12 +138,53 @@ def test_closed_form_bytes_match_the_fold():
         assert homfly_general(spec).to_json() == fold_terms(closed_form_terms(spec)).to_json(), spec
 
 
+def reference_core_sum(spec: HopfSpec) -> SkeinScalar:
+    """The sum as `SkeinScalar.sum` of one scalar per label, each regrouped by denominator.
+
+    This is the summation the closed form used before its per-core weight
+    groups: it builds every term as a scalar and finds the groups, their
+    lcm and cofactors again on each call.
+    """
+    return SkeinScalar.sum(
+        ccw_power(label, spec.k1)
+        * ccw_power(BasisLabel(label.pos, label.neg), spec.k2)
+        * (plane_eval_eigen(label) * mult)
+        for label, mult in monomial_to_eigen(spec.n1, spec.n2).items()
+    )
+
+
+def test_core_sum_keeps_the_raw_value_of_the_scalar_sum():
+    # Numerator terms and denominator as stored, before any reduction, and
+    # the canonical JSON, on every spec with k1 + k2 <= 4 and n1 + n2 <= 8.
+    grid = _grid(4, 8)
+    assert len(grid) == 675
+    for spec in grid:
+        value, reference = _core_sum(spec), reference_core_sum(spec)
+        assert value._num.terms() == reference._num.terms(), spec
+        assert value._den == reference._den, spec
+        assert value.to_json() == reference.to_json(), spec
+
+
+def test_core_weights_is_a_functools_cache():
+    # bench/run.py clears every module-level cache with `cache_clear`
+    # before each cold round.
+    _core_weights.cache_clear()
+    assert _core_weights.cache_info().currsize == 0
+    # Two sums over the one core (3, 2) build its weight groups once.
+    _core_sum(HopfSpec(2, 1, 3, 2))
+    _core_sum(HopfSpec(1, 0, 3, 2))
+    info = _core_weights.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
 # sha256 of render_scalar(homfly_general(spec), "json") for the heaviest
 # sums that no other test or bench reference covers.
 HEAVY_SUM_SHA256 = {
     HopfSpec(5, 5, 5, 5): "3785568550a403283285a4010d3f6c59a24db69490d4974a5594ddb8e789189b",
     HopfSpec(3, 2, 8, 8): "feabf3035b40420e74c72baf7e74f197be872f9970e111e70fd126e38a610d67",
     HopfSpec(4, 3, 6, 5): "9ad540a33050aa0787aa35fff7daab09ac561d25667c3707de535202c49033aa",
+    # One label raised to a power of 140: a chain of 139 products.
+    HopfSpec(140, 0, 1, 0): "c8f8a8f99a045629290fc9eb90438c2ecf8a537911f1363bb5d8f1b7be8d1759",
 }
 
 
@@ -153,34 +194,26 @@ def test_heavy_sums_keep_their_bytes(spec):
     assert hashlib.sha256(text.encode()).hexdigest() == HEAVY_SUM_SHA256[spec]
 
 
-def test_repeated_sum_takes_no_new_power(monkeypatch):
-    calls = []
-    power = SkeinScalar.__pow__
-
-    def counted(self, n):
-        calls.append(n)
-        return power(self, n)
-
-    monkeypatch.setattr(SkeinScalar, "__pow__", counted)
+def test_repeated_sum_takes_no_new_power():
     ccw_power.cache_clear()
     spec = HopfSpec(2, 1, 3, 2)
     first = homfly_general(spec)
-    assert calls
-    calls.clear()
+    misses = ccw_power.cache_info().misses
+    assert misses
     assert homfly_general(spec).to_json() == first.to_json()
-    assert calls == []
+    assert ccw_power.cache_info().misses == misses
 
 
 @pytest.fixture
 def expanded_cores(monkeypatch):
-    """The (n1, n2) of every core that hopf expands in the eigenbasis, in order."""
+    """The (n1, n2) of every core that hopf looks up, in order, cached or not."""
     expanded = []
 
     def recording(n1, n2):
         expanded.append((n1, n2))
-        return monomial_to_eigen(n1, n2)
+        return _core_weights(n1, n2)
 
-    monkeypatch.setattr(hopf, "monomial_to_eigen", recording)
+    monkeypatch.setattr(hopf, "_core_weights", recording)
     return expanded
 
 

@@ -1,14 +1,16 @@
+import inspect
+import sys
+
 from hypothesis import given, strategies as st
+from meridian_tools import opposite_sense_eigenvalue, same_sense_eigenvalue
 from partition_tools import conjugate
 
 from hopflinks.meridian import (
     ccw_eigenvalue,
     ccw_power,
     cw_eigenvalue,
-    opposite_sense_eigenvalue,
     plane_eval_product,
     plane_eval_single,
-    same_sense_eigenvalue,
 )
 from hopflinks.partitions import BasisLabel, contents, partitions_of
 from hopflinks.ring import LaurentPoly, SkeinScalar, all_distinct, delta
@@ -137,6 +139,34 @@ def test_power_cache_matches_eigenvalue_powers():
             assert ccw_power(label, n) == ccw
             assert ccw_power(label, n).to_json() == ccw.to_json()
             assert ccw_power(swapped, n).to_json() == cw.to_json()
+
+
+def test_power_chain_has_the_raw_value_of_the_power_loop():
+    # ccw_power multiplies the power below by the eigenvalue; the ring's
+    # binary power loop is the reference, numerator and denominator as
+    # stored, before any reduction.
+    shapes = [lam for n in range(5) for lam in partitions_of(n)]
+    cases = [(BasisLabel(lam, mu), n) for lam in shapes for mu in shapes for n in range(31)]
+    assert len(cases) == 144 * 31
+    cases += [(BasisLabel((), (1,)), 64), (BasisLabel((), (1,)), 77), (BasisLabel((1,), (2,)), 45)]
+    for label, n in cases:
+        power, reference = ccw_power(label, n), ccw_eigenvalue(label) ** n
+        assert power._num == reference._num and power._den == reference._den, (label, n)
+
+
+def test_power_chain_stays_below_a_lowered_recursion_limit():
+    # A cold power of 400 is a chain of 399 products, which must not nest
+    # one call per step: the limit sits 50 frames above this test.
+    label = BasisLabel((), ())
+    ccw_power.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        power = ccw_power(label, 400)
+    finally:
+        sys.setrecursionlimit(limit)
+    reference = delta() ** 400
+    assert power._num == reference._num and power._den == reference._den
 
 
 def test_power_cache_is_a_functools_cache():
