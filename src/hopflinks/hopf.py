@@ -108,6 +108,7 @@ def _core_sum(spec: HopfSpec) -> SkeinScalar:
     The term of a label is its ccw power k1 times the ccw power k2 of the
     swapped label (its cw power, as in `cw_eigenvalue`) times its weight;
     every power is over z^k, so the sum is over `top` times z^(k1 + k2).
+    A power 0 is the constant 1 and is not multiplied in.
     """
     k1, k2 = spec.k1, spec.k2
     top, groups = _core_weights(spec.n1, spec.n2)
@@ -115,7 +116,12 @@ def _core_sum(spec: HopfSpec) -> SkeinScalar:
     for cofactor, entries in groups:
         part = None
         for label, swapped, weight in entries:
-            term = ccw_power(label, k1)._num * ccw_power(swapped, k2)._num * weight
+            if k1 and k2:
+                term = ccw_power(label, k1)._num * ccw_power(swapped, k2)._num * weight
+            elif k1 or k2:
+                term = (ccw_power(label, k1) if k1 else ccw_power(swapped, k2))._num * weight
+            else:
+                term = weight
             part = term if part is None else part + term
         part = part if cofactor is None else part * cofactor
         total = part if total is None else total + part

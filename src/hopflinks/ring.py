@@ -26,15 +26,14 @@ certify is screened and certified again at the next wider slot.  It is
 the one division: s^k - s^{-k} is divided out as its Phi_e(t), e | k.
 
 Terms are read out of the rows only to serialize, format or substitute
-(`_decode`).  At the base slot width on a little-endian host the rows of
-a polynomial of 16 slots or more are decoded in one pass: the biased
-slot bytes of all rows are joined, spread into 64-bit lanes by strided
-slice assignment, sign-extended through a byte table and read back by
-one `memoryview.cast`.  Fewer slots, wider slots, and big-endian hosts
-take `_unpack`, one `int.from_bytes` per slot.  Text is written straight
-from the decoded rows, with no object per term: `json_text` writes each
-v-row's `{"v":ev,"s":` head once, and `format` each v-row's factor text
-once, so a term is one f-string of its exponent and coefficient.
+(`_decode`).  At the base slot width of 32 bits on a little-endian host
+the rows of a polynomial are decoded in one pass: their biased slot
+bytes are joined and read back by one `memoryview.cast("i")`.  Wider
+slots and big-endian hosts take `_unpack`, one `int.from_bytes` per slot.
+Text is written straight from the decoded rows, with no object per term:
+`json_text` writes each v-row's `{"v":ev,"s":` head once, and `format`
+each v-row's factor text once, so a term is one f-string of its exponent
+and coefficient.
 
 All values are immutable; operations are pure functions and safe to
 share between threads without locking (a cached canonical form is only
@@ -47,6 +46,7 @@ import operator
 import sys
 from functools import cache, reduce
 from itertools import accumulate
+from math import comb
 from typing import Iterable
 
 __all__ = [
@@ -72,9 +72,11 @@ MAX_EXPONENT = 4096
 # slots per v-row.
 MAX_SLOTS = 1 << 16
 
-# Slot widths run 48, 96, 192, ... bits, so operands rarely differ in width.
-# Closed-form coefficients up to 7 core strings stay below 2^24.
-_BASE_WIDTH = 48
+# Slot widths run 32, 64, 128, 192, 256, ... bits (`_width`), so operands
+# rarely differ in width.
+# The closed-form products of up to 7 core and 5 encircling strings have
+# coefficients below 2^17 and carry bounds below 2^28.
+_BASE_WIDTH = 32
 
 # Per style: the text before and after an exponent, factor joiner,
 # fraction, denominator joiner.
@@ -138,8 +140,16 @@ def _pow(base, n: int):
 
 
 def _width(bits: int) -> int:
-    """Narrowest slot width w > bits, so it holds coefficients with |c| < 2^bits."""
-    return _BASE_WIDTH << (bits // _BASE_WIDTH).bit_length()
+    """Narrowest slot width w > bits, so it holds coefficients with |c| < 2^bits.
+
+    The widths run 32, 64, 128 and then 192, 256, 384, 512, ...: above 128
+    bits each power of two is preceded by three quarters of it.  A long
+    power chain (`meridian.ccw_power`) multiplies every power by a
+    three-slot row, at a cost that grows with the square of the width,
+    so its products must not run at nearly twice the width they need.
+    """
+    w = _BASE_WIDTH << (bits // _BASE_WIDTH).bit_length()
+    return w * 3 >> 2 if w > 4 * _BASE_WIDTH and bits < w * 3 >> 2 else w
 
 
 def _repeat(value: int, w: int, n: int) -> int:
@@ -174,47 +184,26 @@ def _unpack(row: int, w: int) -> list[int]:
     return [int.from_bytes(data[i : i + step], "little", signed=True) for i in range(0, n * step, step)]
 
 
-# The bulk decode reads 64-bit lanes in the host's byte order.
+# The bulk decode reads 32-bit C ints in the host's byte order.
 _BULK = sys.byteorder == "little"
-# Fewest slots, counted over all rows as `LaurentPoly._slots` counts them,
-# that the bulk decode takes on (see `_decode`).
-_BULK_MIN_SLOTS = 16
-# Byte -> the fill of the lane bytes above a base-width slot whose top byte it is.
-_SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
 
 
 def _decode(rows: list[int], w: int) -> list[list[int]]:
     """The slot coefficients of each packed row, lowest first, as `_unpack` gives them.
 
-    At the base width on a little-endian host, rows of at least
-    _BULK_MIN_SLOTS slots in all are decoded together: their biased slot
-    bytes are joined, copied into 64-bit lanes by strided slice
-    assignment, sign-extended through a byte table, and read back by one
-    `memoryview.cast`.  Otherwise each row is `_unpack`ed.  The slots are
-    counted from the rows' bit lengths, as `LaurentPoly._slots` counts
-    them: exactly, or up to one per row too many.
-
-    The bulk pass has a fixed cost of several slices and joins, so on few
-    slots the per-slot reads win.  The crossover was measured on 1 to 6
-    rows of random slots, 2 to 48 slots in all, timing both decodes
-    interleaved and keeping the least of 9 repeats of 3,000 calls
-    (CPython 3.11, shared x86-64 host): `_unpack` was faster at every row
-    count up to 12 slots, both were within the host's noise at 12 to 16,
-    and the bulk pass was faster from 18 slots on (10 us against 16 us on
-    4 rows of 6).
+    At the base width on a little-endian host the biased slot bytes of
+    all rows, two's-complement 32-bit integers, are joined and read back
+    by one `memoryview.cast("i")`.  Otherwise each row is `_unpack`ed.
+    The bulk pass needs no slot count to pay off: timed against `_unpack`
+    on 1 to 6 rows of 1 to 48 slots (least of 9 repeats of 5,000 calls,
+    CPython 3.11, shared x86-64 host), it was within the host's noise on
+    one or two slots and faster from four on (2.7 us against 6.4 us on
+    one row of 12, 6.2 us against 27 us on two rows of 24).
     """
-    if w != _BASE_WIDTH or not _BULK or sum(map(int.bit_length, rows)) // w + len(rows) < _BULK_MIN_SLOTS:
+    if w != _BASE_WIDTH or not _BULK:
         return [_unpack(row, w) for row in rows]
-    step = w >> 3
     parts = [_biased(row, w) for row in rows]
-    data = b"".join(part for part, _ in parts)
-    lanes = bytearray(len(data) // step * 8)
-    for i in range(step):
-        lanes[i::8] = data[i::step]
-    fill = data[step - 1 :: step].translate(_SIGN_FILL)
-    for i in range(step, 8):
-        lanes[i::8] = fill
-    flat = memoryview(lanes).cast("q").tolist()
+    flat = memoryview(b"".join([part for part, _ in parts])).cast("i").tolist()
     out, start = [], 0
     for _, n in parts:
         out.append(flat[start : start + n])
@@ -284,9 +273,9 @@ def check_degree(den: Iterable[tuple[int, int]]) -> None:
         raise ValueError(f"denominator degree exceeds the bound {MAX_EXPONENT}")
 
 
-def _new(rows: dict[int, tuple[int, int]], w: int, bits: int) -> "LaurentPoly":
+def _new(rows: dict[int, tuple[int, int]], w: int, cap: int, l1: int) -> "LaurentPoly":
     p = LaurentPoly.__new__(LaurentPoly)
-    p._rows, p._w, p._bits = rows, w, bits
+    p._rows, p._w, p._cap, p._l1 = rows, w, cap, l1
     return p
 
 
@@ -299,22 +288,27 @@ class LaurentPoly:
     with the coefficient of v^ev s^(2 (lo+j) + p) as signed digit j.  A
     product adds keys and carries two odd parities into lo.  The layout is
     private: terms, spans and renderings speak of s-exponents.  Exactness
-    rests on `_bits`, a certified |c| < 2^_bits <= 2^(w-1): before an
-    operation whose result could leave the slots, the bound is tightened
-    by mask tests and, failing that, the operands are re-encoded at a
-    wider w.  Tightening only ever writes a valid bound, so values stay
-    safe to share between threads.
+    rests on two carried bounds, `_cap` >= max |c| with `_cap` < 2^(w-1),
+    and `_l1` >= sum |c|.  They are exact at construction; a sum adds
+    them, a product by n scales them by |n|, and a product of polynomials
+    takes `_cap` = min(cap_a l1_b, l1_a cap_b) and `_l1` = l1_a l1_b, as
+    every product coefficient sums terms a_i b_j over distinct pairs.  Before
+    an operation whose result could leave the slots, the bounds are
+    tightened by mask tests and, failing that, the operands are re-encoded
+    at a wider w.  Tightening only ever writes valid bounds, so values
+    stay safe to share between threads.
     """
 
-    __slots__ = ("_rows", "_w", "_bits")
+    __slots__ = ("_rows", "_w", "_cap", "_l1")
 
     def __init__(self, terms: dict[ExponentPair, int] | Iterable[tuple[ExponentPair, int]] | None = None):
         self._pack_rows(_grouped(terms))
 
     def _pack_rows(self, data: dict[int, dict[int, int]]) -> None:
-        """Pack {key: {t: c}} (no zero c) into rows at the narrowest width."""
-        self._bits = max((abs(c).bit_length() for row in data.values() for c in row.values()), default=0)
-        self._w = _width(self._bits)
+        """Pack {key: {t: c}} (no zero c) into rows at the narrowest width, with exact bounds."""
+        sizes = [abs(c) for row in data.values() for c in row.values()]
+        self._cap, self._l1 = max(sizes, default=0), sum(sizes)
+        self._w = _width(self._cap.bit_length())
         self._rows = {
             key: (min(row), _pack([row.get(t, 0) for t in range(min(row), max(row) + 1)], self._w))
             for key, row in data.items()
@@ -324,7 +318,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return _new({}, _BASE_WIDTH, 0)
+        return _new({}, _BASE_WIDTH, 0, 0)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -335,8 +329,8 @@ class LaurentPoly:
         """The single term coeff * v^v * s^s."""
         if not coeff:
             return cls.zero()
-        bits = abs(coeff).bit_length()
-        return _new({2 * v + (s & 1): (s >> 1, coeff)}, _width(bits), bits)
+        size = abs(coeff)
+        return _new({2 * v + (s & 1): (s >> 1, coeff)}, _width(size.bit_length()), size, size)
 
     @classmethod
     def brackets(cls, counts: Iterable[tuple[int, int]]) -> "LaurentPoly":
@@ -349,11 +343,13 @@ class LaurentPoly:
         packed rows.  Taken by decreasing c, E_k starts at minus the sum of
         the k largest contents, so each shift is known in advance.  The
         coefficients of a row share its sign, so no slot cancels and every
-        row stays trimmed, and each is at most C(n, k) < 2^n in size.
+        row stays trimmed, and each is at most C(n, k) in size.  The
+        coefficients of row k sum to C(n, k) in size, so sum |c| is 2^n.
         """
         cs = sorted((c for c, mult in counts for _ in range(mult)), reverse=True)
         n, total = len(cs), sum(cs)
-        w = _width(max(n, 1))
+        cap = comb(n, n >> 1)
+        w = _width(cap.bit_length())
         rows = [1]
         for m, c in enumerate(cs):
             rows.append(-rows[-1])
@@ -361,7 +357,7 @@ class LaurentPoly:
                 rows[k] -= rows[k - 1] << (w * (cs[k - 1] - c))
         lows = accumulate(cs, initial=0)  # E_k starts at t^-(c_1 + ... + c_k)
         keys = range((total & 1) - 2 * n, 2 * n + 2, 4)  # 2 (2k - n) + parity of C
-        return _new({key: ((total >> 1) - low, row) for key, low, row in zip(keys, lows, rows)}, w, max(n, 1))
+        return _new({key: ((total >> 1) - low, row) for key, low, row in zip(keys, lows, rows)}, w, cap, 1 << n)
 
     # -- packed rows ---------------------------------------------------
 
@@ -373,23 +369,25 @@ class LaurentPoly:
         coeffs = _decode([row for _, row in rows], self._w)
         return {key: (lo, _pack(cs, w)) for key, (lo, _), cs in zip(self._rows, rows, coeffs)}
 
-    def _fit(self) -> int:
-        """Tighten the bound to the first multiple of 8 bits the mask tests prove."""
-        rows = [row for _, row in self._rows.values()]
-        for bits in range(8, self._bits, 8):
-            if _within(rows, self._w, bits):
-                self._bits = bits
-                break
-        return self._bits
+    def _fit(self) -> None:
+        """Tighten `_cap` to 2^(b-1), b the least multiple of 8 bits the mask tests prove, and `_l1` to match.
 
-    def _room(self, other: "LaurentPoly", combine, extra: int) -> tuple[int, int]:
-        """Width and bound for |c| < 2^(combine(bounds) + extra), tightened only when it reaches the slot."""
-        w = max(self._w, other._w)
-        bits = combine(self._bits, other._bits) + extra
-        if bits >= w:
-            bits = combine(self._fit(), other._fit()) + extra
-            w = max(w, _width(bits))
-        return w, bits
+        A pass at b proves -2^(b-1) <= c < 2^(b-1), and passing is monotone
+        in b, so the least b is found by bisection over the multiples of 8
+        that would lower `_cap`.
+        """
+        rows = [row for _, row in self._rows.values()]
+        top = (self._cap.bit_length() - 1) >> 3  # 2^(8 top - 1) < _cap
+        lo, hi = 1, top + 1
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if _within(rows, self._w, mid << 3):
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo <= top:
+            self._cap = 1 << ((lo << 3) - 1)
+            self._l1 = min(self._l1, self._cap * self._slots())
 
     def _slots(self) -> int:
         """Upper bound on the number of stored slots."""
@@ -449,7 +447,11 @@ class LaurentPoly:
             other = LaurentPoly.term(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        w, bits = self._room(other, max, 1)
+        w = max(self._w, other._w)
+        if (self._cap + other._cap).bit_length() >= w:
+            self._fit()
+            other._fit()
+            w = max(w, _width((self._cap + other._cap).bit_length()))
         out = dict(self._at(w))
         for ev, (lo, row) in other._at(w).items():
             lo0, row0 = out.pop(ev, (lo, 0))
@@ -457,12 +459,12 @@ class LaurentPoly:
             total = (row0 << (w * (lo0 - base))) + (row << (w * (lo - base)))
             if total:
                 out[ev] = _trim(base, total, w)
-        return _new(out, w, bits)
+        return _new(out, w, self._cap + other._cap, self._l1 + other._l1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return _new({ev: (lo, -row) for ev, (lo, row) in self._rows.items()}, self._w, self._bits)
+        return _new({ev: (lo, -row) for ev, (lo, row) in self._rows.items()}, self._w, self._cap, self._l1)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         return self + -other if isinstance(other, (int, LaurentPoly)) else NotImplemented
@@ -474,16 +476,23 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other or not self._rows:
                 return LaurentPoly.zero()
-            # Each row is scaled; against zero's bound 0, `_room` gives |c n| < 2^(bits + n.bit_length()).
-            w, bits = self._room(LaurentPoly.zero(), max, other.bit_length())
-            return _new({key: (lo, row * other) for key, (lo, row) in self._at(w).items()}, w, bits)
+            n = abs(other)
+            if (self._cap * n).bit_length() >= self._w:
+                self._fit()
+            cap = self._cap * n
+            w = max(self._w, _width(cap.bit_length()))
+            return _new({key: (lo, row * other) for key, (lo, row) in self._at(w).items()}, w, cap, self._l1 * n)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self._rows or not other._rows:
             return LaurentPoly.zero()
-        # A product coefficient sums at most as many terms as either factor has slots.
-        spread = (min(self, other, key=lambda p: len(p._rows))._slots() - 1).bit_length()
-        w, bits = self._room(other, int.__add__, spread)
+        w = max(self._w, other._w)
+        cap = min(self._cap * other._l1, self._l1 * other._cap)
+        if cap.bit_length() >= w:
+            self._fit()
+            other._fit()
+            cap = min(self._cap * other._l1, self._l1 * other._cap)
+            w = max(w, _width(cap.bit_length()))
         b = [(kb, lb, rb) for kb, (lb, rb) in other._at(w).items()]
         acc: dict[int, list[int]] = {}  # key -> [lo, row]
         for ka, (la, ra) in self._at(w).items():
@@ -498,7 +507,7 @@ class LaurentPoly:
                     cur[1] += part << (w * (lo - cur[0]))
                 else:
                     cur[:] = lo, (cur[1] << (w * (cur[0] - lo))) + part
-        return _new({key: _trim(lo, row, w) for key, (lo, row) in acc.items() if row}, w, bits)
+        return _new({key: _trim(lo, row, w) for key, (lo, row) in acc.items() if row}, w, cap, self._l1 * other._l1)
 
     __rmul__ = __mul__
     __pow__ = _pow
@@ -527,7 +536,7 @@ class LaurentPoly:
         for e in _divisors(k):
             if (q := q.exact_div_phi(e)) is None:
                 return None
-        return _new(_shifted(q._rows, k), q._w, q._bits)
+        return _new(_shifted(q._rows, k), q._w, q._cap, q._l1)
 
     def exact_div_phi(self, d: int) -> "LaurentPoly | None":
         """Quotient by the cyclotomic polynomial Phi_d(s^2) when exact, else None.
@@ -557,7 +566,9 @@ class LaurentPoly:
                     return None
                 out[key] = (lo, quotient)
             if _within([row for _, row in out.values()], w, bits):
-                return _new(out, w, bits)
+                q = _new(out, w, 1 << (bits - 1), 0)
+                q._l1 = q._cap * q._slots()
+                return q
             w = _width(w)
 
     # -- serialization -------------------------------------------------
@@ -755,7 +766,7 @@ class SkeinScalar:
                     e[d] -= 1
                 else:
                     num = num * LaurentPoly(((0, 2 * j), c) for j, c in enumerate(reversed(_cyclotomic(d))))
-        self._canon = (_new(_shifted(num._rows, shift), num._w, num._bits), tuple(sorted(cover.items())))
+        self._canon = (_new(_shifted(num._rows, shift), num._w, num._cap, num._l1), tuple(sorted(cover.items())))
         return self._canon
 
     # -- constructors -------------------------------------------------

@@ -1,10 +1,12 @@
 import hashlib
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from meridian_tools import opposite_sense_eigenvalue, same_sense_eigenvalue
 
-from hopflinks import hopf
+from hopflinks import hopf, ring
 from hopflinks.basis import monomial_to_eigen, plane_eval_eigen
 from hopflinks.cli import _grid
 from hopflinks.hopf import (
@@ -163,6 +165,46 @@ def test_core_sum_keeps_the_raw_value_of_the_scalar_sum():
         assert value._num.terms() == reference._num.terms(), spec
         assert value._den == reference._den, spec
         assert value.to_json() == reference.to_json(), spec
+
+
+def clear_caches():
+    """Empty every module-level cache of the package, as a cold round starts."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopflinks"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def test_closed_sweep_products_stay_at_the_base_width(monkeypatch):
+    # From cold caches through the canonical form, every ring product of
+    # the bench's closed-form strata (k1 + k2 in 1..5, n1 + n2 in 5..7)
+    # carries bounds that keep it in base-width slots, with no mask-test
+    # tightening on the way: a looser bound fails here instead of showing
+    # only as a slowdown.
+    specs = [
+        HopfSpec(k1, k - k1, n1, n - n1) for k in range(1, 6) for k1 in range(k + 1) for n in (5, 6, 7)
+        for n1 in range(n + 1)
+    ]
+    assert len(specs) == 420
+    widths = Counter()
+    product = LaurentPoly.__mul__
+
+    def recorded(a, b):
+        out = product(a, b)
+        widths[out._w] += 1
+        return out
+
+    fits = []
+    clear_caches()
+    monkeypatch.setattr(LaurentPoly, "__mul__", recorded)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", recorded)
+    monkeypatch.setattr(LaurentPoly, "_fit", lambda p: fits.append(p))
+    for spec in specs:
+        homfly_general(spec).to_json()
+    assert sum(widths.values()) > 4000
+    assert set(widths) == {ring._BASE_WIDTH}
+    assert fits == []
 
 
 def test_core_weights_is_a_functools_cache():

@@ -107,9 +107,12 @@ def terms_of(p: LaurentPoly) -> dict:
     return {(ev, es): c for ev, es, c in p.terms()}
 
 
+W = ring._BASE_WIDTH
 BIG = [2**63, 2**64, -(2**64) - 1, 3**41, 10**40, -(10**40)]
-# Values at the edge of the 48- and 96-bit slots, and halves of those.
-EDGE = [2**47 - 1, -(2**47 - 1), 2**46 + 1, 2**23 - 1, -(2**23 - 1), 2**95 - 1]
+# Values at the edge of the base slot and twice it, and halves of those;
+# then the same at 48 and 96 bits, between the widths.
+EDGE = [2 ** (W - 1) - 1, -(2 ** (W - 1) - 1), 2 ** (W - 2) + 1, 2 ** (W // 2 - 1) - 1, -(2 ** (W // 2 - 1) - 1)]
+EDGE += [2 ** (2 * W - 1) - 1, 2**47 - 1, -(2**47 - 1), 2**46 + 1, 2**23 - 1, -(2**23 - 1), 2**95 - 1]
 coeffs = st.one_of(
     st.integers(-5, 5),
     st.sampled_from(BIG + EDGE),
@@ -212,37 +215,37 @@ def test_exact_div_phi_matches_reference(a, d):
 
 @given(st.integers(1, 24), st.data())
 def test_exact_div_phi_near_the_slot(d, data):
-    # Quotient coefficients at the edge of what certifies at w = 48: the
-    # division widens to 96 exactly when a coefficient leaves the mask.
-    _, bits = _phi_at(d, 48)
+    # Quotient coefficients at the edge of what certifies at the base width
+    # W: the division widens to 2W exactly when a coefficient leaves the mask.
+    _, bits = _phi_at(d, W)
     edge = 1 << (bits - 1)
     near = st.one_of(st.integers(edge - 2, edge + 2), st.integers(-edge - 2, -edge + 2), st.integers(-9, 9))
     q = data.draw(st.lists(near, min_size=1, max_size=8))
     q[0] = q[0] or 1
     a = {(0, j): c for j, c in enumerate(q) if c}
     product = LaurentPoly(dict_mul(a, phi(d)))
-    assert product._w == 48
+    assert product._w == W
     with division_route() as (widths, others):
         quotient = product.exact_div_phi(d)
     assert terms_of(quotient) == a
     inside = all(-edge <= c < edge for c in q)
-    assert quotient._w == (48 if inside else 96)
-    assert widths == ([48] if inside else [48, 96])
+    assert quotient._w == (W if inside else 2 * W)
+    assert widths == ([W] if inside else [W, 2 * W])
     assert others == []
 
 
 @pytest.mark.parametrize("d", range(1, 25))
 def test_exact_div_phi_runs_the_cofactor_route(d):
-    # A quotient slot one past the mask bound at w = 48 is not certified
-    # there; it is at 96, with no product and no other division.
-    _, bits = _phi_at(d, 48)
+    # A quotient slot one past the mask bound at the base width W is not
+    # certified there; it is at 2W, with no product and no other division.
+    _, bits = _phi_at(d, W)
     a = {(0, j): 1 << (bits - 1) for j in range(2 * d + 1)}
     product = LaurentPoly(dict_mul(a, phi(d)))
-    assert product._w == 48
+    assert product._w == W
     with division_route() as (widths, others):
         quotient = product.exact_div_phi(d)
     assert terms_of(quotient) == a
-    assert quotient._w == 96 and widths == [48, 96]
+    assert quotient._w == 2 * W and widths == [W, 2 * W]
     assert others == []
 
 
@@ -250,7 +253,7 @@ def test_exact_div_phi_false_pass_of_the_screen():
     # N(1 + t + t^2), t = s^2, at t = 2^w is N(2^2w + 2^w + 1), a multiple
     # of 3N = 2^w - 1 = Phi_1(2^w), though Phi_1(t) = t - 1 does not divide
     # it.  The quotient fails the mask, and at the next width the screen fails.
-    for w in (48, 96):
+    for w in (W, 2 * W):
         n = (2**w - 1) // 3
         p = LaurentPoly({(0, 0): n, (0, 2): n, (0, 4): n})
         assert p._w == w
@@ -316,21 +319,31 @@ def test_full_slots(edge):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_quotient_digits_beyond_the_dividend(sign):
-    # A tent of 32 coefficients peaking above 2^47 times s - s^{-1}: the
-    # product's coefficients fit 45 bits, so only the division's fold
-    # bound sees that its quotient needs a wider slot, and only the
-    # quotient's bound makes its square widen again.
-    c = sign * (2**43 + 1)
+    # A tent of 32 coefficients peaking above 2^(W-1), W the base width,
+    # times s - s^{-1}: the product's coefficients fit W - 3 bits, so only
+    # the division's fold bound sees that its quotient needs a wider slot,
+    # and only the quotient's bound makes its square widen again.
+    c = sign * (2 ** (W - 5) + 1)
     q = {(0, j): min(j + 1, 32 - j) * c for j in range(32)}
     f = dict_mul(q, binomial(1))
-    assert max(abs(x) for x in f.values()).bit_length() == 45
+    assert max(abs(x) for x in f.values()).bit_length() == W - 3
+    assert LaurentPoly(f)._w == W
     quotient = LaurentPoly(f).exact_div_factor(1)
+    assert quotient._w == 2 * W
     assert terms_of(quotient) == q
     assert terms_of(quotient * quotient) == dict_mul(q, q)
     assert terms_of(quotient + quotient) == dict_add(q, q)
 
 
-@given(st.sampled_from([48, 96]), st.data())
+def test_slot_widths_run_the_ladder():
+    # W, 2W, 4W, then three quarters of each further doubling before it.
+    ladder = [W, 2 * W, 4 * W] + [f * W << k for k in range(1, 8) for f in (3, 4)]
+    assert ladder == sorted(ladder) and ladder[3:5] == [6 * W, 8 * W]
+    for bits in range(ladder[-1]):
+        assert ring._width(bits) == min(w for w in ladder if w > bits), bits
+
+
+@given(st.sampled_from([W, 48, 2 * W, 96]), st.data())
 def test_packed_row_identities(w, data):
     half = 1 << (w - 1)
     row = data.draw(st.lists(st.integers(-half + 1, half - 1), min_size=1, max_size=9))
@@ -350,7 +363,7 @@ def within_reference(rows, bits):
 @st.composite
 def mask_case(draw):
     """A width, a bound, and rows of mixed lengths and signs with slots at and beside +-2^(bits-1)."""
-    w = draw(st.sampled_from([48, 96, 192]))
+    w = draw(st.sampled_from([W, 48, 2 * W, 96, 4 * W, 192]))
     bits = draw(st.integers(1, w - 1))
     top, edge = (1 << (w - 1)) - 1, 1 << (bits - 1)
     coeff = st.one_of(
@@ -366,7 +379,7 @@ def test_mask_test_over_rows_matches_per_slot_check(case):
     assert _within([_pack(row, w) for row in rows], w, bits) == within_reference(rows, bits)
 
 
-@pytest.mark.parametrize("w", [48, 96, 192])
+@pytest.mark.parametrize("w", [48, 96, 192, W, 2 * W, 4 * W])
 def test_mask_test_short_rows_beside_long_ones(w):
     bits = 16
     edge = 1 << (bits - 1)
@@ -392,62 +405,53 @@ def slot_rows(w):
     return st.lists(coeff, min_size=1, max_size=12).map(lambda row: row[:-1] + [row[-1] or top])
 
 
-@contextmanager
-def bulk_from(slots: int):
-    """Let `_decode` take its bulk pass from `slots` slots on."""
-    saved = ring._BULK_MIN_SLOTS
-    ring._BULK_MIN_SLOTS = slots
-    try:
-        yield
-    finally:
-        ring._BULK_MIN_SLOTS = saved
-
-
-@given(st.sampled_from([48, 96, 192]).flatmap(lambda w: st.tuples(st.just(w), st.lists(slot_rows(w), max_size=6))))
+@given(
+    st.sampled_from([W, 2 * W, 4 * W, 48]).flatmap(lambda w: st.tuples(st.just(w), st.lists(slot_rows(w), max_size=6)))
+)
 def test_bulk_decode_matches_per_slot_unpack(case):
+    # At the base width W the rows take the bulk pass, whatever their
+    # number and length; wider rows take `_unpack`.
     w, rows = case
     packed = [_pack(row, w) for row in rows]
     assert _decode(packed, w) == [_unpack(row, w) for row in packed] == rows
-    with bulk_from(0):  # the bulk pass below the crossover too
-        assert _decode(packed, w) == rows
 
 
 @pytest.mark.parametrize("nrows", [1, 2, 5])
-@pytest.mark.parametrize("shift", [-ring._BULK_MIN_SLOTS + 5, -1, 0, 1, 20])
+@pytest.mark.parametrize("shift", [-11, -1, 0, 1, 20])
 def test_decode_routes_by_slot_count(monkeypatch, nrows, shift):
-    # Rows of `_BULK_MIN_SLOTS + shift` slots in all, edge values among
-    # them: below the crossover each row is `_unpack`ed, from it on none is,
-    # and both read the same coefficients.  A top slot of 1 keeps the
-    # bit-length count of the slots exact.
-    top = (1 << 47) - 1
-    slots = ring._BULK_MIN_SLOTS + shift
-    values = [top, -top, 0, 1, -1, 1 << 40, -(1 << 46)]
-    flat = [values[i % len(values)] for i in range(slots)]
-    sizes = [slots // nrows + (i < slots % nrows) for i in range(nrows)]
-    rows = [flat[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(nrows)]
-    rows = [row[:-1] + [1] for row in rows]
-    packed = [_pack(row, 48) for row in rows]
+    # Rows of 16 + shift slots in all (5 to 36, around the 16 from which
+    # the bulk pass once began), edge values among them: at the base width
+    # W no row is `_unpack`ed, at 2W each one is, and both read the same
+    # coefficients.  A top slot of 1 keeps the bit-length count of the
+    # slots exact.
+    slots = 16 + shift
     calls = []
     unpack = ring._unpack
     monkeypatch.setattr(ring, "_unpack", lambda row, w: calls.append(row) or unpack(row, w))
-    assert _decode(packed, 48) == rows
-    assert len(calls) == (nrows if slots < ring._BULK_MIN_SLOTS else 0)
-    with bulk_from(0):
-        assert _decode(packed, 48) == rows
-    with bulk_from(1 << 20):
-        assert _decode(packed, 48) == rows
+    for w in (W, 2 * W):
+        top = (1 << (w - 1)) - 1
+        values = [top, -top, 0, 1, -1, 1 << (w - 8), -(1 << (w - 2))]
+        flat = [values[i % len(values)] for i in range(slots)]
+        sizes = [slots // nrows + (i < slots % nrows) for i in range(nrows)]
+        rows = [flat[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(nrows)]
+        rows = [row[:-1] + [1] for row in rows]
+        packed = [_pack(row, w) for row in rows]
+        calls.clear()
+        assert _decode(packed, w) == rows
+        assert len(calls) == (0 if w == W else nrows)
 
 
 def test_bulk_decode_edges(monkeypatch):
-    top = (1 << 47) - 1
-    rows = [[top], [-top], [1, 0, 0, -1], [-top, 0, top], [-1] * 5, [1 << 40, -(1 << 40)]]
-    packed = [_pack(row, 48) for row in rows]
-    assert _decode(packed, 48) == rows
+    top = (1 << (W - 1)) - 1
+    rows = [[top], [-top], [1, 0, 0, -1], [-top, 0, top], [-1] * 5, [1 << (W - 8), -(1 << (W - 8))]]
+    packed = [_pack(row, W) for row in rows]
+    assert _decode(packed, W) == rows
     p = LaurentPoly({(ev, es): c for ev, row in enumerate(rows) for es, c in enumerate(row)})
+    assert p._w == W
     text, terms = p.format("latex"), p.terms()
     # The path a big-endian host takes: every row through _unpack.
     monkeypatch.setattr(ring, "_BULK", False)
-    assert _decode(packed, 48) == rows
+    assert _decode(packed, W) == rows
     assert (p.format("latex"), p.terms()) == (text, terms)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from hopflinks import ring
 from hopflinks.cli import main
 from hopflinks.hopf import HopfSpec, homfly_general
 from hopflinks.render import parse_scalar, render_scalar
@@ -230,8 +231,8 @@ def test_round_trip_on_pipeline_output():
 
 # -- the row writers against the term-by-term renderings ------------------------
 
-# Coefficients from 2^47 up put a polynomial in 96-bit slots and beyond,
-# where `_decode` reads every row through `_unpack`; v in -3..3 and s in
+# Coefficients from 2^31 up put a polynomial in slots wider than the base
+# width, where `_decode` reads every row through `_unpack`; v in -3..3 and s in
 # -4..4 reach ev = +-1, es = +-1 and v-rows holding both s-parities.
 text_coeffs = st.one_of(
     st.integers(-3, 3),
@@ -246,7 +247,7 @@ text_polys = st.one_of(
 dens = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)), max_size=3)
 
 # Cases each property must see whatever hypothesis draws: zero, the
-# constants +-1 and 7, a 96-bit slot, v^+-1 and s^+-1 with both s-parities
+# constants +-1 and 7, a slot twice the base width, v^+-1 and s^+-1 with both s-parities
 # in one v-row, and unit coefficients beside and away from the factors.
 TEXT_EXAMPLES = [
     {},
@@ -287,7 +288,7 @@ def test_row_formatter_matches_the_term_by_term_reference(p):
 def test_text_examples_reach_wide_slots_and_mixed_parity_rows():
     # The fixed cases above hold what the strategies must reach.
     polys = [LaurentPoly(terms) for terms in TEXT_EXAMPLES]
-    assert any(p._w == 96 for p in polys)
+    assert any(p._w == 2 * ring._BASE_WIDTH for p in polys)
     assert any(step == 1 for p in polys for _, _, step, _ in p._decoded())
     assert any({-1, 1} <= {ev for ev, _, _ in p.terms()} for p in polys)
     assert any({-1, 1} <= {es for _, es, _ in p.terms()} for p in polys)

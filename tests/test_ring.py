@@ -1,10 +1,13 @@
 import json
 import operator
 from functools import cache
+from itertools import count
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hopflinks import ring
 from hopflinks.ring import (
     MAX_EXPONENT,
     LaurentPoly,
@@ -106,10 +109,13 @@ def test_delta_squared():
     assert delta() ** 2 == expected
 
 
-def assert_certified(p):
-    """Every coefficient below 2^_bits <= 2^(_w-1), and every row trimmed."""
-    assert p._bits <= p._w - 1
-    assert all(abs(c) < 1 << p._bits for _, _, c in p.terms())
+def assert_certified(p, exact=False):
+    """max |c| <= _cap < 2^(_w-1), sum |c| <= _l1 (both equal when `exact`), and every row trimmed."""
+    sizes = [abs(c) for _, _, c in p.terms()]
+    assert max(sizes, default=0) <= p._cap < 1 << (p._w - 1)
+    assert sum(sizes) <= p._l1
+    if exact:
+        assert (p._cap, p._l1) == (max(sizes, default=0), sum(sizes))
     assert all(row & ((1 << p._w) - 1) for _, row in p._rows.values())
 
 
@@ -120,6 +126,36 @@ def test_int_product_scales_the_rows(p, n):
     assert scaled == p * LaurentPoly.term(n)
     assert n * p == scaled
     assert_certified(scaled)
+
+
+# -- carried bounds -------------------------------------------------------------
+
+# Coefficients at the edges of the first two slot widths, and far beyond.
+EDGES = [(1 << (w - 1)) - 1 for w in (ring._BASE_WIDTH, 2 * ring._BASE_WIDTH)]
+bound_coeffs = st.one_of(
+    st.integers(-5, 5), st.sampled_from(EDGES + [-c for c in EDGES]), st.integers(-(1 << 100), 1 << 100)
+)
+bound_polys = st.dictionaries(st.tuples(exponents, exponents), bound_coeffs, max_size=6).map(LaurentPoly)
+
+
+@settings(deadline=None)
+@given(bound_polys, bound_polys, bound_coeffs, st.integers(1, 12), st.integers(-8, 8))
+@example(LaurentPoly({(0, 0): EDGES[0], (0, 2): -EDGES[0]}), LaurentPoly({(1, 1): EDGES[0]}), 3, 1, 2)
+def test_every_result_keeps_its_bounds(a, b, n, d, k):
+    # max |c| <= _cap < 2^(_w-1) and sum |c| <= _l1 on every result, and
+    # both exact where a polynomial is built from its terms.
+    phi = LaurentPoly(((0, 2 * j), c) for j, c in enumerate(cyclotomic(d)))
+    for p in (a, b, LaurentPoly.from_json(a.to_json()), LaurentPoly.term(n, k, -k), a.mirror(), a.s_inverse()):
+        assert_certified(p, exact=True)
+    chain = a * b * b * a
+    results = [a + b, a - b, -a, n - a, a * b, b * a, a * n, n * b, chain, chain + chain * n, a * phi]
+    results += [q for q in ((a * phi).exact_div_phi(d), a.exact_div_phi(d), chain.exact_div_factor(1)) if q is not None]
+    results.append(LaurentPoly.brackets([(k, abs(k)), (d, 3)]))
+    for p in results:
+        assert_certified(p)
+        p._fit()
+        assert_certified(p)
+    assert (a * phi).exact_div_phi(d) == a
 
 
 def test_scalar_times_int_keeps_its_denominator():
@@ -134,12 +170,15 @@ def test_scalar_times_int_keeps_its_denominator():
 bracket_counts = st.lists(st.tuples(st.integers(-12, 12), st.integers(0, 12)), max_size=8).filter(
     lambda counts: sum(m for _, m in counts) <= 60
 )
+# The fewest brackets whose bound C(n, n // 2) leaves the base slot.
+WIDE_BRACKETS = next(n for n in count() if comb(n, n >> 1) >> (ring._BASE_WIDTH - 1))
 
 
 @settings(deadline=None)
 @given(bracket_counts)
-@example([(c, 5) for c in range(-6, 6)])  # n = 60, past the 48-bit slot
-@example([(0, 47), (1, 1)])  # n = 48, the first count at 96 bits
+@example([(c, 5) for c in range(-6, 6)])  # n = 60, past the base slot
+@example([(0, WIDE_BRACKETS - 1), (1, 1)])  # the first count at twice the base width
+@example([(0, WIDE_BRACKETS - 1)])  # the last count at the base width
 @example([])
 def test_brackets_match_the_product_of_powers(counts):
     expected = LaurentPoly.one()
@@ -149,7 +188,8 @@ def test_brackets_match_the_product_of_powers(counts):
     assert p == expected
     assert_certified(p)
     n = sum(m for _, m in counts)
-    assert p._bits == max(n, 1) and p._w == (48 if n < 48 else 96)
+    assert p._cap == comb(n, n >> 1) and p._l1 == 1 << n
+    assert p._w == (ring._BASE_WIDTH if n < WIDE_BRACKETS else 2 * ring._BASE_WIDTH)
 
 
 def test_brackets_of_nothing_are_one():
@@ -501,7 +541,8 @@ def test_cyclotomic_factor_found_at_slot_edges():
     # Coefficients just below each slot width push the divisibility test
     # to its widening step; answering "not divisible" there would leave
     # a Phi_d in both numerator and denominator.
-    edges = [w - j for w in (48, 96, 192) for j in range(1, 17)]
+    base = ring._BASE_WIDTH
+    edges = [w - j for w in (base, 48, 2 * base, 96, 4 * base, 192) for j in range(1, 17)]
     for d in range(1, 31):
         phi = LaurentPoly(((0, i), c) for i, c in enumerate(cyclotomic(d)))
         k = d if d % 2 else d // 2
