@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .basis import monomial_to_eigen, plane_eval_eigen
 from .meridian import ccw_power
 from .partitions import BasisLabel, label_count
-from .ring import SkeinScalar, _cofactor, check_slots, json_int, json_item, json_list
+from .ring import SkeinScalar, check_slots, common_denominator, json_int, json_item, json_list
 
 __all__ = [
     "HopfSpec",
@@ -93,12 +93,7 @@ def _core_weights(n1: int, n2: int) -> tuple[tuple[tuple[int, int], ...], tuple]
     for label, mult in monomial_to_eigen(n1, n2).items():
         weight = plane_eval_eigen(label)
         groups.setdefault(weight._den, []).append((label, BasisLabel(label.pos, label.neg), weight._num * mult))
-    lcm: dict[int, int] = {}
-    for den in groups:
-        for k, mult in den:
-            lcm[k] = max(lcm.get(k, 0), mult)
-    top = tuple(sorted(lcm.items()))
-    cofactors = [None if den == top else _cofactor(dict(den), lcm) for den in groups]
+    top, cofactors = common_denominator(tuple(groups))
     return top, tuple(zip(cofactors, map(tuple, groups.values())))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import BasisLabel, Partition, cells, contents, hook_length
+from .partitions import BasisLabel, Partition, cells, contents, hook_lengths
 from .ring import LaurentPoly, SkeinScalar
 
 __all__ = [
@@ -78,9 +78,9 @@ def plane_eval_single(lam: Partition) -> SkeinScalar:
     """
     lam = tuple(lam)
     out = SkeinScalar.one()
-    for i, j in cells(lam):
+    for (i, j), hook in zip(cells(lam), hook_lengths(lam)):
         num = LaurentPoly({(-1, j - i): 1, (1, i - j): -1})
-        out = out * SkeinScalar(num, ((hook_length(lam, i, j), 1),))
+        out = out * SkeinScalar(num, ((hook, 1),))
     return out
 
 

@@ -662,12 +662,12 @@ def homfly_of_diagram(
     _check_cap(len(diagram.crossings), diagram.free_loops, max_crossings)
     diagram.validate()
     if not diagram.crossings:
-        return delta() ** diagram.free_loops
+        return _v_delta(0, diagram.free_loops)
     if memo is None:
         memo = {}
     value = _eval(diagram.crossings, memo)
     if diagram.free_loops:
-        value = value * delta() ** diagram.free_loops
+        value = value * _v_delta(0, diagram.free_loops)
     return value
 
 

@@ -16,7 +16,6 @@ __all__ = [
     "BasisLabel",
     "cells",
     "contents",
-    "hook_length",
     "hook_lengths",
     "partitions_of",
     "partition_counts",
@@ -46,16 +45,6 @@ def cells(lam: Partition) -> list[tuple[int, int]]:
 def contents(lam: Partition) -> list[int]:
     """Multiset of cell contents j - i, in row-major cell order."""
     return [j - i for i, j in cells(lam)]
-
-
-def hook_length(lam: Partition, i: int, j: int) -> int:
-    """Hook length of cell (i, j): arm + leg + 1."""
-    _check_partition(lam)
-    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
-        raise ValueError(f"cell ({i}, {j}) lies outside the diagram {lam!r}")
-    arm = lam[i - 1] - j
-    leg = sum(1 for r in range(i, len(lam)) if lam[r] >= j)
-    return arm + leg + 1
 
 
 def hook_lengths(lam: Partition) -> list[int]:

@@ -18,6 +18,12 @@ v-degree, so a row in s would hold a zero in every other slot.
 A product of brackets [N+c] = v^{-1} s^c - v s^{-c}, the numerator of a
 plane evaluation, is built straight into rows (`LaurentPoly.brackets`),
 and a product by an int scales each row: neither runs a row-pair product.
+Each value sits in the narrowest slot width above its carried coefficient
+bound, and the widths are the multiples of 32 bits (`_width`).
+
+A sum of scalars brings its factored denominators to their lcm with
+`common_denominator`, cached by the tuple of denominators; the closed
+form's per-core weight groups take theirs from it too.
 
 A Phi_e(t) is divided out on the packed rows (`LaurentPoly.exact_div_phi`):
 one integer remainder per row screens it, and one integer quotient per
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from collections import Counter
 from functools import cache, reduce
 from itertools import accumulate
 from math import comb
@@ -72,8 +79,7 @@ MAX_EXPONENT = 4096
 # slots per v-row.
 MAX_SLOTS = 1 << 16
 
-# Slot widths run 32, 64, 128, 192, 256, ... bits (`_width`), so operands
-# rarely differ in width.
+# Slot widths are the multiples of the base width (`_width`).
 # The closed-form products of up to 7 core and 5 encircling strings have
 # coefficients below 2^17 and carry bounds below 2^28.
 _BASE_WIDTH = 32
@@ -140,16 +146,8 @@ def _pow(base, n: int):
 
 
 def _width(bits: int) -> int:
-    """Narrowest slot width w > bits, so it holds coefficients with |c| < 2^bits.
-
-    The widths run 32, 64, 128 and then 192, 256, 384, 512, ...: above 128
-    bits each power of two is preceded by three quarters of it.  A long
-    power chain (`meridian.ccw_power`) multiplies every power by a
-    three-slot row, at a cost that grows with the square of the width,
-    so its products must not run at nearly twice the width they need.
-    """
-    w = _BASE_WIDTH << (bits // _BASE_WIDTH).bit_length()
-    return w * 3 >> 2 if w > 4 * _BASE_WIDTH and bits < w * 3 >> 2 else w
+    """Narrowest slot width w > bits, a multiple of the base width, so it holds coefficients with |c| < 2^bits."""
+    return (bits // _BASE_WIDTH + 1) * _BASE_WIDTH
 
 
 def _repeat(value: int, w: int, n: int) -> int:
@@ -655,17 +653,24 @@ Z = _s_binomial(1)  # z = s - s^{-1}, the factor of the crossing exchange
 
 @cache
 def _den_poly(den: tuple[tuple[int, int], ...]) -> LaurentPoly:
-    """Expanded product of a factored denominator."""
-    out = LaurentPoly.one()
-    for k, mult in den:
-        out = out * _s_binomial(k) ** mult
-    return out
+    """Expanded product of a nonempty factored denominator."""
+    return reduce(operator.mul, (_s_binomial(k) ** mult for k, mult in den))
 
 
-def _cofactor(den: dict[int, int], lcm: dict[int, int]) -> LaurentPoly:
-    """Expanded product of the factors that raise `den` to `lcm`."""
-    gaps = ((k, m - den.get(k, 0)) for k, m in sorted(lcm.items()))
-    return _den_poly(tuple((k, gap) for k, gap in gaps if gap))
+@cache
+def common_denominator(dens: tuple[tuple[tuple[int, int], ...], ...]) -> tuple[tuple[tuple[int, int], ...], tuple]:
+    """The lcm `top` of factored denominators, and the cofactor of each.
+
+    A cofactor is the expanded product of the factors that raise its
+    denominator to `top`; None when the denominator is `top` already.
+    As multisets of factors, the lcm is the union (`|` takes the larger
+    multiplicity) and a cofactor is `top` minus its denominator (`-` keeps
+    the positive gaps).  Sums over the same denominators, in the same
+    order, share one entry.
+    """
+    lcm = reduce(operator.or_, (Counter(dict(den)) for den in dens), Counter())
+    gaps = [tuple(sorted((lcm - Counter(dict(den))).items())) for den in dens]
+    return tuple(sorted(lcm.items())), tuple(_den_poly(gap) if gap else None for gap in gaps)
 
 
 def _divisors(k: int) -> list[int]:
@@ -819,12 +824,8 @@ class SkeinScalar:
         for x in map(cls._coerce, values):
             groups[x._den] = groups[x._den] + x._num if x._den in groups else x._num
         groups = {den: num for den, num in groups.items() if num}
-        lcm: dict[int, int] = {}
-        for den in groups:
-            for k, mult in den:
-                lcm[k] = max(lcm.get(k, 0), mult)
-        top = tuple(sorted(lcm.items()))
-        nums = [part if den == top else part * _cofactor(dict(den), lcm) for den, part in groups.items()]
+        top, cofactors = common_denominator(tuple(groups))
+        nums = [part if cofactor is None else part * cofactor for part, cofactor in zip(groups.values(), cofactors)]
         return cls(reduce(operator.add, nums) if nums else LaurentPoly.zero(), top)
 
     def __neg__(self) -> "SkeinScalar":

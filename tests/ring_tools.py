@@ -32,3 +32,28 @@ def reference_format(p: LaurentPoly, style: str) -> str:
         return "0"
     text = " ".join(chunks)
     return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def reference_common_denominator(dens):
+    """The lcm `top` of factored denominators and each one's cofactor; None where a denominator is `top`.
+
+    This is the loop `SkeinScalar.sum` and the closed form's weight groups
+    each ran before they shared `ring.common_denominator`: the lcm by
+    largest multiplicity per factor, then per denominator the product of
+    its missing factors (s^k - s^{-k})^gap, expanded from 1.
+    """
+    lcm: dict[int, int] = {}
+    for den in dens:
+        for k, mult in den:
+            lcm[k] = max(lcm.get(k, 0), mult)
+    top = tuple(sorted(lcm.items()))
+    cofactors = []
+    for den in dens:
+        if den == top:
+            cofactors.append(None)
+            continue
+        have, out = dict(den), LaurentPoly.one()
+        for k, mult in top:
+            out = out * LaurentPoly({(0, k): 1, (0, -k): -1}) ** (mult - have.get(k, 0))
+        cofactors.append(out)
+    return top, cofactors

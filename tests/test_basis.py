@@ -2,7 +2,7 @@ from collections import Counter
 from functools import cache
 
 import pytest
-from partition_tools import conjugate
+from partition_tools import conjugate, hook_length
 
 from hopflinks.basis import (
     SkeinVector,
@@ -11,7 +11,7 @@ from hopflinks.basis import (
     plane_eval_eigen,
 )
 from hopflinks.meridian import plane_eval_product, plane_eval_single
-from hopflinks.partitions import BasisLabel, cells, contents, hook_length, lr_coeff, partitions_of
+from hopflinks.partitions import BasisLabel, cells, contents, lr_coeff, partitions_of
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
 
 

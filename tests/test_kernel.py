@@ -261,7 +261,7 @@ def test_exact_div_phi_false_pass_of_the_screen():
         assert row % _phi_at(1, w)[0] == 0
         with division_route() as (widths, others):
             assert p.exact_div_phi(1) is None
-        assert widths == [w, 2 * w]
+        assert widths == [w, ring._width(w)]
         assert others == []
         assert ref_div_phi({(0, 0): n, (0, 2): n, (0, 4): n}, 1) is None
 
@@ -335,12 +335,10 @@ def test_quotient_digits_beyond_the_dividend(sign):
     assert terms_of(quotient + quotient) == dict_add(q, q)
 
 
-def test_slot_widths_run_the_ladder():
-    # W, 2W, 4W, then three quarters of each further doubling before it.
-    ladder = [W, 2 * W, 4 * W] + [f * W << k for k in range(1, 8) for f in (3, 4)]
-    assert ladder == sorted(ladder) and ladder[3:5] == [6 * W, 8 * W]
-    for bits in range(ladder[-1]):
-        assert ring._width(bits) == min(w for w in ladder if w > bits), bits
+def test_slot_widths_are_the_multiples_of_the_base_width():
+    # The narrowest multiple of W above the bits asked for.
+    for bits in range(16 * W):
+        assert ring._width(bits) == min(w for w in range(W, 17 * W, W) if w > bits), bits
 
 
 @given(st.sampled_from([W, 48, 2 * W, 96]), st.data())

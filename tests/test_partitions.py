@@ -3,14 +3,13 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
-from partition_tools import conjugate
+from partition_tools import conjugate, hook_length
 
 from hopflinks.partitions import (
     BasisLabel,
     basis_labels,
     cells,
     contents,
-    hook_length,
     hook_lengths,
     label_count,
     lr_coeff,

@@ -13,8 +13,10 @@ from hopflinks.ring import (
     LaurentPoly,
     SkeinScalar,
     all_distinct,
+    common_denominator,
     delta,
 )
+from ring_tools import reference_common_denominator
 
 
 def mono(c, v=0, s=0):
@@ -701,6 +703,26 @@ def test_sum_matches_the_fold(xs):
     assert total.to_json() == expected.to_json()
     assert hash(total) == hash(expected)
     assert total.is_zero == expected.is_zero
+
+
+factored_denominators = st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=4).map(
+    lambda factors: tuple(sorted(factors.items()))
+)
+
+
+@given(st.lists(factored_denominators, max_size=6))
+@example([])
+@example([()])
+@example([((1, 2),), ((1, 1), (2, 1)), ((1, 2), (2, 1))])
+def test_common_denominator_matches_the_lcm_loop(dens):
+    top, cofactors = common_denominator(tuple(dens))
+    expected_top, expected = reference_common_denominator(dens)
+    assert top == expected_top
+    assert len(cofactors) == len(dens)
+    for den, cofactor, reference in zip(dens, cofactors, expected):
+        assert (cofactor is None) == (den == top) == (reference is None)
+        assert cofactor is None or cofactor.terms() == reference.terms()
+    assert common_denominator(tuple(dens)) is common_denominator(tuple(dens))
 
 
 CHAIN_OPS = {
