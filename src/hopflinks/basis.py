@@ -6,7 +6,8 @@ the eigenbasis of the encircling operators.  The monomial expansion has
 the classical tableau-count multiplicities; an eigenbasis element
 evaluates in the plane to the Weyl dimension of a mixed GL(N) weight,
 one closed hook-content product, whose brackets [N+c] are counted by
-content and multiplied out in one pass.
+content and multiplied out in one pass.  A label and its swap share one
+value, which is canonical as built.
 """
 
 from __future__ import annotations
@@ -71,8 +72,18 @@ def plane_eval_eigen(label: BasisLabel) -> SkeinScalar:
     content, every C and D cancels against one, and the numerator is built
     from the counts in one pass (`LaurentPoly.brackets`).  The hook lengths
     of both shapes make the denominator.
+
+    Swapping the shapes keeps the contents, the hooks and each A and B and
+    exchanges C with D, so a label and its swap build the same numerator
+    and denominator: the larger of the two returns the value of the
+    smaller.  The value is canonical as built: each bracket, a polynomial
+    in v with unit coefficients s^c and -s^{-c}, is primitive over
+    Z[s^{+-1}], so by Gauss's lemma their product is too, and no
+    Phi_e(s^2) of the denominator divides all of its v-coefficients.
     """
     lam, mu = label
+    if mu < lam:
+        return plane_eval_eigen(BasisLabel(mu, lam))
     # counts[c + off] is the multiplicity of [N+c]; every c lies in [1 - off, neg_1 + pos_1 - 1].
     off = len(lam) + len(mu)
     counts = [0] * (off + (lam[0] if lam else 0) + (mu[0] if mu else 0))
@@ -88,4 +99,4 @@ def plane_eval_eigen(label: BasisLabel) -> SkeinScalar:
     if min(counts, default=0) < 0:
         raise ArithmeticError(f"a bracket [N+c] is left in the denominator of {label}")
     num = LaurentPoly.brackets((c - off, mult) for c, mult in enumerate(counts))
-    return SkeinScalar(num, [(h, 1) for h in hook_lengths(lam) + hook_lengths(mu)])
+    return SkeinScalar._reduced(num, [(h, 1) for h in hook_lengths(lam) + hook_lengths(mu)])

@@ -5,7 +5,8 @@ A single unknotted loop around the annulus core, oriented counter-
 clockwise or clockwise, acts diagonally on the two-sided eigenbasis.
 The eigenvalue attached to a label is a content sum over the two shapes
 weighted by v^{-1} or -v, plus the unknot value; it is built as one
-numerator over z = s - s^{-1}, the unknot value's denominator.  The
+numerator over z = s - s^{-1}, the unknot value's denominator, its two
+rows straight from the contents, and it is canonical as built.  The
 closed form raises these eigenvalues to string counts; `ccw_power` keeps
 each (label, n) power it has made and builds it as the power below times
 the eigenvalue, one product by a two-row value, so a sweep over string
@@ -33,15 +34,14 @@ def ccw_eigenvalue(label: BasisLabel) -> SkeinScalar:
 
     z (-v * sum_neg s^{-2c} + v^{-1} * sum_pos s^{2c}) + delta, with
     z = s - s^{-1} and delta = (v^{-1} - v) / z, built over z at once:
-    (v^{-1} (1 + z^2 sum_pos s^{2c}) - v (1 + z^2 sum_neg s^{-2c})) / z.
+    (v^{-1} (1 + z^2 sum_pos s^{2c}) - v (1 + z^2 sum_neg s^{-2c})) / z,
+    its two rows in t = s^2 straight from the contents
+    (`LaurentPoly.encircling`).  It is canonical as built: z is
+    s^{-1} Phi_1(s^2), and z^2 vanishes at t = 1, where the rows are 1
+    and -1, so Phi_1(t) = t - 1 divides neither.
     """
     lam, mu = label
-    terms = [((-1, 0), 1), ((1, 0), -1)]
-    for ev, shape in ((-1, mu), (1, lam)):
-        for c in contents(shape):
-            es = -2 * ev * c  # the cell's term -ev v^ev z^2 s^es, with z^2 = s^2 - 2 + s^{-2}
-            terms += (((ev, es + 2), -ev), ((ev, es), 2 * ev), ((ev, es - 2), -ev))
-    return SkeinScalar(LaurentPoly(terms), ((1, 1),))
+    return SkeinScalar._reduced(LaurentPoly.encircling(contents(lam), contents(mu)), ((1, 1),))
 
 
 @cache

@@ -9,7 +9,9 @@ alone, so equal values compare, hash and serialize alike.  Arithmetic
 never divides; that canonical form is the only reduction, and it runs
 once, when a value is first read.  Every denominator produced by the
 eigenvalue pipeline (the unknot value, the hook-content evaluations)
-has this shape.
+has this shape.  Those two values are canonical as built, and their
+builders store that form at once (`SkeinScalar._reduced`), each with
+its proof that no Phi_e(s^2) divides.
 
 A polynomial is packed as rows in t = s^2, one per v-exponent and parity
 of the s-exponent: every value the skein theory builds from z = s - s^{-1},
@@ -17,7 +19,9 @@ delta and the bracket factors has s-exponents of one parity in each
 v-degree, so a row in s would hold a zero in every other slot.
 A product of brackets [N+c] = v^{-1} s^c - v s^{-c}, the numerator of a
 plane evaluation, is built straight into rows (`LaurentPoly.brackets`),
-and a product by an int scales each row: neither runs a row-pair product.
+as is an eigenvalue's numerator from the contents of its two shapes
+(`LaurentPoly.encircling`), and a product by an int scales each row:
+none runs a row-pair product.
 Each value sits in the narrowest slot width above its carried coefficient
 bound, and the widths are the multiples of 32 bits (`_width`).
 
@@ -33,9 +37,11 @@ the one division: s^k - s^{-k} is divided out as its Phi_e(t), e | k.
 
 Terms are read out of the rows only to serialize, format or substitute
 (`_decode`).  At the base slot width of 32 bits on a little-endian host
-the rows of a polynomial are decoded in one pass: their biased slot
-bytes are joined and read back by one `memoryview.cast("i")`.  Wider
-slots and big-endian hosts take `_unpack`, one `int.from_bytes` per slot.
+the rows of a polynomial are decoded in one pass: they are joined into
+one integer, each shifted past the slots of the rows below it, and read
+back with one bias, one `to_bytes` and one `memoryview.cast("i")`.
+Wider slots and big-endian hosts take `_unpack`, one `int.from_bytes`
+per slot.
 Text is written straight from the decoded rows, with no object per term:
 `json_text` writes each v-row's `{"v":ev,"s":` head once, and `format`
 each v-row's factor text once, so a term is one f-string of its exponent
@@ -189,21 +195,25 @@ _BULK = sys.byteorder == "little"
 def _decode(rows: list[int], w: int) -> list[list[int]]:
     """The slot coefficients of each packed row, lowest first, as `_unpack` gives them.
 
-    At the base width on a little-endian host the biased slot bytes of
-    all rows, two's-complement 32-bit integers, are joined and read back
-    by one `memoryview.cast("i")`.  Otherwise each row is `_unpack`ed.
-    The bulk pass needs no slot count to pay off: timed against `_unpack`
-    on 1 to 6 rows of 1 to 48 slots (least of 9 repeats of 5,000 calls,
-    CPython 3.11, shared x86-64 host), it was within the host's noise on
-    one or two slots and faster from four on (2.7 us against 6.4 us on
-    one row of 12, 6.2 us against 27 us on two rows of 24).
+    At the base width on a little-endian host the rows are joined into one
+    integer, each shifted past the slots of the rows below it, with the
+    slot count of `_biased`: the balanced digits of the sum are the rows'
+    digits side by side, a borrow from a negative row included.  One bias,
+    one `to_bytes` and one `memoryview.cast("i")` read them all.
+    Otherwise each row is `_unpack`ed.
     """
     if w != _BASE_WIDTH or not _BULK:
         return [_unpack(row, w) for row in rows]
-    parts = [_biased(row, w) for row in rows]
-    flat = memoryview(b"".join([part for part, _ in parts])).cast("i").tolist()
+    joined, counts, shift = 0, [], 0
+    for row in rows:
+        n = row.bit_length() // w + 1  # `_biased`'s count
+        joined += row << shift
+        counts.append(n)
+        shift += n * w
+    half = _repeat(1 << (w - 1), w, shift // w)
+    flat = memoryview(((joined + half) ^ half).to_bytes(shift >> 3, "little")).cast("i").tolist()
     out, start = [], 0
-    for _, n in parts:
+    for n in counts:
         out.append(flat[start : start + n])
         start += n
     return out
@@ -356,6 +366,31 @@ class LaurentPoly:
         lows = accumulate(cs, initial=0)  # E_k starts at t^-(c_1 + ... + c_k)
         keys = range((total & 1) - 2 * n, 2 * n + 2, 4)  # 2 (2k - n) + parity of C
         return _new({key: ((total >> 1) - low, row) for key, low, row in zip(keys, lows, rows)}, w, cap, 1 << n)
+
+    @classmethod
+    def encircling(cls, neg: Iterable[int], pos: Iterable[int]) -> "LaurentPoly":
+        """v^{-1} (1 + z^2 sum_pos s^{2c}) - v (1 + z^2 sum_neg s^{-2c}) over two lists of contents c.
+
+        With z = s - s^{-1}, z^2 = t - 2 + t^{-1} in t = s^2, so the v^{-1}
+        row is 1 + sum_e (n_{e-1} - 2 n_e + n_{e+1}) t^e, n_c the count of
+        c in `pos`, and the v row its negative over the contents -c of
+        `neg`.  A shape's contents include 0, so a nonempty row spans
+        t^(min - 1) to t^(max + 1) with end coefficients n_min and n_max:
+        no slot is trimmed, and the bounds are exact.
+        """
+        data = {}
+        for key, sign, cs in ((-2, 1, list(pos)), (2, -1, [-c for c in neg])):
+            lo = min(cs, default=1) - 1  # no contents: the one slot of the constant, at t^0
+            n = [0] * (max(cs, default=-1) - lo + 2)
+            for c in cs:
+                n[c - lo] += 1
+            row = [sign * (a - 2 * b + c) for a, b, c in zip([0] + n, n, n[1:] + [0])]
+            row[-lo] += sign
+            data[key] = (lo, row)
+        sizes = [abs(c) for _, row in data.values() for c in row]
+        cap = max(sizes)
+        w = _width(cap.bit_length())
+        return _new({key: (lo, _pack(row, w)) for key, (lo, row) in data.items()}, w, cap, sum(sizes))
 
     # -- packed rows ---------------------------------------------------
 
@@ -775,6 +810,17 @@ class SkeinScalar:
         return self._canon
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _reduced(cls, num: LaurentPoly, den: Iterable[tuple[int, int]]) -> "SkeinScalar":
+        """num / den, already canonical: its builder proves no Phi_e(s^2) of `den` divides `num`.
+
+        The canonical form is then the value as built, since the cover of a
+        multiset of binomials is that multiset, and it is stored at once.
+        """
+        x = cls(num, den)
+        x._canon = (x._num, x._den)
+        return x
 
     @classmethod
     def zero(cls) -> "SkeinScalar":

@@ -1,6 +1,6 @@
 """Ring helpers used only by the tests."""
 
-from hopflinks.ring import LaurentPoly
+from hopflinks.ring import LaurentPoly, SkeinScalar
 
 # Per style: exponent template and factor joiner.
 _NOTATION = {"plain": ("^{}", "*"), "latex": ("^{{{}}}", " ")}
@@ -57,3 +57,13 @@ def reference_common_denominator(dens):
             out = out * LaurentPoly({(0, k): 1, (0, -k): -1}) ** (mult - have.get(k, 0))
         cofactors.append(out)
     return top, cofactors
+
+
+def raw(x: SkeinScalar) -> tuple:
+    """The stored parts of a scalar: its numerator's rows, slot width and two bounds, and its denominator."""
+    return x._num._rows, x._num._w, x._num._cap, x._num._l1, x._den
+
+
+def canonical_from_scratch(x: SkeinScalar) -> tuple:
+    """The canonical form of x's stored numerator and denominator, screened afresh."""
+    return SkeinScalar(x._num, x._den)._canonical()

@@ -3,6 +3,7 @@ from functools import cache
 
 import pytest
 from partition_tools import conjugate, hook_length
+from ring_tools import canonical_from_scratch, raw
 
 from hopflinks.basis import (
     SkeinVector,
@@ -11,7 +12,7 @@ from hopflinks.basis import (
     plane_eval_eigen,
 )
 from hopflinks.meridian import plane_eval_product, plane_eval_single
-from hopflinks.partitions import BasisLabel, cells, contents, lr_coeff, partitions_of
+from hopflinks.partitions import BasisLabel, cells, contents, hook_lengths, lr_coeff, partitions_of
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
 
 
@@ -103,6 +104,27 @@ def plane_eval_eigen_ring(label: BasisLabel) -> SkeinScalar:
     hooks = Counter(hook_length(shape, i, j) for shape in label for i, j in cells(shape))
     return SkeinScalar(num, hooks.items())
 
+
+def plane_eval_eigen_unshared(label: BasisLabel) -> SkeinScalar:
+    """The hook-content product built for the label itself, as `plane_eval_eigen` once built every label.
+
+    A label and its swap each count their brackets and multiply them out,
+    and the value is screened on its first read.
+    """
+    lam, mu = label
+    off = len(lam) + len(mu)
+    counts = [0] * (off + (lam[0] if lam else 0) + (mu[0] if mu else 0))
+    for c in contents(lam) + contents(mu):
+        counts[c + off] += 1
+    for i, a in enumerate(lam, 1):
+        for j, b in enumerate(mu, 1):
+            base = off + 1 - i - j
+            counts[a + b + base] += 1
+            counts[base] += 1
+            counts[a + base] -= 1
+            counts[b + base] -= 1
+    num = LaurentPoly.brackets((c - off, mult) for c, mult in enumerate(counts))
+    return SkeinScalar(num, [(h, 1) for h in hook_lengths(lam) + hook_lengths(mu)])
 
 def all_labels(max_size):
     return [
@@ -242,6 +264,23 @@ def test_plane_eval_matches_the_ring_reference_to_size_6():
         value, reference = plane_eval_eigen(label), plane_eval_eigen_ring(label)
         assert value == reference, label
         assert value._num == reference._num and value._den == reference._den, label
+
+
+def test_plane_eval_matches_the_unshared_build_to_size_6():
+    # A label and its swap share one value, and that value has the raw
+    # parts each label built for itself: rows, slot width, both bounds and
+    # denominator.
+    for label in all_labels(6):
+        value = plane_eval_eigen(label)
+        assert value is plane_eval_eigen(BasisLabel(label.pos, label.neg)), label
+        assert raw(value) == raw(plane_eval_eigen_unshared(label)), label
+
+
+def test_plane_eval_is_canonical_as_built_to_size_6():
+    for label in all_labels(6):
+        value = plane_eval_eigen.__wrapped__(label)  # built afresh, or the cached value of a smaller swap
+        assert value._canon is not None, label
+        assert value._canon == canonical_from_scratch(value) == (value._num, value._den), label
 
 
 def test_unlink_normalization_sum_rule():

@@ -18,6 +18,7 @@ from hopflinks.hopf import HopfSpec, homfly_general
 from hopflinks.oracle import build_diagram
 from hopflinks.render import parse_scalar, render_scalar
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
+from test_hopf import clear_caches
 
 
 H_PLUS = delta() ** 2 + LaurentPoly.term(1, v=-2) - 1
@@ -398,6 +399,19 @@ def test_table_default_grid_output_pinned(capsys):
     assert code == 0
     assert out.count("\n") == 900
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_STDOUT_SHA256
+
+
+def test_table_from_cold_caches_never_divides(capsys, monkeypatch):
+    # The eigenvalues and plane evaluations a table prints are canonical
+    # as built, so writing them screens no Phi_e(s^2).
+    calls = []
+    plain_div = LaurentPoly.exact_div_phi
+    monkeypatch.setattr(LaurentPoly, "exact_div_phi", lambda p, d: calls.append(d) or plain_div(p, d))
+    clear_caches()
+    code, out, _ = run_cli(capsys, "table", "--max-size", "6")
+    assert code == 0
+    assert out.count("\n") == 900
+    assert calls == []
 
 
 def test_verify_small_grid_passes(capsys):

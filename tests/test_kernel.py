@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hopflinks import ring
 from hopflinks.hopf import Decoration
@@ -404,12 +404,18 @@ def slot_rows(w):
 
 
 @given(
-    st.sampled_from([W, 2 * W, 4 * W, 48]).flatmap(lambda w: st.tuples(st.just(w), st.lists(slot_rows(w), max_size=6)))
+    st.sampled_from([W, 2 * W, 4 * W, 48]).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.tuples(slot_rows(w), st.booleans()), max_size=20))
+    )
 )
+@example((W, [([5, -1], False), ([0, 0, 1], True), ([(1 << (W - 1)) - 1], True), ([7, -3], False)]))
 def test_bulk_decode_matches_per_slot_unpack(case):
-    # At the base width W the rows take the bulk pass, whatever their
-    # number and length; wider rows take `_unpack`.
-    w, rows = case
+    # At the base width W the rows are joined into one integer and read in
+    # one pass, whatever their number and length; wider rows take
+    # `_unpack`.  Up to 20 rows, each negated or not: a row whose top slot
+    # is negative borrows from the slots of the rows above it in the join.
+    w, signed = case
+    rows = [[-c for c in row] if negate else row for row, negate in signed]
     packed = [_pack(row, w) for row in rows]
     assert _decode(packed, w) == [_unpack(row, w) for row in packed] == rows
 

@@ -2,8 +2,9 @@ import inspect
 import sys
 
 from hypothesis import given, strategies as st
-from meridian_tools import opposite_sense_eigenvalue, same_sense_eigenvalue
+from meridian_tools import ccw_eigenvalue_from_terms, opposite_sense_eigenvalue, same_sense_eigenvalue
 from partition_tools import conjugate
+from ring_tools import canonical_from_scratch, raw
 
 from hopflinks.meridian import (
     ccw_eigenvalue,
@@ -65,6 +66,22 @@ def test_eigenvalue_matches_the_ring_reference_to_size_6():
         value, reference = ccw_eigenvalue(label), ccw_eigenvalue_reference(label)
         assert value == reference, label
         assert value._num == reference._num and value._den == reference._den, label
+
+
+def test_eigenvalue_rows_match_the_term_build_to_size_6():
+    # The rows built from the contents are the rows the term list packed:
+    # the same keys, lows, packed integers, slot width and both bounds.
+    for label in all_labels(6):
+        assert raw(ccw_eigenvalue(label)) == raw(ccw_eigenvalue_from_terms(label)), label
+
+
+def test_eigenvalue_is_canonical_as_built_to_size_6():
+    # The stored canonical form is the one a fresh screen finds, and it
+    # is the value as built.
+    for label in all_labels(6):
+        value = ccw_eigenvalue.__wrapped__(label)  # built afresh and never read
+        assert value._canon is not None, label
+        assert value._canon == canonical_from_scratch(value) == (value._num, value._den), label
 
 
 # -- one-sided eigenvalues -----------------------------------------------------
