@@ -177,7 +177,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # A single shape lam is the label ((), lam): its ccw and cw eigenvalues
     # are the same-sense and opposite-sense ones.
     singles = [BasisLabel((), lam) for size in range(9) for lam in partitions_of(size)]
-    for labels, what in ((singles, "single shapes of size <= 8"), (_label_grid(6), "shape pairs of size <= 6")):
+    for labels, what in ((singles, "single shapes of size <= 8"), (_label_grid(8), "shape pairs of size <= 8")):
         if all_distinct(map(ccw_eigenvalue, labels)) and all_distinct(map(cw_eigenvalue, labels)):
             print(f"PASS  eigenvalues distinct across {what}")
         else:

@@ -25,11 +25,22 @@ stripped eagerly; what remains recurses on a crossing met first on its
 under-strand along a fixed traversal, preferring one whose switch
 leaves a reducible clasp and whose smoothing leaves a kink, and
 traversal-descending diagrams are unlinks weighted by v^{-writhe}.
+
+Every value the tree builds is a numerator over z^c, where z = s - s^{-1}
+and c counts the components of its diagram, free loops included: the
+unlink delta^c is, a kink's v^{-sign} keeps it, and so does a skein step,
+which adds numerators (`_skein_step`).  Lickorish and Millett ("A
+polynomial invariant of oriented links", Topology 26, 1987) show that
+the polynomial of a c-component link with the unknot at 1 has a nonzero
+term in z^{1-c} and none lower; the value here is delta times it, so its
+lowest power is z^{-c}.  No numerator holds a spare z, and every value
+is canonical as built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .hopf import HopfSpec
@@ -42,8 +53,6 @@ __all__ = [
     "PlanarDiagram",
     "build_diagram",
     "check_family_cap",
-    "mirror_diagram",
-    "canonical_key",
     "homfly_of_diagram",
     "DEFAULT_MAX_CROSSINGS",
 ]
@@ -122,12 +131,6 @@ class PlanarDiagram:
         for cr in self.crossings:
             seen.update(cr.ends)
         return sorted(seen)
-
-    def writhe(self) -> int:
-        return sum(cr.sign for cr in self.crossings)
-
-    def component_count(self) -> int:
-        return _strands(self.crossings, _in_ends(self.crossings))[2] + self.free_loops
 
     def to_json(self) -> dict:
         return {
@@ -556,21 +559,37 @@ def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
     return tuple(sorted(keys))
 
 
-def canonical_key(diagram: PlanarDiagram) -> tuple:
-    """Memoization key, equal for diagrams that differ only by labeling."""
-    return (_canonical(diagram.crossings, _in_ends(diagram.crossings)), diagram.free_loops)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
 
+@cache
 def _v_delta(v_exp: int, loops: int) -> SkeinScalar:
-    """v^v_exp * delta^loops, without a product by a factor that is 1."""
+    """v^v_exp * delta^loops, without a product by a factor that is 1; one
+    shared immutable value per pair."""
     if loops and not v_exp:
         return delta() ** loops
     v_val = SkeinScalar(LaurentPoly.term(1, v=v_exp))
     return v_val * delta() ** loops if loops else v_val
+
+
+@cache
+def _z_power(d: int) -> LaurentPoly:
+    return Z**d
+
+
+def _skein_step(sign: int, switched: SkeinScalar, smoothed: SkeinScalar) -> SkeinScalar:
+    """switched + sign * z * smoothed, added as numerators over z^c.
+
+    The switched child has the node's c components and is over z^c; the
+    smoothed child has c + 1 or c - 1 and is over z^(c+1) or z^(c-1).
+    The factor z cancels one z of the smoothed child's denominator, so
+    its numerator is added as it is (d = 0) or times z^2 (d = 2).
+    """
+    c = switched._den[0][1]
+    d = c + 1 - smoothed._den[0][1]
+    b = smoothed._num * _z_power(d) if d else smoothed._num
+    return SkeinScalar(switched._num + b if sign > 0 else switched._num - b, ((1, c),))
 
 
 def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> Generator:
@@ -601,12 +620,11 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> G
             # arcs and smoothing splices only them, so a child's new
             # kinks and clasps all have a boundary arc among them.
             sign, near = core[bad]
-            z_term = SkeinScalar(Z if sign > 0 else -Z)
             children = [_switch(core, bad), _smooth(core, bad)]
             # While its children run, a node keeps only what it reads again.
             del core, in_end, out_end, candidates
             smooth_val = yield children.pop(), near
-            result = (yield children.pop(), near) + z_term * smooth_val
+            result = _skein_step(sign, (yield children.pop(), near), smooth_val)
         memo[key] = result
     if v_exp or loops:
         result = result * _v_delta(v_exp, loops)
@@ -673,15 +691,6 @@ def homfly_of_diagram(
 
 # ---------------------------------------------------------------------------
 # the generalized Hopf family
-
-
-def mirror_diagram(diagram: PlanarDiagram) -> PlanarDiagram:
-    """Reflect the diagram: signs flip and each rotation reverses."""
-    flipped = tuple(
-        Crossing(-cr.sign, (cr.ends[0], cr.ends[3], cr.ends[2], cr.ends[1]))
-        for cr in diagram.crossings
-    )
-    return PlanarDiagram(flipped, diagram.free_loops)
 
 
 def check_family_cap(spec: HopfSpec, max_crossings: int) -> None:

@@ -1,11 +1,13 @@
-"""Diagram builders used only by the tests: braid closures for the
-R2/R3 corpus, kink insertion, and global orientation reversal."""
+"""Diagram builders and readings used only by the tests: braid closures
+for the R2/R3 corpus, kink insertion, global orientation reversal and
+mirroring, the memo key of a whole diagram and the diagram a key encodes,
+writhe and component count."""
 
 from __future__ import annotations
 
 import itertools
 
-from hopflinks.oracle import Crossing, PlanarDiagram
+from hopflinks.oracle import Crossing, PlanarDiagram, _canonical, _in_ends, _strands
 
 
 def braid_closure(strands: int, word: list[int]) -> PlanarDiagram:
@@ -74,3 +76,36 @@ def reverse_all(diagram: PlanarDiagram) -> PlanarDiagram:
         for c in diagram.crossings
     )
     return PlanarDiagram(flipped, diagram.free_loops)
+
+
+def mirror_diagram(diagram: PlanarDiagram) -> PlanarDiagram:
+    """Reflect the diagram: signs flip and each rotation reverses."""
+    flipped = tuple(
+        Crossing(-cr.sign, (cr.ends[0], cr.ends[3], cr.ends[2], cr.ends[1]))
+        for cr in diagram.crossings
+    )
+    return PlanarDiagram(flipped, diagram.free_loops)
+
+
+def canonical_key(diagram: PlanarDiagram) -> tuple:
+    """Memoization key, equal for diagrams that differ only by labeling."""
+    return (_canonical(diagram.crossings, _in_ends(diagram.crossings)), diagram.free_loops)
+
+
+def key_diagram(pieces: tuple) -> PlanarDiagram:
+    """The diagram a memo key (the per-piece encodings) encodes: each
+    piece's arc labels shifted past those of the pieces before it."""
+    crossings, offset = [], 0
+    for items in pieces:
+        labels = [label for _, ends in items for label in ends]
+        crossings += [Crossing(sign, tuple(label + offset for label in ends)) for sign, ends in items]
+        offset += max(labels) + 1
+    return PlanarDiagram(tuple(crossings))
+
+
+def writhe(diagram: PlanarDiagram) -> int:
+    return sum(cr.sign for cr in diagram.crossings)
+
+
+def component_count(diagram: PlanarDiagram) -> int:
+    return _strands(diagram.crossings, _in_ends(diagram.crossings))[2] + diagram.free_loops

@@ -8,13 +8,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import time
 
 import pytest
-from diagram_tools import add_curl, braid_closure, reverse_all
+from diagram_tools import add_curl, braid_closure, mirror_diagram, reverse_all
 from meridian_tools import opposite_sense_eigenvalue, same_sense_eigenvalue
 
 import hopflinks.cli as cli
 from hopflinks.hopf import HopfSpec, check_symmetries, homfly_general
 from hopflinks.meridian import ccw_eigenvalue, cw_eigenvalue
-from hopflinks.oracle import build_diagram, homfly_of_diagram, mirror_diagram
+from hopflinks.oracle import build_diagram, homfly_of_diagram
 from hopflinks.partitions import BasisLabel, basis_labels, partitions_of
 from hopflinks.ring import LaurentPoly, SkeinScalar, all_distinct, delta
 from hopflinks.basis import monomial_to_eigen

@@ -249,6 +249,18 @@ def test_oracle_matches_eval(capsys):
     assert json.loads(out_oracle) == json.loads(out_eval)
 
 
+@pytest.mark.parametrize("family", ["2,1,1,3", "1,2,3,1", "2,1,4,0", "1,0,6,1"])
+def test_oracle_prints_the_bytes_eval_prints_on_ci_families(capsys, family):
+    # The CI families past verify's default grid that take under a second
+    # here; CI compares all eight with cmp.
+    k1, k2, n1, n2 = family.split(",")
+    code, out_oracle, _ = run_cli(capsys, "oracle", "--family", family, "--max-crossings", "40", "--format", "json")
+    assert code == 0
+    code, out_eval, _ = run_cli(capsys, "eval", "--k1", k1, "--k2", k2, "--n1", n1, "--n2", n2, "--format", "json")
+    assert code == 0
+    assert out_oracle == out_eval
+
+
 def test_oracle_cap_exceeded(capsys):
     code, _, err = run_cli(capsys, "oracle", "--family", "2,1,1,2")
     assert code == 3
@@ -380,7 +392,7 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
 # -- verify ------------------------------------------------------------------------
 
 # sha256 of the stdout of `verify` with default flags (183 lines).
-VERIFY_STDOUT_SHA256 = "bf7bcb42503cd07252639dbd7046274bb46b805acb51b466819052244d8c2cfb"
+VERIFY_STDOUT_SHA256 = "4102500803da54e2f8748c7a3b2a06c3dabac045aa1078251a529d0cf56bdc54"
 
 
 def test_verify_default_output_pinned(capsys):
@@ -471,7 +483,7 @@ def test_verify_reports_eigenvalue_collisions(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--max-encircling", "0", "--max-core", "0")
     assert code == 1
     assert "FAIL  eigenvalue collision among single shapes of size <= 8\n" in out
-    assert "FAIL  eigenvalue collision among shape pairs of size <= 6\n" in out
+    assert "FAIL  eigenvalue collision among shape pairs of size <= 8\n" in out
 
 
 def test_verify_reports_failed_symmetry_identities(capsys, monkeypatch):

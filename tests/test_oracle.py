@@ -7,7 +7,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from diagram_tools import add_curl, braid_closure, reverse_all
+from diagram_tools import (
+    add_curl,
+    braid_closure,
+    canonical_key,
+    component_count,
+    key_diagram,
+    mirror_diagram,
+    reverse_all,
+    writhe,
+)
 from hypothesis import given, strategies as st
 
 from hopflinks.hopf import HopfSpec, homfly_general
@@ -17,10 +26,8 @@ from hopflinks.oracle import (
     MalformedDiagramError,
     PlanarDiagram,
     build_diagram,
-    canonical_key,
     check_family_cap,
     homfly_of_diagram,
-    mirror_diagram,
 )
 from hopflinks.oracle import _simplify, _smooth, _switch
 import hopflinks.oracle as oracle_module
@@ -55,8 +62,8 @@ def test_build_hopf_diagram_shape():
     assert len(HOPF.crossings) == 2
     assert all(cr.sign == 1 for cr in HOPF.crossings)
     assert HOPF.free_loops == 0
-    assert HOPF.component_count() == 2
-    assert HOPF.writhe() == 2
+    assert component_count(HOPF) == 2
+    assert writhe(HOPF) == 2
     HOPF.validate()
 
 
@@ -70,7 +77,7 @@ def test_build_crossing_count():
     d = build_diagram(HopfSpec(1, 1, 1, 2))
     assert len(d.crossings) == 12
     d.validate()
-    assert d.component_count() == 5
+    assert component_count(d) == 5
 
 
 def test_build_zero_curls():
@@ -675,6 +682,8 @@ def test_crossing_free_diagrams_make_no_product_by_one(monkeypatch):
     real = SkeinScalar.__mul__
     calls = []
     monkeypatch.setattr(SkeinScalar, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
+    # Each value is built once and then shared, so start with none built.
+    oracle_module._v_delta.cache_clear()
     for m in (1, 2, 3):
         calls.clear()
         value = homfly_of_diagram(PlanarDiagram((), m))
@@ -944,11 +953,13 @@ def test_split_rule_keeps_the_memo_small(spec, bound):
 MEMO_DIGEST = "44a755149f8559102bc99680b617914af76f3e26064570f4e0c6f7e9492bc5f4"
 
 
+def memo_corpus():
+    return [build_diagram(spec) for spec in grid_specs()] + [braid_closure(2, [1] * n) for n in range(1, 13)]
+
+
 def memo_digest():
-    corpus = [build_diagram(spec) for spec in grid_specs()]
-    corpus += [braid_closure(2, [1] * n) for n in range(1, 13)]
     h = hashlib.sha256()
-    for d in corpus:
+    for d in memo_corpus():
         memo: dict = {}
         value = homfly_of_diagram(d, memo=memo)
         h.update(repr(canonical_key(d)).encode())
@@ -961,6 +972,33 @@ def memo_digest():
 
 def test_oracle_memo_keys_pinned():
     assert memo_digest() == MEMO_DIGEST
+
+
+# -- every value over exactly z^c -------------------------------------------------------------
+
+def check_over_z_to_the_components(d):
+    """The value of `d` and every memo entry its tree stores are over
+    exactly z^c, c the components of the diagram evaluated (free loops
+    included) or that its key encodes, and that is their canonical form:
+    no value of c components is over a lower power of z (Lickorish and
+    Millett), so none has a spare z."""
+    memo: dict = {}
+    value = homfly_of_diagram(d, max_crossings=len(d.crossings) + d.free_loops, memo=memo)
+    entries = [(value, component_count(d))]
+    entries += [(x, component_count(key_diagram(key))) for key, x in memo.items()]
+    for x, c in entries:
+        assert x._den == (((1, c),) if c else ()), (x._den, c)
+        assert x._den == x.den, (x._den, x.den)
+
+
+def test_memo_values_are_over_z_to_the_components():
+    for d in memo_corpus():
+        check_over_z_to_the_components(d)
+
+
+@given(key_corpus)
+def test_memo_values_are_over_z_to_the_components_on_random_diagrams(d):
+    check_over_z_to_the_components(d)
 
 
 # -- deep skein trees --------------------------------------------------------------------------
