@@ -573,9 +573,7 @@ def _v_delta(v_exp: int, loops: int) -> SkeinScalar:
     return v_val * delta() ** loops if loops else v_val
 
 
-@cache
-def _z_power(d: int) -> LaurentPoly:
-    return Z**d
+_Z2 = Z * Z  # z^2, which lifts a smoothed child over z^(c-1) to z^(c+1)
 
 
 def _skein_step(sign: int, switched: SkeinScalar, smoothed: SkeinScalar) -> SkeinScalar:
@@ -588,14 +586,16 @@ def _skein_step(sign: int, switched: SkeinScalar, smoothed: SkeinScalar) -> Skei
     """
     c = switched._den[0][1]
     d = c + 1 - smoothed._den[0][1]
-    b = smoothed._num * _z_power(d) if d else smoothed._num
+    b = smoothed._num * _Z2 if d else smoothed._num
     return SkeinScalar(switched._num + b if sign > 0 else switched._num - b, ((1, c),))
 
 
-def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> Generator:
+def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict, free_loops: int = 0) -> Generator:
     """One skein-tree node: yields each child to evaluate as (diagram, arcs
     next to the split crossing), is sent its value, and returns the node's
-    value (see `_eval`).
+    value (see `_eval`).  `free_loops` are loops beside the diagram, the
+    root's own: they join the loops `_simplify` closes, so the node frames
+    its memo value by v^v_exp and all its loops in one product.
 
     Every crossing of the reduced core has four distinct ends: `_simplify`
     strips the kinks, whose ends repeat next to each other, and a
@@ -604,6 +604,7 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> G
     (`_split_crossing`), and smoothing it closes no loop (`_smooth`).
     """
     v_exp, loops, core = _simplify(crossings, near)
+    loops += free_loops
     del crossings
     if not core:
         return _v_delta(v_exp, loops)  # the empty diagram is 1
@@ -631,15 +632,16 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict) -> G
     return result
 
 
-def _eval(crossings: tuple[Crossing, ...], memo: dict) -> SkeinScalar:
-    """Evaluate the skein tree depth-first on an explicit stack of nodes.
+def _eval(crossings: tuple[Crossing, ...], free_loops: int, memo: dict) -> SkeinScalar:
+    """Evaluate the skein tree depth-first on an explicit stack of nodes,
+    with the diagram's free loops applied at its root node.
 
     The smoothed child is finished before the switched child starts and
     the parent is stored last, so memo entries go in as a recursion
     would put them, and the tree's depth is not bounded by Python's
     recursion limit.
     """
-    stack = [_node(crossings, {e for cr in crossings for e in cr.ends}, memo)]
+    stack = [_node(crossings, {e for cr in crossings for e in cr.ends}, memo, free_loops)]
     value = None
     while True:
         try:
@@ -679,14 +681,7 @@ def homfly_of_diagram(
     """
     _check_cap(len(diagram.crossings), diagram.free_loops, max_crossings)
     diagram.validate()
-    if not diagram.crossings:
-        return _v_delta(0, diagram.free_loops)
-    if memo is None:
-        memo = {}
-    value = _eval(diagram.crossings, memo)
-    if diagram.free_loops:
-        value = value * _v_delta(0, diagram.free_loops)
-    return value
+    return _eval(diagram.crossings, diagram.free_loops, {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------

@@ -428,10 +428,6 @@ class LaurentPoly:
 
     # -- basic queries -----------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._rows
-
     def _decoded(self) -> list[tuple[int, int, int, list[int]]]:
         """(ev, lowest s-exponent, step, coefficients) of each v-row, by increasing ev.
 
@@ -458,9 +454,6 @@ class LaurentPoly:
     def terms(self) -> list[tuple[int, int, int]]:
         """Sorted (ev, es, coeff) triples; the canonical serialization order."""
         return [(ev, lo + step * j, c) for ev, lo, step, coeffs in self._decoded() for j, c in enumerate(coeffs) if c]
-
-    def coefficient(self, v: int = 0, s: int = 0) -> int:
-        return next((c for ev, es, c in self.terms() if (ev, es) == (v, s)), 0)
 
     def __bool__(self) -> bool:
         return bool(self._rows)
@@ -550,10 +543,6 @@ class LaurentPoly:
     def mirror(self) -> "LaurentPoly":
         """Substitute v -> v^{-1}, s -> s^{-1} (reflection of links)."""
         return LaurentPoly({(-ev, -es): c for ev, es, c in self.terms()})
-
-    def s_inverse(self) -> "LaurentPoly":
-        """Substitute s -> s^{-1} only, leaving v untouched."""
-        return LaurentPoly({(ev, -es): c for ev, es, c in self.terms()})
 
     # -- division by a denominator factor -----------------------------
 
@@ -774,7 +763,7 @@ class SkeinScalar:
             if type(k) is not int or type(mult) is not int or k < 1 or mult < 1:
                 raise ValueError("denominator factors need integers k >= 1 and mult >= 1")
             merged[k] = merged.get(k, 0) + mult
-        if num.is_zero:
+        if not num:
             merged = {}
         self._num = num
         self._den = tuple(sorted(merged.items()))
@@ -841,12 +830,8 @@ class SkeinScalar:
         """(k, mult) pairs, sorted by k: the factors (s^k - s^{-k})^mult."""
         return self._canonical()[1]
 
-    @property
-    def is_zero(self) -> bool:
-        return self._num.is_zero
-
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._num)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -901,17 +886,11 @@ class SkeinScalar:
 
     # -- substitutions ---------------------------------------------------
 
-    def _over_inverted_den(self, num: LaurentPoly) -> "SkeinScalar":
+    def mirror(self) -> "SkeinScalar":
         # s -> s^{-1} negates each factor s^k - s^{-k}; the accumulated
         # sign moves into the numerator.
         sign = -1 if sum(m for _, m in self._den) % 2 else 1
-        return SkeinScalar(num * sign, self._den)
-
-    def mirror(self) -> "SkeinScalar":
-        return self._over_inverted_den(self._num.mirror())
-
-    def s_inverse(self) -> "SkeinScalar":
-        return self._over_inverted_den(self._num.s_inverse())
+        return SkeinScalar(self._num.mirror() * sign, self._den)
 
     # -- comparison ------------------------------------------------------
 
@@ -927,7 +906,7 @@ class SkeinScalar:
         terms = num.terms()
         if den or any(t[:2] != (0, 0) for t in terms):
             return hash((den, tuple(terms)))
-        return hash(num.coefficient())  # an integer constant hashes as the int it equals
+        return hash(terms[0][2] if terms else 0)  # an integer constant hashes as the int it equals
 
     # -- serialization ----------------------------------------------------
 

@@ -2,6 +2,30 @@
 
 from hopflinks.ring import LaurentPoly, SkeinScalar
 
+
+def mono(c: int, v: int = 0, s: int = 0) -> LaurentPoly:
+    """The single term c * v^v * s^s."""
+    return LaurentPoly.term(c, v, s)
+
+
+def coefficient(p: LaurentPoly, v: int = 0, s: int = 0) -> int:
+    """The coefficient of v^v * s^s in p, read from its sorted terms."""
+    return next((c for ev, es, c in p.terms() if (ev, es) == (v, s)), 0)
+
+
+def s_inverse(x):
+    """x with s -> s^{-1} substituted and v untouched, for a LaurentPoly or a SkeinScalar.
+
+    The substitution negates each denominator factor s^k - s^{-k} of a
+    scalar, and the accumulated sign moves into the numerator.  It reads
+    the stored parts, so it never divides.
+    """
+    if isinstance(x, LaurentPoly):
+        return LaurentPoly({(ev, -es): c for ev, es, c in x.terms()})
+    sign = -1 if sum(m for _, m in x._den) % 2 else 1
+    return SkeinScalar(s_inverse(x._num) * sign, x._den)
+
+
 # Per style: exponent template and factor joiner.
 _NOTATION = {"plain": ("^{}", "*"), "latex": ("^{{{}}}", " ")}
 

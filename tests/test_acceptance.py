@@ -10,6 +10,7 @@ import time
 import pytest
 from diagram_tools import add_curl, braid_closure, mirror_diagram, reverse_all
 from meridian_tools import opposite_sense_eigenvalue, same_sense_eigenvalue
+from ring_tools import mono
 
 import hopflinks.cli as cli
 from hopflinks.hopf import HopfSpec, check_symmetries, homfly_general
@@ -18,10 +19,6 @@ from hopflinks.oracle import build_diagram, homfly_of_diagram
 from hopflinks.partitions import BasisLabel, basis_labels, partitions_of
 from hopflinks.ring import LaurentPoly, SkeinScalar, all_distinct, delta
 from hopflinks.basis import monomial_to_eigen
-
-
-def mono(c, v=0, s=0):
-    return LaurentPoly.term(c, v, s)
 
 
 Z = LaurentPoly({(0, 1): 1, (0, -1): -1})

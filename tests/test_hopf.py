@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 from meridian_tools import opposite_sense_eigenvalue, same_sense_eigenvalue
+from ring_tools import mono
 
 from hopflinks import hopf, ring
 from hopflinks.basis import monomial_to_eigen, plane_eval_eigen
@@ -28,10 +29,6 @@ from hopflinks.meridian import (
 from hopflinks.partitions import BasisLabel, partitions_of, syt_count
 from hopflinks.render import render_scalar
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
-
-
-def mono(c, v=0, s=0):
-    return LaurentPoly.term(c, v, s)
 
 
 H_PLUS = delta() ** 2 + mono(1, v=-2) - 1

@@ -4,7 +4,7 @@ import sys
 from hypothesis import given, strategies as st
 from meridian_tools import ccw_eigenvalue_from_terms, opposite_sense_eigenvalue, same_sense_eigenvalue
 from partition_tools import conjugate
-from ring_tools import canonical_from_scratch, raw
+from ring_tools import canonical_from_scratch, mono, raw, s_inverse
 
 from hopflinks.meridian import (
     ccw_eigenvalue,
@@ -15,10 +15,6 @@ from hopflinks.meridian import (
 )
 from hopflinks.partitions import BasisLabel, contents, partitions_of
 from hopflinks.ring import LaurentPoly, SkeinScalar, all_distinct, delta
-
-
-def mono(c, v=0, s=0):
-    return LaurentPoly.term(c, v, s)
 
 
 Z = LaurentPoly({(0, 1): 1, (0, -1): -1})
@@ -253,4 +249,4 @@ def test_plane_eval_conjugation_swaps_s():
     for n in range(7):
         for lam in partitions_of(n):
             sign = -1 if n % 2 else 1
-            assert plane_eval_single(conjugate(lam)) == plane_eval_single(lam).s_inverse() * sign
+            assert plane_eval_single(conjugate(lam)) == s_inverse(plane_eval_single(lam)) * sign

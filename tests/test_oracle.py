@@ -18,6 +18,7 @@ from diagram_tools import (
     writhe,
 )
 from hypothesis import given, strategies as st
+from ring_tools import mono
 
 from hopflinks.hopf import HopfSpec, homfly_general
 from hopflinks.oracle import (
@@ -33,10 +34,6 @@ from hopflinks.oracle import _simplify, _smooth, _switch
 import hopflinks.oracle as oracle_module
 import hopflinks.ring as ring_module
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
-
-
-def mono(c, v=0, s=0):
-    return LaurentPoly.term(c, v, s)
 
 
 Z_SCALAR = SkeinScalar(LaurentPoly({(0, 1): 1, (0, -1): -1}))
@@ -691,6 +688,35 @@ def test_crossing_free_diagrams_make_no_product_by_one(monkeypatch):
         assert len(products) == m - 1  # delta ** m alone
         assert not any(a == 1 or b == 1 for a, b in products), (m, products)
         assert value == delta() ** m
+
+
+@given(st.one_of(kinked(unions()), kinked(braids)))
+def test_free_loops_beside_crossings_multiply_by_delta(d):
+    cap = max(len(d.crossings), 3)
+    bare = homfly_of_diagram(PlanarDiagram(d.crossings), max_crossings=cap)
+    for m in (1, 2, 3):
+        assert homfly_of_diagram(PlanarDiagram(d.crossings, m), max_crossings=cap) == bare * delta() ** m
+
+
+def test_free_loops_are_framed_at_the_root_in_one_product(monkeypatch):
+    # The root node frames its value by v^v_exp and every loop, the
+    # diagram's free loops included, in one product: the last one made.
+    real = SkeinScalar.__mul__
+    calls = []
+    monkeypatch.setattr(SkeinScalar, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
+    kinked_hopf = add_curl(HOPF, 0, 1)  # the root strips the kink: v^-1
+    for d, v_exp in ((HOPF, 0), (kinked_hopf, -1)):
+        counts = []
+        for m in range(4):
+            diagram = PlanarDiagram(d.crossings, m)
+            homfly_of_diagram(diagram)  # every _v_delta value it takes is built
+            calls.clear()
+            homfly_of_diagram(diagram)
+            counts.append(len(calls))
+            if v_exp or m:
+                assert calls[-1][1] is oracle_module._v_delta(v_exp, m)
+        # Free loops add a product only where the root had none to make.
+        assert counts == [counts[0] + (m > 0 and not v_exp) for m in range(4)], (v_exp, counts)
 
 
 # -- simplification: moves near the split crossing against the full face rescan -------------

@@ -16,11 +16,7 @@ from hopflinks.ring import (
     common_denominator,
     delta,
 )
-from ring_tools import reference_common_denominator
-
-
-def mono(c, v=0, s=0):
-    return LaurentPoly.term(c, v, s)
+from ring_tools import coefficient, mono, reference_common_denominator, s_inverse
 
 
 Z = LaurentPoly({(0, 1): 1, (0, -1): -1})
@@ -57,7 +53,7 @@ def test_zero_coefficients_are_dropped():
 
 def test_duplicate_keys_merge():
     p = LaurentPoly([((1, 0), 2), ((1, 0), 3)])
-    assert p.coefficient(v=1) == 5
+    assert coefficient(p, v=1) == 5
 
 
 def test_denominators_merge_and_sort():
@@ -67,7 +63,7 @@ def test_denominators_merge_and_sort():
 
 def test_zero_scalar_has_empty_denominator():
     assert SkeinScalar(LaurentPoly.zero(), [(1, 3)]).den == ()
-    assert SkeinScalar.zero().is_zero
+    assert not SkeinScalar.zero()
 
 
 def test_bad_denominator_factor_rejected():
@@ -85,7 +81,7 @@ def test_add_identity():
 
 def test_add_inverse_cancels():
     other = SkeinScalar(V - V_INV, ((1, 1),))  # (v - v^-1)/(s - s^-1)
-    assert (delta() + other).is_zero
+    assert not delta() + other
 
 
 def test_add_doubles():
@@ -147,7 +143,7 @@ def test_every_result_keeps_its_bounds(a, b, n, d, k):
     # max |c| <= _cap < 2^(_w-1) and sum |c| <= _l1 on every result, and
     # both exact where a polynomial is built from its terms.
     phi = LaurentPoly(((0, 2 * j), c) for j, c in enumerate(cyclotomic(d)))
-    for p in (a, b, LaurentPoly.from_json(a.to_json()), LaurentPoly.term(n, k, -k), a.mirror(), a.s_inverse()):
+    for p in (a, b, LaurentPoly.from_json(a.to_json()), LaurentPoly.term(n, k, -k), a.mirror(), s_inverse(a)):
         assert_certified(p, exact=True)
     chain = a * b * b * a
     results = [a + b, a - b, -a, n - a, a * b, b * a, a * n, n * b, chain, chain + chain * n, a * phi]
@@ -164,7 +160,7 @@ def test_scalar_times_int_keeps_its_denominator():
     x = SkeinScalar(V_INV - V * 3, [(2, 1), (1, 1)])
     assert (x * 6)._den == x._den and x * 6 == x * SkeinScalar(6)
     zero = x * 0
-    assert zero.is_zero and zero._den == () and (0 * x)._den == ()
+    assert not zero and zero._den == () and (0 * x)._den == ()
 
 
 # -- products of brackets -----------------------------------------------------
@@ -329,7 +325,7 @@ def test_mirror_is_ring_homomorphism(x, y):
 
 @given(scalars)
 def test_s_inverse_involution(x):
-    assert x.s_inverse().s_inverse() == x
+    assert s_inverse(s_inverse(x)) == x
 
 
 # -- ring axioms ------------------------------------------------------------------
@@ -663,7 +659,7 @@ def test_arithmetic_never_divides(monkeypatch):
     a = SkeinScalar((V_INV - V) * Z, [(1, 2), (2, 1)])
     b = SkeinScalar(Z * binomial(2) + V, [(1, 1), (2, 1)])
     x = ((a + b) * a - b) ** 3 - a * b
-    x = x.mirror() + x.s_inverse() + delta() * Z
+    x = x.mirror() + s_inverse(x) + delta() * Z
     x = SkeinScalar.sum([x, a, -b, 3, delta() * Z, b, a * b])
     assert calls == []
     first = x.to_json()
@@ -702,7 +698,7 @@ def test_sum_matches_the_fold(xs):
     total, expected = SkeinScalar.sum(iter(xs)), fold(xs)
     assert total.to_json() == expected.to_json()
     assert hash(total) == hash(expected)
-    assert total.is_zero == expected.is_zero
+    assert bool(total) == bool(expected)
 
 
 factored_denominators = st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=4).map(
@@ -799,7 +795,7 @@ def test_poly_from_json_rejects_non_integers(terms):
 def test_repeated_terms_add_on_read():
     assert LaurentPoly.from_json([{"v": 0, "s": 0, "c": 1}, {"v": 0, "s": 0, "c": 2}]) == 3
     blob = {"num": [{"v": 1, "s": 2, "c": 1}, {"v": 1, "s": 2, "c": -1}], "den": [{"k": 1, "mult": 1}]}
-    assert SkeinScalar.from_json(blob).is_zero
+    assert not SkeinScalar.from_json(blob)
 
 
 @pytest.mark.parametrize("factor", [{"k": 1.9, "mult": 1}, {"k": 1, "mult": 1.0}, {"k": True, "mult": 1}])
