@@ -92,7 +92,7 @@ def _core_weights(n1: int, n2: int) -> tuple[tuple[tuple[int, int], ...], tuple]
     groups: dict[tuple[tuple[int, int], ...], list] = {}
     for label, mult in monomial_to_eigen(n1, n2).items():
         weight = plane_eval_eigen(label)
-        groups.setdefault(weight._den, []).append((label, BasisLabel(label.pos, label.neg), weight._num * mult))
+        groups.setdefault(weight.den, []).append((label, BasisLabel(label.pos, label.neg), weight.num * mult))
     top, cofactors = common_denominator(tuple(groups))
     return top, tuple(zip(cofactors, map(tuple, groups.values())))
 
@@ -102,7 +102,8 @@ def _core_sum(spec: HopfSpec) -> SkeinScalar:
 
     The term of a label is its ccw power k1 times the ccw power k2 of the
     swapped label (its cw power, as in `cw_eigenvalue`) times its weight;
-    every power is over z^k, so the sum is over `top` times z^(k1 + k2).
+    `ccw_power` gives each power as its numerator over z^k, so the sum of
+    the products is over `top` times z^(k1 + k2), the one scalar built.
     A power 0 is the constant 1 and is not multiplied in.
     """
     k1, k2 = spec.k1, spec.k2
@@ -112,9 +113,9 @@ def _core_sum(spec: HopfSpec) -> SkeinScalar:
         part = None
         for label, swapped, weight in entries:
             if k1 and k2:
-                term = ccw_power(label, k1)._num * ccw_power(swapped, k2)._num * weight
+                term = ccw_power(label, k1) * ccw_power(swapped, k2) * weight
             elif k1 or k2:
-                term = (ccw_power(label, k1) if k1 else ccw_power(swapped, k2))._num * weight
+                term = (ccw_power(label, k1) if k1 else ccw_power(swapped, k2)) * weight
             else:
                 term = weight
             part = term if part is None else part + term

@@ -8,9 +8,10 @@ weighted by v^{-1} or -v, plus the unknot value; it is built as one
 numerator over z = s - s^{-1}, the unknot value's denominator, its two
 rows straight from the contents, and it is canonical as built.  The
 closed form raises these eigenvalues to string counts; `ccw_power` keeps
-each (label, n) power it has made and builds it as the power below times
-the eigenvalue, one product by a two-row value, so a sweep over string
-counts builds each power once and with one product.
+the numerator of each (label, n) power it has made, over z^n, and builds
+it as the numerator below times the eigenvalue's, one product by a
+two-row value, so a sweep over string counts builds each power once and
+with one product.
 """
 
 from __future__ import annotations
@@ -45,20 +46,20 @@ def ccw_eigenvalue(label: BasisLabel) -> SkeinScalar:
 
 
 @cache
-def ccw_power(label: BasisLabel, n: int) -> SkeinScalar:
-    """ccw_eigenvalue(label) ** n, made once per (label, n).
+def ccw_power(label: BasisLabel, n: int) -> LaurentPoly:
+    """The numerator of ccw_eigenvalue(label) ** n over z^n, made once per (label, n).
 
-    From n = 2 on it is `ccw_power(label, n - 1)` times the eigenvalue.  A
-    miss first asks for the powers below it in increasing order, so each
-    is a cache hit or one product over a hit, and no recursion deepens
-    with n.  The clockwise power of a label is `ccw_power` of the swapped
-    label, as in `cw_eigenvalue`.
+    From n = 2 on it is `ccw_power(label, n - 1)` times `ccw_power(label, 1)`,
+    the eigenvalue's numerator.  A miss first asks for the powers below it
+    in increasing order, so each is a cache hit or one product over a hit,
+    and no recursion deepens with n.  The clockwise power of a label is
+    `ccw_power` of the swapped label, as in `cw_eigenvalue`.
     """
     if n < 2:
-        return ccw_eigenvalue(label) ** n
+        return ccw_eigenvalue(label).num ** n
     for m in range(2, n):
         ccw_power(label, m)
-    return ccw_power(label, n - 1) * ccw_eigenvalue(label)
+    return ccw_power(label, n - 1) * ccw_power(label, 1)
 
 
 def cw_eigenvalue(label: BasisLabel) -> SkeinScalar:

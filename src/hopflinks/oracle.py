@@ -29,22 +29,25 @@ traversal-descending diagrams are unlinks weighted by v^{-writhe}.
 Every value the tree builds is a numerator over z^c, where z = s - s^{-1}
 and c counts the components of its diagram, free loops included: the
 unlink delta^c is, a kink's v^{-sign} keeps it, and so does a skein step,
-which adds numerators (`_skein_step`).  Lickorish and Millett ("A
-polynomial invariant of oriented links", Topology 26, 1987) show that
-the polynomial of a c-component link with the unknot at 1 has a nonzero
-term in z^{1-c} and none lower; the value here is delta times it, so its
-lowest power is z^{-c}.  No numerator holds a spare z, and every value
-is canonical as built.
+which adds numerators (`_skein_step`).  So the tree carries, and its memo
+stores, each value as the pair (numerator, c), and only the root builds
+a SkeinScalar.  Lickorish and Millett ("A polynomial invariant of
+oriented links", Topology 26, 1987) show that the polynomial of a
+c-component link with the unknot at 1 has a nonzero term in z^{1-c} and
+none lower; the value here is delta times it, so its lowest power is
+z^{-c}.  No numerator holds a spare z, and every value is canonical as
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .hopf import HopfSpec
-from .ring import Z, LaurentPoly, SkeinScalar, delta, json_int, json_item, json_list
+from .ring import Z, LaurentPoly, SkeinScalar, json_int, json_item, json_list
 
 __all__ = [
     "MalformedDiagramError",
@@ -563,31 +566,31 @@ def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
 # evaluation
 
 
+_Value = tuple[LaurentPoly, int]  # (numerator, c): the numerator over z^c
+
+
 @cache
-def _v_delta(v_exp: int, loops: int) -> SkeinScalar:
-    """v^v_exp * delta^loops, without a product by a factor that is 1; one
-    shared immutable value per pair."""
-    if loops and not v_exp:
-        return delta() ** loops
-    v_val = SkeinScalar(LaurentPoly.term(1, v=v_exp))
-    return v_val * delta() ** loops if loops else v_val
+def _v_delta(v_exp: int, loops: int) -> LaurentPoly:
+    """The numerator of v^v_exp * delta^loops over z^loops, which is
+    v^v_exp (v^{-1} - v)^loops expanded by the binomial theorem, with no
+    product; one shared immutable value per pair."""
+    return LaurentPoly({(v_exp - loops + 2 * j, 0): (-1) ** j * comb(loops, j) for j in range(loops + 1)})
 
 
 _Z2 = Z * Z  # z^2, which lifts a smoothed child over z^(c-1) to z^(c+1)
 
 
-def _skein_step(sign: int, switched: SkeinScalar, smoothed: SkeinScalar) -> SkeinScalar:
+def _skein_step(sign: int, switched: _Value, smoothed: _Value) -> _Value:
     """switched + sign * z * smoothed, added as numerators over z^c.
 
     The switched child has the node's c components and is over z^c; the
     smoothed child has c + 1 or c - 1 and is over z^(c+1) or z^(c-1).
     The factor z cancels one z of the smoothed child's denominator, so
-    its numerator is added as it is (d = 0) or times z^2 (d = 2).
+    its numerator is added as it is or, over z^(c-1), times z^2.
     """
-    c = switched._den[0][1]
-    d = c + 1 - smoothed._den[0][1]
-    b = smoothed._num * _Z2 if d else smoothed._num
-    return SkeinScalar(switched._num + b if sign > 0 else switched._num - b, ((1, c),))
+    (num, c), (b, c_smoothed) = switched, smoothed
+    b = b * _Z2 if c_smoothed < c else b
+    return num + b if sign > 0 else num - b, c
 
 
 def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict, free_loops: int = 0) -> Generator:
@@ -595,7 +598,8 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict, free
     next to the split crossing), is sent its value, and returns the node's
     value (see `_eval`).  `free_loops` are loops beside the diagram, the
     root's own: they join the loops `_simplify` closes, so the node frames
-    its memo value by v^v_exp and all its loops in one product.
+    its memo value by v^v_exp and all its loops in one product of
+    numerators, and adds the loops to its c.
 
     Every crossing of the reduced core has four distinct ends: `_simplify`
     strips the kinks, whose ends repeat next to each other, and a
@@ -607,14 +611,14 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict, free
     loops += free_loops
     del crossings
     if not core:
-        return _v_delta(v_exp, loops)  # the empty diagram is 1
+        return _v_delta(v_exp, loops), loops  # the empty diagram is 1
     in_end = _in_ends(core)
     key = _canonical(core, in_end)
     result = memo.get(key)
     if result is None:
         candidates, out_end, strands = _strands(core, in_end)
         if not candidates:
-            result = _v_delta(-sum(cr.sign for cr in core), strands)
+            result = _v_delta(-sum(cr.sign for cr in core), strands), strands
         else:
             bad = _split_crossing(core, in_end, out_end, candidates)
             # Switching keeps the cyclic order of the split crossing's
@@ -627,14 +631,16 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict, free
             smooth_val = yield children.pop(), near
             result = _skein_step(sign, (yield children.pop(), near), smooth_val)
         memo[key] = result
+    num, c = result
     if v_exp or loops:
-        result = result * _v_delta(v_exp, loops)
-    return result
+        num = num * _v_delta(v_exp, loops)
+    return num, c + loops
 
 
 def _eval(crossings: tuple[Crossing, ...], free_loops: int, memo: dict) -> SkeinScalar:
     """Evaluate the skein tree depth-first on an explicit stack of nodes,
-    with the diagram's free loops applied at its root node.
+    with the diagram's free loops applied at its root node, and build the
+    one SkeinScalar of the root's (numerator, c) value.
 
     The smoothed child is finished before the switched child starts and
     the parent is stored last, so memo entries go in as a recursion
@@ -650,7 +656,8 @@ def _eval(crossings: tuple[Crossing, ...], free_loops: int, memo: dict) -> Skein
             stack.pop()
             value = done.value
             if not stack:
-                return value
+                num, c = value
+                return SkeinScalar(num, ((1, c),) if c else ())
         else:
             stack.append(_node(*child, memo))
             value = None
@@ -659,7 +666,8 @@ def _eval(crossings: tuple[Crossing, ...], free_loops: int, memo: dict) -> Skein
 def _check_cap(crossings: int, free_loops: int, max_crossings: int) -> None:
     if crossings > max_crossings:
         raise CrossingLimitError(f"{crossings} crossings exceed cap {max_crossings}")
-    # Each free loop costs one product by delta, as a crossing costs a skein step.
+    # Each free loop raises the power of delta that frames the root, as a
+    # crossing costs a skein step.
     if free_loops > max_crossings:
         raise CrossingLimitError(f"{free_loops} free loops exceed cap {max_crossings}")
 
@@ -673,8 +681,9 @@ def homfly_of_diagram(
     """Framed Homfly value of a diagram, with the empty diagram at 1.
 
     `memo` may be shared across calls; it is keyed by canonical form and
-    only ever maps a key to one exact value, so concurrent or repeated
-    population cannot change results.
+    only ever maps a key to one exact value, the pair (numerator, c) of a
+    numerator over z^c, so concurrent or repeated population cannot change
+    results.
 
     The cap is checked before validation traces the faces, so a diagram
     above it raises CrossingLimitError even when it is malformed.

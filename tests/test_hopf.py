@@ -141,12 +141,13 @@ def reference_core_sum(spec: HopfSpec) -> SkeinScalar:
     """The sum as `SkeinScalar.sum` of one scalar per label, each regrouped by denominator.
 
     This is the summation the closed form used before its per-core weight
-    groups: it builds every term as a scalar and finds the groups, their
-    lcm and cofactors again on each call.
+    groups: it builds every term as a scalar, its eigenvalue powers by the
+    ring's power loop, and finds the groups, their lcm and cofactors again
+    on each call.
     """
     return SkeinScalar.sum(
-        ccw_power(label, spec.k1)
-        * ccw_power(BasisLabel(label.pos, label.neg), spec.k2)
+        ccw_eigenvalue(label) ** spec.k1
+        * cw_eigenvalue(label) ** spec.k2
         * (plane_eval_eigen(label) * mult)
         for label, mult in monomial_to_eigen(spec.n1, spec.n2).items()
     )

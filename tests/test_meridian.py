@@ -143,28 +143,33 @@ def test_mirror_exchanges_the_two_eigenvalues(label):
     assert ccw_eigenvalue(label).mirror() == cw_eigenvalue(label)
 
 
+def power_scalar(label, n):
+    """The value `ccw_power(label, n)` stands for: its numerator over z^n."""
+    return SkeinScalar(ccw_power(label, n), ((1, n),) if n else ())
+
+
 def test_power_cache_matches_eigenvalue_powers():
     labels = [lab for lab in all_labels(4) if sum(lab.neg) + sum(lab.pos) <= 4]
     for label in labels:
         swapped = BasisLabel(label.pos, label.neg)
         for n in range(9):
             ccw, cw = ccw_eigenvalue(label) ** n, cw_eigenvalue(label) ** n
-            assert ccw_power(label, n) == ccw
-            assert ccw_power(label, n).to_json() == ccw.to_json()
-            assert ccw_power(swapped, n).to_json() == cw.to_json()
+            assert power_scalar(label, n) == ccw
+            assert power_scalar(label, n).to_json() == ccw.to_json()
+            assert power_scalar(swapped, n).to_json() == cw.to_json()
 
 
 def test_power_chain_has_the_raw_value_of_the_power_loop():
-    # ccw_power multiplies the power below by the eigenvalue; the ring's
-    # binary power loop is the reference, numerator and denominator as
-    # stored, before any reduction.
+    # ccw_power multiplies the numerator below by the eigenvalue's; the
+    # ring's binary power loop is the reference, its numerator as stored,
+    # before any reduction, over exactly z^n.
     shapes = [lam for n in range(5) for lam in partitions_of(n)]
     cases = [(BasisLabel(lam, mu), n) for lam in shapes for mu in shapes for n in range(31)]
     assert len(cases) == 144 * 31
     cases += [(BasisLabel((), (1,)), 64), (BasisLabel((), (1,)), 77), (BasisLabel((1,), (2,)), 45)]
     for label, n in cases:
         power, reference = ccw_power(label, n), ccw_eigenvalue(label) ** n
-        assert power._num == reference._num and power._den == reference._den, (label, n)
+        assert power == reference._num and reference._den == (((1, n),) if n else ()), (label, n)
 
 
 def test_power_chain_stays_below_a_lowered_recursion_limit():
@@ -179,7 +184,7 @@ def test_power_chain_stays_below_a_lowered_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     reference = delta() ** 400
-    assert power._num == reference._num and power._den == reference._den
+    assert power == reference._num and reference._den == ((1, 400),)
 
 
 def test_power_cache_is_a_functools_cache():

@@ -658,35 +658,36 @@ def test_encodings_start_by_the_rule_and_it_holds_every_least_first_item(d):
 
 
 def test_nodes_make_no_product_by_one(monkeypatch):
-    # None of these diagrams has a free loop, so every product is made in a
-    # skein-tree node or in a power it takes.
-    real = SkeinScalar.__mul__
-    by_one = []
+    # None of these diagrams has a free loop, so every numerator product is
+    # made in a skein step or where a node frames its value.
+    real = LaurentPoly.__mul__
+    products, by_one = [], []
 
     def counting(a, b):
+        products.append((a, b))
         if a == 1 or b == 1:
             by_one.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(SkeinScalar, "__mul__", counting)
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
     for d in (braid_closure(2, [1] * 12), build_diagram(HopfSpec(2, 0, 2, 0)), build_diagram(HopfSpec(1, 1, 2, 1))):
         assert not d.free_loops
         homfly_of_diagram(d)
+    assert products
     assert by_one == []
 
 
 def test_crossing_free_diagrams_make_no_product_by_one(monkeypatch):
-    real = SkeinScalar.__mul__
+    real = LaurentPoly.__mul__
     calls = []
-    monkeypatch.setattr(SkeinScalar, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
     # Each value is built once and then shared, so start with none built.
     oracle_module._v_delta.cache_clear()
     for m in (1, 2, 3):
         calls.clear()
         value = homfly_of_diagram(PlanarDiagram((), m))
         products = list(calls)
-        assert len(products) == m - 1  # delta ** m alone
-        assert not any(a == 1 or b == 1 for a, b in products), (m, products)
+        assert products == [], m  # the numerator of delta ** m is expanded, not multiplied
         assert value == delta() ** m
 
 
@@ -700,10 +701,11 @@ def test_free_loops_beside_crossings_multiply_by_delta(d):
 
 def test_free_loops_are_framed_at_the_root_in_one_product(monkeypatch):
     # The root node frames its value by v^v_exp and every loop, the
-    # diagram's free loops included, in one product: the last one made.
-    real = SkeinScalar.__mul__
+    # diagram's free loops included, in one product of numerators: the
+    # last one made.
+    real = LaurentPoly.__mul__
     calls = []
-    monkeypatch.setattr(SkeinScalar, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
     kinked_hopf = add_curl(HOPF, 0, 1)  # the root strips the kink: v^-1
     for d, v_exp in ((HOPF, 0), (kinked_hopf, -1)):
         counts = []
@@ -975,8 +977,15 @@ def test_split_rule_keeps_the_memo_small(spec, bound):
 # sha256 over canonical_key, memo keys and values in insertion order, and
 # the value JSON, on the family diagrams with k1+k2 <= 2 and n1+n2 <= 3
 # and the sigma1^n closures for n = 1..12; captured when the split rule
-# last changed which diagrams the tree visits.
+# last changed which diagrams the tree visits.  A memo value is hashed as
+# the JSON of the scalar it stands for.
 MEMO_DIGEST = "44a755149f8559102bc99680b617914af76f3e26064570f4e0c6f7e9492bc5f4"
+
+
+def memo_scalar(entry):
+    """The value a memo entry (numerator, c) stands for: the numerator over z^c."""
+    num, c = entry
+    return SkeinScalar(num, ((1, c),) if c else ())
 
 
 def memo_corpus():
@@ -991,7 +1000,7 @@ def memo_digest():
         h.update(repr(canonical_key(d)).encode())
         for key, entry in memo.items():
             h.update(repr(key).encode())
-            h.update(json.dumps(entry.to_json(), sort_keys=True).encode())
+            h.update(json.dumps(memo_scalar(entry).to_json(), sort_keys=True).encode())
         h.update(json.dumps(value.to_json(), sort_keys=True).encode())
     return h.hexdigest()
 
@@ -1007,11 +1016,15 @@ def check_over_z_to_the_components(d):
     exactly z^c, c the components of the diagram evaluated (free loops
     included) or that its key encodes, and that is their canonical form:
     no value of c components is over a lower power of z (Lickorish and
-    Millett), so none has a spare z."""
+    Millett), so none has a spare z.  A memo entry is the pair
+    (numerator, c) of a numerator over z^c."""
     memo: dict = {}
     value = homfly_of_diagram(d, max_crossings=len(d.crossings) + d.free_loops, memo=memo)
     entries = [(value, component_count(d))]
-    entries += [(x, component_count(key_diagram(key))) for key, x in memo.items()]
+    for key, entry in memo.items():
+        c = component_count(key_diagram(key))
+        assert entry[1] == c, (entry[1], c)
+        entries.append((memo_scalar(entry), c))
     for x, c in entries:
         assert x._den == (((1, c),) if c else ()), (x._den, c)
         assert x._den == x.den, (x._den, x.den)
