@@ -47,7 +47,7 @@ from math import comb
 from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .hopf import HopfSpec
-from .ring import Z, LaurentPoly, SkeinScalar, json_int, json_item, json_list
+from .ring import LaurentPoly, SkeinScalar, json_int, json_item, json_list
 
 __all__ = [
     "MalformedDiagramError",
@@ -364,36 +364,35 @@ def _reducible_face(work: list[Crossing], near: set[int]) -> tuple[Corner, ...] 
     tracing every face from the least unvisited corner would meet it:
     the least kink corner (a crossing with two cyclically adjacent equal
     ends), else the bigon of the least corner whose crossings have
-    opposite signs and whose one strand stays on top at both.
+    opposite signs and whose one strand stays on top at both.  One pass
+    in crossing order finds the examined crossings and tests each for a
+    kink, so the first kink it meets is the least.  The same pass meets
+    each arc's second end after its first: the face from the first end's
+    corner (c1, p1) runs along the arc to (c2, q) and turns to c2's end
+    q + 1, and it is a bigon when that end is c1's end p1 - 1.
     """
-    local = [ci for ci, cr in enumerate(work) if not near.isdisjoint(cr.ends)]
-    for ci in local:
-        ends = work[ci].ends
-        for pos in range(4):
-            if ends[pos] == ends[pos - 1]:
-                return ((ci, pos),)
-    at: dict[int, list[Corner]] = {}
-    for ci in local:
-        for pos, arc in enumerate(work[ci].ends):
-            at.setdefault(arc, []).append((ci, pos))
-    for c1 in local:
-        cr1 = work[c1]
-        for p1 in range(4):
-            occ = at[cr1.ends[p1]]
-            if len(occ) < 2:
+    first: dict[int, Corner] = {}  # arc -> the corner of its first examined end
+    clasp = None
+    for c2, (sign, ends) in enumerate(work):
+        if near.isdisjoint(ends):
+            continue
+        a, b, c, d = ends
+        if a == d or a == b or b == c or c == d:
+            return ((c2, next(pos for pos in range(4) if ends[pos] == ends[pos - 1])),)
+        for q, arc in enumerate(ends):
+            corner = first.get(arc)
+            if corner is None:
+                first[arc] = (c2, q)
                 continue
-            c2, q = occ[1] if occ[0] == (c1, p1) else occ[0]
-            # The face turns at the arc's other end; it is a bigon starting
-            # at its least corner when it comes back from a later crossing.
+            c1, p1 = corner
+            sign1, ends1 = work[c1]
             p2 = (q + 1) % 4
-            if c2 <= c1 or work[c2].ends[p2] != cr1.ends[p1 - 1]:
-                continue
-            if cr1.sign == work[c2].sign:
-                continue
-            # The shared strand must be over (or under) at both ends.
-            if p1 % 2 == (p2 - 1) % 2:
-                return (c1, p1), (c2, p2)
-    return None
+            # A bigon of opposite signs whose shared strand is over (or
+            # under) at both ends.
+            if ends[p2] == ends1[p1 - 1] and sign != sign1 and p1 % 2 == (p2 - 1) % 2:
+                if clasp is None or corner < clasp[0]:
+                    clasp = corner, (c2, p2)
+    return clasp
 
 
 def _simplify(
@@ -442,34 +441,56 @@ def _simplify(
 # canonical form
 
 
-def _encode_from(
-    crossings: tuple[Crossing, ...],
-    in_end: InEnd,
-    start: int,
-    best: tuple | None,
-) -> tuple[tuple, list[int]] | None:
-    """Traversal encoding from `start` and its arc order, or None once the
-    encoding exceeds `best`.
+# arc -> (crossing it enters, that crossing's sign, its ends read from the
+# entry position, its ends)
+ArcTable = dict[int, tuple[int, int, tuple[int, int, int, int], tuple[int, int, int, int]]]
+
+
+def _arc_table(crossings: tuple[Crossing, ...]) -> tuple[ArcTable, list[int]]:
+    """The arc table of a crossing set and the starts of its key, in one pass.
+
+    The starts are the under-strand in-arcs of the crossings of sign -1 and
+    then of those of sign +1, each run in crossing order (`_canonical`).
+    """
+    table: ArcTable = {}
+    negative: list[int] = []
+    positive: list[int] = []
+    for ci, (sign, ends) in enumerate(crossings):
+        a, b, c, d = ends
+        table[a] = (ci, sign, ends, ends)
+        if sign > 0:
+            table[d] = (ci, sign, (d, a, b, c), ends)
+            positive.append(a)
+        else:
+            table[b] = (ci, sign, (b, c, d, a), ends)
+            negative.append(a)
+    return table, negative + positive
+
+
+def _encode_from(table: ArcTable, start: int, best: tuple | None) -> tuple[tuple, list[int]] | None:
+    """Traversal encoding from `start` and the under-strand in-arc of each
+    crossing in visit order, or None once the encoding exceeds `best`.
 
     Arcs are labeled in breadth-first order from `start`; each visited
     crossing emits (sign, labels of its ends).  Every end is labeled when
     its crossing is visited, so each item is final once emitted and the
     encoding can be compared with `best` item by item as it grows.  The
     first item is the sign of the crossing `start` enters and its ends
-    labeled in order of first appearance from the entry position.
+    labeled in order of first appearance from the entry position.  The
+    traversal visits exactly the piece that holds `start`.
     """
     arc_label: dict[int, int] = {start: 0}
     order = [start]
     items: list[tuple] = []
+    under: list[int] = []
     visited: set[int] = set()
     tied = best is not None
     for arc in order:
-        ci, pos = in_end[arc]
+        ci, sign, entered, ends = table[arc]
         if ci in visited:
             continue
         visited.add(ci)
-        sign, ends = crossings[ci]
-        for e in ends[pos:] + ends[:pos]:
+        for e in entered:
             if e not in arc_label:
                 arc_label[e] = len(order)
                 order.append(e)
@@ -481,78 +502,71 @@ def _encode_from(
                 return None
             tied = item == rival
         items.append(item)
-    return tuple(items), order
+        under.append(e0)
+    return tuple(items), under
 
 
-def _canonical(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple:
-    """Relabeling-invariant encoding of a crossing set.
+def _canonical(table: ArcTable, starts: list[int]) -> tuple:
+    """Relabeling-invariant encoding of a crossing set, from its
+    `_arc_table`.
 
     Per connected piece, the key is the minimum traversal encoding over
     all starting arcs; split pieces commute, so their encodings are
     sorted.  Three shortcuts leave the minimum unchanged.
 
     Only the under-strand in-arcs of the piece's least-sign crossings
-    are encoded, picked in the same pass that collects the piece's arcs.
-    An encoding's first item is the sign of the crossing its start
-    enters and that crossing's ends labeled in order of first appearance
-    from the entry position.  From position 0 the ends are labeled in
-    reading order, so the first label is 0 and no other labeling of the
-    same ends is smaller.  From the over-strand in-arc the first label
-    is above 0, because the end at position 0 is another arc: an arc
-    enters only once.  So every start whose first item is the piece's
-    least is picked, kinked crossings included.  On a reduced diagram,
-    where every crossing has four distinct ends, the picked starts are
-    exactly those whose first item is `(sign, (0, 1, 2, 3))` for the
-    least sign.
+    are encoded.  An encoding's first item is the sign of the crossing
+    its start enters and that crossing's ends labeled in order of first
+    appearance from the entry position.  From position 0 the ends are
+    labeled in reading order, so the first label is 0 and no other
+    labeling of the same ends is smaller.  From the over-strand in-arc
+    the first label is above 0, because the end at position 0 is
+    another arc: an arc enters only once.  So every start whose first
+    item is the piece's least is picked, kinked crossings included.  On
+    a reduced diagram, where every crossing has four distinct ends, the
+    picked starts are exactly those whose first item is
+    `(sign, (0, 1, 2, 3))` for the least sign.  A piece is learned from
+    its first encoding, from the first of `starts` that no piece keyed
+    so far holds: `starts` lists every crossing of sign -1 before any of
+    sign +1, so that start's sign is its piece's least.
 
     Every encoding of a piece has one item per crossing, so the minimum
     is decided item by item: an encoding is dropped at its first item
     above the best one so far.  And when an encoding ties the best one,
-    mapping the best's arc order onto its own is an automorphism of the
-    piece; the starts in one orbit of the automorphisms found so far all
-    give one encoding, so a start is skipped once its orbit holds an
-    encoded start (automorphism pruning, as in nauty).  Orbits are kept
-    by union-find.
+    mapping the best's crossings onto its own in visit order is an
+    automorphism of the piece, which maps starts to starts; the starts
+    in one orbit of the automorphisms found so far all give one
+    encoding, so a start is skipped once its orbit holds an encoded
+    start (automorphism pruning, as in nauty).  Orbits of the
+    under-strand in-arcs are kept by union-find.
     """
     keys = []
-    seen: set[int] = set()
-    for first in in_end:
-        if first in seen:
+    keyed: set[int] = set()  # the starts of the pieces keyed so far
+    for first in starts:
+        if first in keyed:
             continue
-        seen.add(first)
-        # Strands are closed, so following the ends of every crossing
-        # reached from an arc reaches the whole piece.
-        piece = [first]
-        least = 2  # above either sign
-        starts: list[int] = []
-        for arc in piece:
-            ci, pos = in_end[arc]
-            sign, ends = crossings[ci]
-            for e in ends:
-                if e not in seen:
-                    seen.add(e)
-                    piece.append(e)
-            if pos or sign > least:
-                continue
-            if sign < least:
-                least, starts = sign, []
-            starts.append(arc)
-        best = best_order = None
+        # The piece's under-strand in-arcs, in visit order, every sign included.
+        best, piece = _encode_from(table, first, None)
+        best_under = piece
+        keyed.update(piece)
+        least = table[first][1]
         links: dict[int, int] = {}
-        encoded: set[int] = set()  # roots of orbits holding an encoded start
-        for a in starts:
+        encoded = {first}  # roots of orbits holding an encoded start
+        for a in piece:
+            if table[a][1] != least:
+                continue
             root = _root(links, a)
             if root in encoded:
                 continue
             encoded.add(root)
-            found = _encode_from(crossings, in_end, a, best)
+            found = _encode_from(table, a, best)
             if found is None:
                 continue
-            items, order = found
+            items, under = found
             if items != best:
-                best, best_order = items, order
+                best, best_under = items, under
                 continue
-            for x, y in zip(best_order, order):
+            for x, y in zip(best_under, under):
                 rx, ry = _root(links, x), _root(links, y)
                 if rx != ry:
                     links[ry] = rx
@@ -577,19 +591,17 @@ def _v_delta(v_exp: int, loops: int) -> LaurentPoly:
     return LaurentPoly({(v_exp - loops + 2 * j, 0): (-1) ** j * comb(loops, j) for j in range(loops + 1)})
 
 
-_Z2 = Z * Z  # z^2, which lifts a smoothed child over z^(c-1) to z^(c+1)
-
-
 def _skein_step(sign: int, switched: _Value, smoothed: _Value) -> _Value:
     """switched + sign * z * smoothed, added as numerators over z^c.
 
     The switched child has the node's c components and is over z^c; the
     smoothed child has c + 1 or c - 1 and is over z^(c+1) or z^(c-1).
     The factor z cancels one z of the smoothed child's denominator, so
-    its numerator is added as it is or, over z^(c-1), times z^2.
+    its numerator is added as it is or, over z^(c-1), times z^2 on its
+    packed rows (`LaurentPoly.times_z2`).
     """
     (num, c), (b, c_smoothed) = switched, smoothed
-    b = b * _Z2 if c_smoothed < c else b
+    b = b.times_z2() if c_smoothed < c else b
     return num + b if sign > 0 else num - b, c
 
 
@@ -599,7 +611,9 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict, free
     value (see `_eval`).  `free_loops` are loops beside the diagram, the
     root's own: they join the loops `_simplify` closes, so the node frames
     its memo value by v^v_exp and all its loops in one product of
-    numerators, and adds the loops to its c.
+    numerators, and adds the loops to its c.  With no loop the frame is
+    v^v_exp alone, which moves the numerator's rows (`times_v`) and makes
+    no product.
 
     Every crossing of the reduced core has four distinct ends: `_simplify`
     strips the kinks, whose ends repeat next to each other, and a
@@ -612,10 +626,10 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict, free
     del crossings
     if not core:
         return _v_delta(v_exp, loops), loops  # the empty diagram is 1
-    in_end = _in_ends(core)
-    key = _canonical(core, in_end)
+    key = _canonical(*_arc_table(core))
     result = memo.get(key)
     if result is None:
+        in_end = _in_ends(core)
         candidates, out_end, strands = _strands(core, in_end)
         if not candidates:
             result = _v_delta(-sum(cr.sign for cr in core), strands), strands
@@ -632,8 +646,10 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict, free
             result = _skein_step(sign, (yield children.pop(), near), smooth_val)
         memo[key] = result
     num, c = result
-    if v_exp or loops:
+    if loops:
         num = num * _v_delta(v_exp, loops)
+    elif v_exp:
+        num = num.times_v(v_exp)
     return num, c + loops
 
 

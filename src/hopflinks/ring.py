@@ -20,8 +20,10 @@ v-degree, so a row in s would hold a zero in every other slot.
 A product of brackets [N+c] = v^{-1} s^c - v s^{-c}, the numerator of a
 plane evaluation, is built straight into rows (`LaurentPoly.brackets`),
 as is an eigenvalue's numerator from the contents of its two shapes
-(`LaurentPoly.encircling`), and a product by an int scales each row:
-none runs a row-pair product.
+(`LaurentPoly.encircling`), and a product by an int scales each row,
+one by a power of v moves the rows to other keys (`times_v`) and one by
+z^2 shifts each row by two slots and subtracts (`times_z2`): none runs
+a row-pair product.
 Each value sits in the narrowest slot width above its carried coefficient
 bound, and the widths are the multiples of 32 bits (`_width`).
 
@@ -538,6 +540,27 @@ class LaurentPoly:
     __rmul__ = __mul__
     __pow__ = _pow
 
+    def times_v(self, e: int) -> "LaurentPoly":
+        """self * v^e: each row moves to the key of its v-exponent plus e, with no product."""
+        return _new({key + 2 * e: row for key, row in self._rows.items()}, self._w, self._cap, self._l1)
+
+    def times_z2(self) -> "LaurentPoly":
+        """self * z^2, z = s - s^{-1}, on each row where the slots allow.
+
+        In t = s^2, z^2 = t^{-1} (t - 1)^2, so a row R becomes R (X - 1)^2,
+        X = 2^w one slot, and its lowest t-exponent drops by one.  Each new
+        coefficient is c_{j-2} - 2 c_{j-1} + c_j, at most 4 `_cap` and
+        2 `_l1` in size, and a row keeps its end coefficients, so none is
+        trimmed.  When that bound does not fit the slot, this is the
+        product by z^2, which widens it.
+        """
+        cap = min(4 * self._cap, 2 * self._l1)
+        w = self._w
+        if cap.bit_length() >= w:
+            return self * _Z2
+        rows = {key: (lo - 1, (row << 2 * w) - (row << w + 1) + row) for key, (lo, row) in self._rows.items()}
+        return _new(rows, w, cap, 4 * self._l1)
+
     # -- substitutions -----------------------------------------------
 
     def mirror(self) -> "LaurentPoly":
@@ -673,6 +696,7 @@ def _s_binomial(k: int) -> LaurentPoly:
 
 
 Z = _s_binomial(1)  # z = s - s^{-1}, the factor of the crossing exchange
+_Z2 = Z * Z  # the product `times_z2` falls back on
 
 
 @cache

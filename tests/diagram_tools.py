@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 
-from hopflinks.oracle import Crossing, PlanarDiagram, _canonical, _in_ends, _strands
+from hopflinks.oracle import Crossing, PlanarDiagram, _arc_table, _canonical, _in_ends, _strands
 
 
 def braid_closure(strands: int, word: list[int]) -> PlanarDiagram:
@@ -89,7 +89,7 @@ def mirror_diagram(diagram: PlanarDiagram) -> PlanarDiagram:
 
 def canonical_key(diagram: PlanarDiagram) -> tuple:
     """Memoization key, equal for diagrams that differ only by labeling."""
-    return (_canonical(diagram.crossings, _in_ends(diagram.crossings)), diagram.free_loops)
+    return (_canonical(*_arc_table(diagram.crossings)), diagram.free_loops)
 
 
 def key_diagram(pieces: tuple) -> PlanarDiagram:

@@ -20,7 +20,7 @@ from hopflinks.hopf import Decoration
 from hopflinks.render import parse_scalar
 from hopflinks.ring import MAX_SLOTS, LaurentPoly, _decode, _phi_at, _pack, _unpack, _within
 from ring_tools import coefficient, s_inverse
-from test_ring import cyclotomic, poly_divmod
+from test_ring import assert_certified, cyclotomic, poly_divmod
 
 
 def dict_mul(a: dict, b: dict) -> dict:
@@ -157,6 +157,57 @@ def test_product_chains_widen(factors, big):
     factors[len(factors) // 2] = {key: c * big for key, c in factors[len(factors) // 2].items()}
     packed = reduce(lambda p, f: p * LaurentPoly(f), factors, LaurentPoly.one())
     assert terms_of(packed) == reduce(dict_mul, factors, {(0, 0): 1})
+
+
+# The two row operations of the skein tree's frames, against the generic
+# product they replace.
+Z2 = {(0, 2): 1, (0, 0): -2, (0, -2): 1}  # z^2 = s^2 - 2 + s^-2
+
+
+@given(dicts, st.integers(-6, 6))
+@example({(0, 0): 2**64, (0, 1): -3, (2, -5): 10**40, (-1, 4): 7}, -3)
+def test_v_shift_matches_the_product_by_a_v_power(a, e):
+    p = LaurentPoly(a)
+    shifted = p.times_v(e)
+    assert shifted == p * LaurentPoly.term(1, v=e)
+    assert terms_of(shifted) == dict_mul(a, {(e, 0): 1})
+    assert_certified(shifted)
+
+
+@given(dicts)
+@example({(0, 0): 2**30})  # 2 |c| reaches 2^31: the 32-bit slot is too narrow
+@example({(0, 0): 2**30 - 1, (0, 2): 2**30 - 1, (1, 1): -(2**29)})
+@example({(0, 0): 2**64, (0, 1): -3, (2, -5): 10**40, (-1, 4): 7})
+def test_z2_lift_matches_the_product_by_z_squared(a):
+    p = LaurentPoly(a)
+    lifted = p.times_z2()
+    assert lifted == p * ring.Z * ring.Z
+    assert terms_of(lifted) == dict_mul(a, Z2)
+    assert_certified(lifted)
+
+
+@pytest.mark.parametrize(
+    "a, widened",
+    [
+        ({(0, 0): 2**28, (0, 2): -(2**28), (3, 1): 5}, False),
+        ({(0, 0): 2**30}, True),
+        ({(0, 0): 2**30 - 1, (0, 2): 2**30 - 1}, True),
+        ({(1, 0): 2**60, (1, 4): -(2**59)}, False),
+        ({(1, 0): 2**62, (1, 2): 2**62}, True),
+    ],
+)
+def test_z2_lift_falls_back_on_the_product_only_past_the_slot(monkeypatch, a, widened):
+    # On the rows while min(4 _cap, 2 _l1) fits the slot; beyond it, the
+    # product by z^2, which widens the slots.
+    p = LaurentPoly(a)
+    real = LaurentPoly.__mul__
+    calls = []
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda x, y: calls.append(y) or real(x, y))
+    lifted = p.times_z2()
+    assert len(calls) == widened
+    assert (lifted._w > p._w) == widened
+    assert terms_of(lifted) == dict_mul(a, Z2)
+    assert_certified(lifted)
 
 
 @given(dicts, st.integers(1, 8))

@@ -17,7 +17,7 @@ from diagram_tools import (
     reverse_all,
     writhe,
 )
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from ring_tools import mono
 
 from hopflinks.hopf import HopfSpec, homfly_general
@@ -551,6 +551,11 @@ key_corpus = st.one_of(
 
 
 @given(key_corpus)
+# Split: an all-positive twist piece listed before a piece of both signs,
+# and after it.  Each piece takes its starts from its own least sign.
+@example(disjoint_union([braid_closure(2, [1] * 3), build_diagram(HopfSpec(1, 1, 1, 0))], range(7)))
+@example(disjoint_union([build_diagram(HopfSpec(1, 1, 1, 0)), braid_closure(2, [1] * 3)], range(7)))
+@example(PlanarDiagram((), 3))  # no crossing: the key is () and the loops
 def test_canonical_key_is_the_brute_force_minimum(d):
     d.validate()
     assert canonical_key(d) == _canonical_reference(d)
@@ -566,6 +571,21 @@ def test_symmetric_twists_take_a_fixed_number_of_encodings(monkeypatch):
         canonical_key(braid_closure(2, [1] * n))
         counts.append(len(calls))
     assert counts == [2, 2], counts
+
+
+def _table_diagram(table):
+    """The crossings and the in-end map (each arc to the crossing and
+    position it enters) of an arc table, checked against the table's own
+    reading of each entry."""
+    crossings, in_end = {}, {}
+    for arc, (ci, sign, entered, ends) in table.items():
+        crossings[ci] = Crossing(sign, ends)
+        pos = 0 if arc == ends[0] else (3 if sign > 0 else 1)
+        assert entered == ends[pos:] + ends[:pos]
+        in_end[arc] = (ci, pos)
+    crossings = tuple(crossings[ci] for ci in range(len(crossings)))
+    assert in_end == oracle_module._in_ends(crossings)
+    return crossings, in_end
 
 
 def _piece_of(crossings, arc):
@@ -591,10 +611,10 @@ def test_reduced_diagrams_encode_in_full_only_from_least_under_strand_starts(d):
     real = oracle_module._encode_from
     kept = []
 
-    def recording(crossings, in_end, start, best):
-        found = real(crossings, in_end, start, best)
+    def recording(table, start, best):
+        found = real(table, start, best)
         if found is not None:
-            kept.append((crossings, in_end, start))
+            kept.append((*_table_diagram(table), start))
         return found
 
     oracle_module._encode_from = recording
@@ -636,9 +656,9 @@ def test_encodings_start_by_the_rule_and_it_holds_every_least_first_item(d):
     real = oracle_module._encode_from
     calls = []
 
-    def recording(crossings, in_end, start, best):
-        calls.append((crossings, in_end, start))
-        return real(crossings, in_end, start, best)
+    def recording(table, start, best):
+        calls.append((table, start))
+        return real(table, start, best)
 
     oracle_module._encode_from = recording
     try:
@@ -647,11 +667,12 @@ def test_encodings_start_by_the_rule_and_it_holds_every_least_first_item(d):
     finally:
         oracle_module._encode_from = real
     assert bool(calls) == bool(d.crossings)
-    for crossings, in_end, start in calls:
+    for table, start in calls:
+        crossings, in_end = _table_diagram(table)
         piece = _piece_of(crossings, start)
         rule = _start_rule(crossings, in_end, piece)
         assert start in rule
-        assert real(crossings, in_end, start, None)[0][0] == _first_item_reference(crossings, in_end, start)
+        assert real(table, start, None)[0][0] == _first_item_reference(crossings, in_end, start)
         items = {a: _first_item_reference(crossings, in_end, a) for a in piece}
         least = min(items.values())
         assert {a for a, item in items.items() if item == least} <= rule
@@ -701,12 +722,14 @@ def test_free_loops_beside_crossings_multiply_by_delta(d):
 
 def test_free_loops_are_framed_at_the_root_in_one_product(monkeypatch):
     # The root node frames its value by v^v_exp and every loop, the
-    # diagram's free loops included, in one product of numerators: the
-    # last one made.
+    # diagram's free loops included, in one product of numerators, the last
+    # one made, by _v_delta(v_exp, m).  A frame by v^v_exp alone moves the
+    # numerator's rows and makes no product.
     real = LaurentPoly.__mul__
     calls = []
     monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
     kinked_hopf = add_curl(HOPF, 0, 1)  # the root strips the kink: v^-1
+    bare = []
     for d, v_exp in ((HOPF, 0), (kinked_hopf, -1)):
         counts = []
         for m in range(4):
@@ -715,10 +738,13 @@ def test_free_loops_are_framed_at_the_root_in_one_product(monkeypatch):
             calls.clear()
             homfly_of_diagram(diagram)
             counts.append(len(calls))
-            if v_exp or m:
+            if m:
                 assert calls[-1][1] is oracle_module._v_delta(v_exp, m)
-        # Free loops add a product only where the root had none to make.
-        assert counts == [counts[0] + (m > 0 and not v_exp) for m in range(4)], (v_exp, counts)
+        # Free loops add one product, with or without a kink.
+        assert counts == [counts[0] + (m > 0) for m in range(4)], (v_exp, counts)
+        bare.append(counts[0])
+    # The kink's bare v^-1 frame adds no product to the Hopf link's.
+    assert bare[0] == bare[1], bare
 
 
 # -- simplification: moves near the split crossing against the full face rescan -------------
