@@ -24,7 +24,12 @@ v^{-sign}.  Curls, reducible clasps, and crossing-free loops are
 stripped eagerly; what remains recurses on a crossing met first on its
 under-strand along a fixed traversal, preferring one whose switch
 leaves a reducible clasp and whose smoothing leaves a kink, and
-traversal-descending diagrams are unlinks weighted by v^{-writhe}.
+traversal-descending diagrams are unlinks weighted by v^{-writhe}.  A
+parallel twist region of t >= 3 crossings (a run of one sign whose
+neighbours share bigons with arcs that run the same way) is resolved in
+one node by the closed form of its t skein steps: two children, the
+region smoothed down to one crossing and smoothed away, folded by t - 1
+skein steps (`_node`).
 
 Every value the tree builds is a numerator over z^c, where z = s - s^{-1}
 and c counts the components of its diagram, free loops included: the
@@ -247,12 +252,15 @@ def _strands(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple[list[int],
 
 def _split_crossing(
     crossings: tuple[Crossing, ...], in_end: InEnd, out_end: OutEnd, candidates: list[int]
-) -> int:
-    """The crossing to split, from the `_strands` list `candidates`.
+) -> list[int]:
+    """The crossings a node resolves, from the `_strands` list `candidates`:
+    the parallel twist region (`_twist_region`) of the first candidate in
+    one of three or more crossings, else the one crossing to split.
 
-    The first whose switch leaves a reducible clasp and whose smoothing
-    leaves a kink, else the first whose switch leaves a reducible clasp,
-    else the first.  Both children then shrink when `_simplify` runs.
+    The crossing to split is the first candidate whose switch leaves a
+    reducible clasp and whose smoothing leaves a kink, else the first whose
+    switch leaves a reducible clasp, else the first.  Both children then
+    shrink when `_simplify` runs.
 
     A reduced diagram has no kink and no reducible clasp, so a child's
     new one comes from a bigon face at the candidate c.  The face at
@@ -260,20 +268,30 @@ def _split_crossing(
     x's end q + 1; it is a bigon when that end is c's arc p - 1.
     Switching flips c's sign and rotates its ends by one, so the bigon
     is then a reducible clasp when x has c's sign and the shared strand
-    alternates at it now.  Smoothing splices the two arcs of c's odd
-    corners for sign +1 and of its even corners for sign -1, so a bigon
-    there leaves a kink at x.  Each test reads four ends: no child is
-    built.
+    alternates at it now: the bigon is a twist.  Smoothing splices the
+    two arcs of c's odd corners for sign +1 and of its even corners for
+    sign -1, so a bigon there leaves a kink at x.  At the other two
+    corners both arcs enter c or both leave it, so a twist there is
+    parallel.  Each test reads four ends: no child is built.
+
+    Every parallel twist region of three or more crossings holds a
+    candidate.  The walk meets the region first along one strand, or, when
+    a strand's walk starts inside it, the part past the start along that
+    strand and the rest along the other.  Each strand alternates over and
+    under through the region, so one of those parts has two neighbouring
+    crossings, and one of them is met first on its under-strand.
     """
-    first_clasp = None
+    first_both = first_clasp = None
     # Where each arc of c has its other end, by c's sign: arcs that enter c
     # leave x, the others enter it.
     other = {1: (out_end, in_end, in_end, out_end), -1: (out_end, out_end, in_end, in_end)}
     for ci in candidates:
         sign, ends = crossings[ci]
         maps = other[sign]
-        clasp = kink = False
-        for p in range(4):
+        clasp = kink = parallel = False
+        # Once a crossing with both collapses is found, only a region can
+        # replace it: test just the two corners where a twist is parallel.
+        for p in range(4) if first_both is None else (0, 2) if sign > 0 else (1, 3):
             x, q = maps[p][ends[p]]
             x_sign, x_ends = crossings[x]
             q2 = (q + 1) % 4
@@ -281,14 +299,50 @@ def _split_crossing(
                 continue
             if x_sign == sign and p % 2 != (q2 - 1) % 2:
                 clasp = True
+                if p % 2 != (sign > 0):
+                    parallel = True
             if p % 2 == (sign > 0):
                 kink = True
+        if parallel and len(region := _twist_region(crossings, in_end, out_end, ci)) >= 3:
+            return region
         if clasp:
-            if kink:
-                return ci
+            if kink and first_both is None:
+                first_both = ci
             if first_clasp is None:
                 first_clasp = ci
-    return candidates[0] if first_clasp is None else first_clasp
+    if first_both is not None:
+        return [first_both]
+    return [candidates[0] if first_clasp is None else first_clasp]
+
+
+def _twist_region(crossings: tuple[Crossing, ...], in_end: InEnd, out_end: OutEnd, ci: int) -> list[int]:
+    """The maximal parallel twist region through crossing ci of a reduced
+    diagram, with ci first, or a cycle of them less one crossing.
+
+    A parallel twist region is a run of crossings of one sign in which
+    each neighbouring pair shares a twist bigon whose two arcs run the same
+    way (`_split_crossing`).  The next crossing is across the corner whose
+    arcs both leave, the one before across the opposite corner, whose arcs
+    both enter.  The walk goes forward and then back from ci, and a walk
+    that comes back to ci, as around the closure of sigma1^n, leaves the
+    last crossing it met outside.
+    """
+    sign = crossings[ci].sign
+    region = [ci]
+    for p, other_end in ((2, in_end), (0, out_end)) if sign > 0 else ((3, in_end), (1, out_end)):
+        x = ci
+        while True:
+            ends = crossings[x].ends
+            y, q = other_end[ends[p]]
+            y_sign, y_ends = crossings[y]
+            q2 = (q + 1) % 4
+            if y_sign != sign or y_ends[q2] != ends[p - 1] or p % 2 == (q2 - 1) % 2:
+                break
+            if y == ci:
+                return region[:-1]
+            region.append(y)
+            x = y
+    return region
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +402,18 @@ def _switch(crossings: tuple[Crossing, ...], idx: int) -> tuple[Crossing, ...]:
 def _smooth(crossings: tuple[Crossing, ...], idx: int) -> tuple[Crossing, ...]:
     """Oriented smoothing of a crossing with four distinct ends, which
     splices two pairs of distinct arcs and so closes no loop."""
-    sign, (a, b, c, d) = crossings[idx]
-    pairs = [(a, b), (d, c)] if sign > 0 else [(a, d), (b, c)]
-    return tuple(_apply_renames(list(crossings), {idx}, pairs)[0])
+    return _smooth_all(crossings, [idx])[0]
+
+
+def _smooth_all(crossings: tuple[Crossing, ...], indices: list[int]) -> tuple[tuple[Crossing, ...], int]:
+    """Oriented smoothing of several crossings: the diagram and the number
+    of loops the splices close."""
+    pairs = []
+    for idx in indices:
+        sign, (a, b, c, d) = crossings[idx]
+        pairs += [(a, b), (d, c)] if sign > 0 else [(a, d), (b, c)]
+    out, loops = _apply_renames(list(crossings), set(indices), pairs)
+    return tuple(out), loops
 
 
 Corner = tuple[int, int]  # (crossing, position)
@@ -605,15 +668,30 @@ def _skein_step(sign: int, switched: _Value, smoothed: _Value) -> _Value:
     return num + b if sign > 0 else num - b, c
 
 
-def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict, free_loops: int = 0) -> Generator:
-    """One skein-tree node: yields each child to evaluate as (diagram, arcs
-    next to the split crossing), is sent its value, and returns the node's
-    value (see `_eval`).  `free_loops` are loops beside the diagram, the
-    root's own: they join the loops `_simplify` closes, so the node frames
+def _node(crossings: tuple[Crossing, ...], free_loops: int, near: Iterable[int], memo: dict) -> Generator:
+    """One skein-tree node: yields each child to evaluate as (diagram, its
+    free loops, arcs next to the crossings it resolves), is sent its value, and
+    returns the node's value (see `_eval`).  `free_loops` are loops beside
+    the diagram: they join the loops `_simplify` closes, so the node frames
     its memo value by v^v_exp and all its loops in one product of
     numerators, and adds the loops to its c.  With no loop the frame is
     v^v_exp alone, which moves the numerator's rows (`times_v`) and makes
     no product.
+
+    A node splits one crossing: P(D) = P(switched) + sign z P(smoothed),
+    one skein step.  A node whose reduced core holds a parallel twist
+    region of t >= 3 crossings (`_split_crossing`) resolves the region
+    instead, by the closed form of the t steps the tree would take
+    through it.  Let D_k be the core with the region cut down to k
+    crossings, so D_t is the core.  For k >= 2, D_k switched at a region
+    crossing is D_{k-2} once `_simplify` strips the clasp this leaves, and
+    smoothed there it is D_{k-1}: P(D_k) = P(D_{k-2}) + sign z P(D_{k-1}).
+    So the node evaluates only D_1, the region smoothed down to its first
+    crossing, and D_0, the region smoothed away, and folds them with
+    t - 1 skein steps, each on numerators over z^c.  A split is the same
+    fold with one step from D_{-1}, the switched child, and D_0.
+    Smoothing a whole region may close loops, which D_0 carries as free
+    loops.
 
     Every crossing of the reduced core has four distinct ends: `_simplify`
     strips the kinks, whose ends repeat next to each other, and a
@@ -634,16 +712,25 @@ def _node(crossings: tuple[Crossing, ...], near: Iterable[int], memo: dict, free
         if not candidates:
             result = _v_delta(-sum(cr.sign for cr in core), strands), strands
         else:
-            bad = _split_crossing(core, in_end, out_end, candidates)
-            # Switching keeps the cyclic order of the split crossing's
-            # arcs and smoothing splices only them, so a child's new
-            # kinks and clasps all have a boundary arc among them.
-            sign, near = core[bad]
-            children = [_switch(core, bad), _smooth(core, bad)]
+            region = _split_crossing(core, in_end, out_end, candidates)
+            # Switching keeps the cyclic order of a split crossing's arcs and
+            # smoothing splices only the arcs of the crossings it removes, so
+            # a child's new kinks and clasps all have a boundary arc among them.
+            sign, near = core[region[0]]
+            if len(region) == 1:
+                children = [(_switch(core, region[0]), 0, near), (_smooth(core, region[0]), 0, near)]
+                steps = 1
+            else:
+                near = [e for ci in region for e in core[ci].ends]
+                children = [(*_smooth_all(core, region), near), (*_smooth_all(core, region[1:]), near)]
+                steps = len(region) - 1
             # While its children run, a node keeps only what it reads again.
-            del core, in_end, out_end, candidates
-            smooth_val = yield children.pop(), near
-            result = _skein_step(sign, (yield children.pop(), near), smooth_val)
+            del core, in_end, out_end, candidates, region
+            second = yield children.pop()
+            first = yield children.pop()
+            for _ in range(steps):
+                first, second = second, _skein_step(sign, first, second)
+            result = second
         memo[key] = result
     num, c = result
     if loops:
@@ -658,12 +745,12 @@ def _eval(crossings: tuple[Crossing, ...], free_loops: int, memo: dict) -> Skein
     with the diagram's free loops applied at its root node, and build the
     one SkeinScalar of the root's (numerator, c) value.
 
-    The smoothed child is finished before the switched child starts and
-    the parent is stored last, so memo entries go in as a recursion
-    would put them, and the tree's depth is not bounded by Python's
-    recursion limit.
+    A node's second child (the smoothed one, or the twist region smoothed
+    down to one crossing) is finished before its first starts and the
+    parent is stored last, so memo entries go in as a recursion would put
+    them, and the tree's depth is not bounded by Python's recursion limit.
     """
-    stack = [_node(crossings, {e for cr in crossings for e in cr.ends}, memo, free_loops)]
+    stack = [_node(crossings, free_loops, {e for cr in crossings for e in cr.ends}, memo)]
     value = None
     while True:
         try:

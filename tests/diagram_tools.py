@@ -1,13 +1,13 @@
 """Diagram builders and readings used only by the tests: braid closures
-for the R2/R3 corpus, kink insertion, global orientation reversal and
-mirroring, the memo key of a whole diagram and the diagram a key encodes,
-writhe and component count."""
+for the R2/R3 corpus, kink insertion, global and one-component orientation
+reversal and mirroring, the memo key of a whole diagram and the diagram a
+key encodes, writhe, component count and the parallel twist runs."""
 
 from __future__ import annotations
 
 import itertools
 
-from hopflinks.oracle import Crossing, PlanarDiagram, _arc_table, _canonical, _in_ends, _strands
+from hopflinks.oracle import Crossing, PlanarDiagram, _arc_table, _canonical, _faces, _in_ends, _strands
 
 
 def braid_closure(strands: int, word: list[int]) -> PlanarDiagram:
@@ -78,6 +78,24 @@ def reverse_all(diagram: PlanarDiagram) -> PlanarDiagram:
     return PlanarDiagram(flipped, diagram.free_loops)
 
 
+def reverse_component(diagram: PlanarDiagram, arc: int) -> PlanarDiagram:
+    """Reverse the orientation of the component through `arc`.  Where it is
+    the under-strand the rotation shifts by two positions; where exactly one
+    strand is reversed the sign flips."""
+    in_end = _in_ends(diagram.crossings)
+    arcs: set[int] = set()
+    while arc not in arcs:
+        arcs.add(arc)
+        ci, pos = in_end[arc]
+        sign, ends = diagram.crossings[ci]
+        arc = ends[2] if pos == 0 else ends[1 if sign > 0 else 3]
+    out = []
+    for sign, ends in diagram.crossings:
+        under, over = ends[0] in arcs, ends[1] in arcs
+        out.append(Crossing(sign if under == over else -sign, ends[2:] + ends[:2] if under else ends))
+    return PlanarDiagram(tuple(out), diagram.free_loops)
+
+
 def mirror_diagram(diagram: PlanarDiagram) -> PlanarDiagram:
     """Reflect the diagram: signs flip and each rotation reverses."""
     flipped = tuple(
@@ -109,3 +127,42 @@ def writhe(diagram: PlanarDiagram) -> int:
 
 def component_count(diagram: PlanarDiagram) -> int:
     return _strands(diagram.crossings, _in_ends(diagram.crossings))[2] + diagram.free_loops
+
+
+def parallel_twist_runs(crossings: tuple[Crossing, ...]) -> list[tuple[set[int], bool]]:
+    """The maximal runs of crossings of one sign in which each neighbouring
+    pair bounds a bigon face whose two arcs run the same way, from the
+    traced faces: each as its crossings and whether it closes into a cycle.
+    A crossing in no such bigon is in no run."""
+
+    def enters(ci: int, pos: int) -> bool:
+        return pos == 0 or pos == (3 if crossings[ci].sign > 0 else 1)
+
+    links: dict[int, list[int]] = {}
+    for orbit in _faces(crossings):
+        if len(orbit) != 2:
+            continue
+        (c1, p1), (c2, p2) = orbit
+        # The face runs from c1 along c1's arc p1 and back along c2's arc p2:
+        # the arcs run the same way when the first leaves c1 as the second
+        # enters c2 (both from c1 to c2), or neither does.
+        if c1 != c2 and crossings[c1].sign == crossings[c2].sign and enters(c1, p1) != enters(c2, p2):
+            links.setdefault(c1, []).append(c2)
+            links.setdefault(c2, []).append(c1)
+    runs, seen = [], set()
+    for start in links:
+        if start in seen:
+            continue
+        run, stack, edges = set(), [start], 0
+        while stack:
+            ci = stack.pop()
+            if ci in run:
+                continue
+            run.add(ci)
+            edges += len(links[ci])
+            stack.extend(links[ci])
+        seen |= run
+        # Each crossing has at most two such neighbours: a run of k crossings
+        # is a path with k - 1 bigons or a cycle with k.
+        runs.append((run, edges // 2 == len(run)))
+    return runs

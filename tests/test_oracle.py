@@ -14,7 +14,9 @@ from diagram_tools import (
     component_count,
     key_diagram,
     mirror_diagram,
+    parallel_twist_runs,
     reverse_all,
+    reverse_component,
     writhe,
 )
 from hypothesis import example, given, strategies as st
@@ -30,7 +32,7 @@ from hopflinks.oracle import (
     check_family_cap,
     homfly_of_diagram,
 )
-from hopflinks.oracle import _simplify, _smooth, _switch
+from hopflinks.oracle import _in_ends, _simplify, _smooth, _split_crossing, _strands, _switch, _twist_region
 import hopflinks.oracle as oracle_module
 import hopflinks.ring as ring_module
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
@@ -848,15 +850,27 @@ def test_faces_are_traced_only_by_validate(monkeypatch):
         assert len(calls) == 1
 
 
+def antiparallel_twist(n):
+    """The (2, n) torus link, n even, with its two components antiparallel:
+    every bigon of the twist has arcs that run opposite ways, so it holds no
+    parallel twist region.  Each node switches a twist crossing, whose clasp
+    is then stripped, and smooths it into a chain of kinks, so the tree is
+    n/2 + 1 nodes deep."""
+    d = braid_closure(2, [1] * n)
+    return reverse_component(d, d.crossings[0].ends[0])
+
+
 def test_pending_nodes_keep_no_diagram_but_the_switched_child():
-    # sigma1^100 is 100 nodes deep.  A node that also kept its input, its
-    # reduced core, traversal map and smoothed child peaked at 2.4 MiB here;
-    # keeping only its key, switched child and scalars, at 1.0 MiB.
-    d = braid_closure(2, [1] * 100)
+    # The tree of antiparallel_twist(200) is 101 nodes deep (measured by
+    # wrapping _node).  A node that also kept its input, its reduced core,
+    # traversal maps and smoothed child peaked at 5.5 MiB here; keeping only
+    # its key, switched child and scalars, at 1.5 MiB.
+    d = antiparallel_twist(200)
+    assert parallel_twist_runs(d.crossings) == []
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        homfly_of_diagram(d, max_crossings=100)
+        homfly_of_diagram(d, max_crossings=200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1002,10 +1016,11 @@ def test_split_rule_keeps_the_memo_small(spec, bound):
 
 # sha256 over canonical_key, memo keys and values in insertion order, and
 # the value JSON, on the family diagrams with k1+k2 <= 2 and n1+n2 <= 3
-# and the sigma1^n closures for n = 1..12; captured when the split rule
-# last changed which diagrams the tree visits.  A memo value is hashed as
-# the JSON of the scalar it stands for.
-MEMO_DIGEST = "44a755149f8559102bc99680b617914af76f3e26064570f4e0c6f7e9492bc5f4"
+# and the sigma1^n closures for n = 1..12; captured when nodes began to
+# resolve a parallel twist region in one step, which changed which
+# diagrams the tree visits.  A memo value is hashed as the JSON of the
+# scalar it stands for.
+MEMO_DIGEST = "7a673b4299029fd67d66a4595f7d1c161e066f6a974370ddf7ac4d06a38fad89"
 
 
 def memo_scalar(entry):
@@ -1068,20 +1083,128 @@ def test_memo_values_are_over_z_to_the_components_on_random_diagrams(d):
 
 # -- deep skein trees --------------------------------------------------------------------------
 
-def test_deep_skein_tree_ignores_the_recursion_limit():
-    # A skein step on sigma1^n smooths to sigma1^(n-1), so the tree is n deep, and
-    # switches to a clasp over sigma1^(n-2): P(n) = P(n-2) + z P(n-1).
-    n = 300
+def sigma1_powers(n):
+    """The values of the closures of sigma1^k for k = 0..n by the skein
+    step at one crossing: P(k) = P(k-2) + z P(k-1)."""
     expected = [delta() ** 2, SkeinScalar(mono(1, v=-1)) * delta()]
     for _ in range(2, n + 1):
         expected.append(expected[-2] + Z_SCALAR * expected[-1])
-    frame, depth = sys._getframe(), 0
+    return expected
+
+
+def find_no_twist_region(monkeypatch):
+    """Make every node split one crossing, one skein step per node."""
+    monkeypatch.setattr(oracle_module, "_twist_region", lambda crossings, in_end, out_end, ci: [ci])
+
+
+def test_deep_skein_tree_ignores_the_recursion_limit(monkeypatch):
+    # With no twist region found, a skein step on sigma1^n smooths to
+    # sigma1^(n-1), so the tree is n deep.  No diagram without a parallel
+    # twist region was found whose tree is as deep at a comparable cost: the
+    # tree of antiparallel_twist(600) is 301 deep but takes about 20 s on a
+    # 2-vCPU host, as each smoothed child strips a chain of n kinks.
+    n = 300
+    find_no_twist_region(monkeypatch)
+    real_node, depth = oracle_module._node, [0, 0]
+
+    def tracking(*args):
+        depth[0] += 1
+        depth[1] = max(depth[1], depth[0])
+        try:
+            return (yield from real_node(*args))
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(oracle_module, "_node", tracking)
+    frame, frames = sys._getframe(), 0
     while frame is not None:
-        frame, depth = frame.f_back, depth + 1
+        frame, frames = frame.f_back, frames + 1
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 150)
+    sys.setrecursionlimit(frames + 150)
     try:
         value = homfly_of_diagram(braid_closure(2, [1] * n), max_crossings=n)
     finally:
         sys.setrecursionlimit(limit)
-    assert value == expected[n]
+    assert depth[1] >= n, depth
+    assert value == sigma1_powers(n)[n]
+
+
+def test_twist_step_follows_the_recurrence():
+    # sigma1^n switched at one crossing is sigma1^(n-2) and smoothed there is
+    # sigma1^(n-1): P(n) = P(n-2) + z P(n-1).  The root resolves all but one
+    # crossing of the cycle in one twist step, so the memo holds the root and
+    # its two children at most.
+    n = 300
+    memo: dict = {}
+    assert homfly_of_diagram(braid_closure(2, [1] * n), max_crossings=n, memo=memo) == sigma1_powers(n)[n]
+    assert len(memo) <= 3, len(memo)
+
+
+# -- parallel twist regions -------------------------------------------------------------------
+
+@st.composite
+def braids_with_runs(draw):
+    """Closures of braid words of runs sigma_i^(+-r), r <= 6, on 2 to 4 strands."""
+    strands = draw(st.integers(2, 4))
+    runs = draw(
+        st.lists(st.tuples(st.integers(1, strands - 1), st.sampled_from([1, -1]), st.integers(1, 6)), min_size=1, max_size=4)
+    )
+    return braid_closure(strands, [i * sign for i, sign, r in runs for _ in range(r)])
+
+
+def evaluate(d):
+    return homfly_of_diagram(d, max_crossings=max(len(d.crossings), d.free_loops))
+
+
+@given(st.one_of(braids_with_runs(), key_corpus))
+# A run whose strand closes straight back onto it: smoothing it away closes a loop.
+@example(braid_closure(3, [1, 1, 1, 1, 2, 2]))
+@example(braid_closure(4, [1, 1, 1, -3, -3, -3, 2, -2, -2, -2]))
+def test_twist_regions_give_the_one_crossing_tree_value(d):
+    value = evaluate(d)
+    with pytest.MonkeyPatch.context() as mp:
+        find_no_twist_region(mp)
+        reference = evaluate(d)
+    assert value == reference
+    assert json.dumps(value.to_json()) == json.dumps(reference.to_json())
+
+
+def _check_twist_regions(crossings, in_end, out_end, candidates):
+    """Every crossing's region against the run of bigon faces that holds it,
+    and the node's choice: a region of three or more crossings whenever
+    there is one, and a candidate is in it."""
+    runs = parallel_twist_runs(crossings)
+    for ci in range(len(crossings)):
+        region = _twist_region(crossings, in_end, out_end, ci)
+        run, cycle = next(((run, cycle) for run, cycle in runs if ci in run), ({ci}, False))
+        assert region[0] == ci and len(set(region)) == len(region)
+        if cycle:
+            assert set(region) < run and len(region) == len(run) - 1, (ci, region, run)
+        else:
+            assert set(region) == run, (ci, region, run)
+    chosen = _split_crossing(crossings, in_end, out_end, candidates)
+    if any(len(run) - cycle >= 3 for run, cycle in runs):
+        assert len(chosen) >= 3 and chosen[0] in candidates
+        assert chosen == _twist_region(crossings, in_end, out_end, chosen[0])
+    else:
+        assert len(chosen) == 1
+
+
+@given(st.one_of(braids_with_runs(), key_corpus))
+@example(braid_closure(2, [1] * 8))  # a cycle
+@example(braid_closure(3, [1, 1, 1, 1, 2, 2]))
+def test_twist_regions_are_the_maximal_parallel_runs(d):
+    # At the root of the reduced diagram, and at every split of its tree.
+    core = _simplify(d.crossings, {e for cr in d.crossings for e in cr.ends})[2]
+    in_end = _in_ends(core)
+    candidates, out_end, _ = _strands(core, in_end)
+    # A parallel run of three or more holds a crossing met first on its under-strand.
+    assert candidates or all(len(run) - cycle < 3 for run, cycle in parallel_twist_runs(core))
+    if candidates:
+        _check_twist_regions(core, in_end, out_end, candidates)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_module, "_split_crossing", lambda *args: calls.append(args) or _split_crossing(*args))
+        evaluate(d)
+    for args in calls:
+        _check_twist_regions(*args)
