@@ -25,6 +25,9 @@ stripped eagerly; what remains recurses on a crossing met first on its
 under-strand along a fixed traversal, preferring one whose switch
 leaves a reducible clasp and whose smoothing leaves a kink, and
 traversal-descending diagrams are unlinks weighted by v^{-writhe}.  A
+node that splits one crossing builds both children with the move its
+split rule found already made (`_children`), and `_simplify` makes
+every later move.  A
 parallel twist region of t >= 3 crossings (a run of one sign whose
 neighbours share bigons with arcs that run the same way) is resolved in
 one node by the closed form of its t skein steps: two children, the
@@ -49,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb
-from typing import Generator, Iterable, Iterator, NamedTuple
+from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 from .hopf import HopfSpec
 from .ring import LaurentPoly, SkeinScalar, json_int, json_item, json_list
@@ -83,10 +86,6 @@ class Crossing(NamedTuple):
 
 def _over_in(sign: int) -> int:
     return 3 if sign > 0 else 1
-
-
-def _over_out(sign: int) -> int:
-    return 1 if sign > 0 else 3
 
 
 @dataclass(frozen=True)
@@ -194,28 +193,19 @@ def _faces(crossings: tuple[Crossing, ...]) -> Iterator[list[tuple[int, int]]]:
 
 
 InEnd = dict[int, tuple[int, int]]  # arc -> (crossing, position) it enters
-
-
-def _in_ends(crossings: tuple[Crossing, ...]) -> InEnd:
-    """Traversal map: each arc to the (crossing, position) it enters."""
-    in_end: InEnd = {}
-    for ci, cr in enumerate(crossings):
-        in_end[cr.ends[0]] = (ci, 0)
-        oi = _over_in(cr.sign)
-        in_end[cr.ends[oi]] = (ci, oi)
-    return in_end
-
-
 OutEnd = dict[int, tuple[int, int]]  # arc -> (crossing, position) it leaves
 
 
-def _strands(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple[list[int], OutEnd, int]:
-    """Walk every strand from its smallest arc id, in order of those ids.
+def _strands(table: ArcTable) -> tuple[list[int], InEnd, OutEnd, int]:
+    """Walk every strand from its smallest arc id, in order of those ids,
+    on the entries of the crossings' `_arc_table`.
 
     Returns the crossings met first on their under-strand, in the order
     the walk meets them (none for a descending diagram, hence an
-    unlink), the out-end map (each arc to the crossing and position it
-    leaves) and the number of strands.
+    unlink), the in-end and out-end maps (each arc to the crossing and
+    position it enters and leaves) and the number of strands.  A strand
+    leaves a crossing opposite the end it entered by, the third of the
+    entry's ends read from the entry position.
 
     Any of them is a split that ends.  Smoothing removes a crossing.
     Switching keeps every arc and every strand's arc sequence, so the
@@ -224,11 +214,12 @@ def _strands(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple[list[int],
     crossings.  Each child has fewer crossings, or as many and a
     shorter list.
     """
+    in_end: InEnd = {}
     out_end: OutEnd = {}
     seen_crossings: set[int] = set()
     under_first: list[int] = []
     count = 0
-    for start in sorted(in_end):
+    for start in sorted(table):
         if start in out_end:
             continue
         count += 1
@@ -236,18 +227,18 @@ def _strands(crossings: tuple[Crossing, ...], in_end: InEnd) -> tuple[list[int],
         # The walk stops where it would leave along an arc left before: one
         # step past `start`, or anywhere in a diagram that is malformed.
         while True:
-            ci, pos = in_end[arc]
+            ci, sign, entered, ends = table[arc]
+            pos = 0 if arc == ends[0] else 3 if sign > 0 else 1
+            in_end[arc] = ci, pos
             if ci not in seen_crossings:
                 seen_crossings.add(ci)
                 if pos == 0:
                     under_first.append(ci)
-            sign, ends = crossings[ci]
-            out = 2 if pos == 0 else _over_out(sign)
-            arc = ends[out]
+            arc = entered[2]
             if arc in out_end:
                 break
-            out_end[arc] = (ci, out)
-    return under_first, out_end, count
+            out_end[arc] = ci, (pos + 2) % 4
+    return under_first, in_end, out_end, count
 
 
 def _split_crossing(
@@ -259,8 +250,9 @@ def _split_crossing(
 
     The crossing to split is the first candidate whose switch leaves a
     reducible clasp and whose smoothing leaves a kink, else the first whose
-    switch leaves a reducible clasp, else the first.  Both children then
-    shrink when `_simplify` runs.
+    switch leaves a reducible clasp, else the first.  `_children` reads the
+    chosen crossing's corners again and builds each child with that clasp
+    or that kink already stripped; `_simplify` makes the moves after it.
 
     A reduced diagram has no kink and no reducible clasp, so a child's
     new one comes from a bigon face at the candidate c.  The face at
@@ -361,7 +353,7 @@ def _root(links: dict[int, int], a: int) -> int:
 
 
 def _apply_renames(
-    crossings: list[Crossing], skip: set[int], pairs: list[tuple[int, int]]
+    crossings: Sequence[Crossing], skip: set[int], pairs: list[tuple[int, int]]
 ) -> tuple[list[Crossing], int]:
     """Drop the crossings in `skip`, splice the arc pairs, count loops.
 
@@ -385,41 +377,97 @@ def _apply_renames(
     return out, loops
 
 
-def _switch(crossings: tuple[Crossing, ...], idx: int) -> tuple[Crossing, ...]:
-    """Exchange over- and under-strand at one crossing.
-
-    The incoming under-strand changes, so the canonical rotation of the
-    end list changes with the sign.
-    """
-    sign, (a, b, c, d) = crossings[idx]
-    if sign > 0:
-        new = Crossing(-1, (d, a, b, c))
-    else:
-        new = Crossing(1, (b, c, d, a))
-    return crossings[:idx] + (new,) + crossings[idx + 1 :]
-
-
-def _smooth(crossings: tuple[Crossing, ...], idx: int) -> tuple[Crossing, ...]:
-    """Oriented smoothing of a crossing with four distinct ends, which
-    splices two pairs of distinct arcs and so closes no loop."""
-    return _smooth_all(crossings, [idx])[0]
-
-
-def _smooth_all(crossings: tuple[Crossing, ...], indices: list[int]) -> tuple[tuple[Crossing, ...], int]:
+def _smooth_all(crossings: tuple[Crossing, ...], indices: list[int]) -> tuple[list[Crossing], int]:
     """Oriented smoothing of several crossings: the diagram and the number
     of loops the splices close."""
     pairs = []
     for idx in indices:
         sign, (a, b, c, d) = crossings[idx]
         pairs += [(a, b), (d, c)] if sign > 0 else [(a, d), (b, c)]
-    out, loops = _apply_renames(list(crossings), set(indices), pairs)
-    return tuple(out), loops
+    return _apply_renames(crossings, set(indices), pairs)
+
+
+Child = tuple[Sequence[Crossing], int, int, Iterable[int]]  # (crossings, loops, v_exp, near)
+
+
+def _children(crossings: tuple[Crossing, ...], ci: int, in_end: InEnd, out_end: OutEnd) -> list[Child]:
+    """The switched and the smoothed child of crossing ci of a reduced
+    diagram, each built with the first move `_simplify` would make on it.
+
+    Each child is (crossings, loops, v exponent, near), `near` as
+    `_simplify` would hold it after that move: ci's arcs and those of the
+    crossing x the move removes.  A reduced diagram has no kink and no
+    reducible clasp, so a child's new ones are next to ci, at ci's corners
+    read as `_split_crossing` reads them: the corner (ci, p) runs along
+    arc p to its other end (x, q), and the face there is a bigon when x's
+    end q + 1 is ci's arc p - 1.
+
+    Switching flips ci's sign and moves its end at p to p + sign.  The
+    switched child's first move strips the reducible clasp (a twist
+    bigon, now of opposite signs) whose least corner is least, as
+    `_reducible_face` orders them.  Smoothing splices ci's arcs p - 1 and
+    p at two of its corners, which kinks x where it holds both next to
+    each other.  A kink comes before any clasp, so the smoothed child's
+    first move strips the kink at the least such x, at its least
+    position, for v^{-sign of x}.  Either child is then one
+    `_apply_renames` of the diagram, which drops ci and x; a child with
+    no such move is the switched or the smoothed diagram itself.
+    """
+    sign, ends = crossings[ci]
+    a, b, c, d = ends
+    switched = (d, a, b, c) if sign > 0 else (b, c, d, a)
+    splices = [(a, b), (d, c)] if sign > 0 else [(a, d), (b, c)]
+    # Where each arc of ci has its other end, by ci's sign: arcs that enter
+    # ci leave x, the others enter it.
+    maps = (out_end, in_end, in_end, out_end) if sign > 0 else (out_end, out_end, in_end, in_end)
+    clasp = kink = None
+    for p in range(4):
+        x, q = maps[p][ends[p]]
+        x_sign, x_ends = crossings[x]
+        q2 = (q + 1) % 4
+        bigon = x_ends[q2] == ends[p - 1]
+        if bigon and x_sign == sign and p % 2 != (q2 - 1) % 2:
+            corners = ((ci, (p + sign) % 4), (x, q2))
+            if x < ci:
+                corners = corners[::-1]
+            if clasp is None or corners < clasp:
+                clasp = corners
+        if p % 2 == (sign > 0):
+            # The splice gives arcs p - 1 and p one id, so x is kinked where
+            # it holds them next to each other: at the bigon, or at q when
+            # ci and x are nugatory and x holds them the other way round.
+            pos = q2 if bigon else q if x_ends[q - 1] == ends[p - 1] else None
+            if pos is not None and (kink is None or (x, pos) < kink):
+                kink = x, pos
+    if clasp is None:
+        switched_child = crossings[:ci] + (Crossing(-sign, switched),) + crossings[ci + 1 :], 0, 0, ends
+    else:
+        # The pairs `_simplify` splices for this clasp.
+        (c1, p1), (c2, p2) = clasp
+        x = c2 if c1 == ci else c1
+        ends1, ends2 = (switched if k == ci else crossings[k].ends for k in (c1, c2))
+        pairs = [(ends1[(p1 + 2) % 4], ends2[(p2 + 1) % 4]), (ends1[(p1 + 1) % 4], ends2[(p2 + 2) % 4])]
+        out, loops = _apply_renames(crossings, {ci, x}, pairs)
+        switched_child = out, loops, 0, ends + crossings[x].ends
+    if kink is None:
+        out, loops = _apply_renames(crossings, {ci}, splices)
+        smoothed_child = out, loops, 0, ends
+    else:
+        # x's kink pair is read on its ids before the splices, which
+        # `_apply_renames` takes to the same roots as the spliced ids
+        # `_simplify` would read.
+        x, pos = kink
+        x_sign, x_ends = crossings[x]
+        kink_pair = (x_ends[(pos + 1) % 4], x_ends[(pos + 2) % 4])
+        out, loops = _apply_renames(crossings, {ci, x}, splices + [kink_pair])
+        smoothed_child = out, loops, -x_sign, ends + x_ends
+    return [switched_child, smoothed_child]
 
 
 Corner = tuple[int, int]  # (crossing, position)
 
 
-def _reducible_face(work: list[Crossing], near: set[int]) -> tuple[Corner, ...] | None:
+def _reducible_face(work: Sequence[Crossing], near: set[int]) -> tuple[Corner, ...] | None:
     """The corner of a kink, else the two corners of a reducible clasp, or
     None; only crossings that meet an arc in `near` are examined.
 
@@ -458,9 +506,7 @@ def _reducible_face(work: list[Crossing], near: set[int]) -> tuple[Corner, ...] 
     return clasp
 
 
-def _simplify(
-    crossings: tuple[Crossing, ...], near: Iterable[int]
-) -> tuple[int, int, tuple[Crossing, ...]]:
+def _simplify(crossings: Sequence[Crossing], near: Iterable[int]) -> tuple[int, int, tuple[Crossing, ...]]:
     """Strip kinks, reducible clasps and the loops they close.
 
     Returns (exponent of v, number of removed loops, reduced diagram).
@@ -472,11 +518,12 @@ def _simplify(
     crossings it removes, and each of those faces keeps a spliced arc,
     whose id is one of their ends, so `near` stays sufficient once it
     takes those ends.  The ids a splice renames away stay in `near` but
-    are held by no crossing.
+    are held by no crossing.  A tuple with no move to make is returned
+    as it is.
     """
     v_exp = 0
     loops = 0
-    work = list(crossings)
+    work = crossings
     near = set(near)
     while (face := _reducible_face(work, near)) is not None:
         if len(face) == 1:
@@ -668,18 +715,22 @@ def _skein_step(sign: int, switched: _Value, smoothed: _Value) -> _Value:
     return num + b if sign > 0 else num - b, c
 
 
-def _node(crossings: tuple[Crossing, ...], free_loops: int, near: Iterable[int], memo: dict) -> Generator:
+def _node(crossings: Sequence[Crossing], free_loops: int, v_exp: int, near: Iterable[int], memo: dict) -> Generator:
     """One skein-tree node: yields each child to evaluate as (diagram, its
-    free loops, arcs next to the crossings it resolves), is sent its value, and
-    returns the node's value (see `_eval`).  `free_loops` are loops beside
-    the diagram: they join the loops `_simplify` closes, so the node frames
-    its memo value by v^v_exp and all its loops in one product of
-    numerators, and adds the loops to its c.  With no loop the frame is
-    v^v_exp alone, which moves the numerator's rows (`times_v`) and makes
-    no product.
+    free loops, its v exponent, arcs next to the moves made on it), is sent
+    its value, and returns the node's value (see `_eval`).  `free_loops`
+    are loops beside the diagram and `v_exp` the v power of kinks already
+    stripped from it: they join the loops and the kinks `_simplify`
+    strips, so the node frames its memo value by v^v_exp and all its loops
+    in one product of numerators, and adds the loops to its c.  With no
+    loop the frame is v^v_exp alone, which moves the numerator's rows
+    (`times_v`) and makes no product.
 
     A node splits one crossing: P(D) = P(switched) + sign z P(smoothed),
-    one skein step.  A node whose reduced core holds a parallel twist
+    one skein step.  It builds each child with the move its split rule
+    found already made, the clasp the switch leaves or the kink the
+    smoothing leaves (`_children`), and `_simplify` makes every later
+    move in the child's node.  A node whose reduced core holds a parallel twist
     region of t >= 3 crossings (`_split_crossing`) resolves the region
     instead, by the closed form of the t steps the tree would take
     through it.  Let D_k be the core with the region cut down to k
@@ -697,35 +748,40 @@ def _node(crossings: tuple[Crossing, ...], free_loops: int, near: Iterable[int],
     strips the kinks, whose ends repeat next to each other, and a
     crossing whose opposite ends repeat is not planar.  So every arc of
     the split crossing has its other end at another crossing
-    (`_split_crossing`), and smoothing it closes no loop (`_smooth`).
+    (`_split_crossing`), and smoothing it closes no loop.
+
+    The node walks the strands on the arc table its key was read from
+    (`_strands`), and drops the table, the key's starts and both end
+    maps before it yields: while its children run, it keeps only its key,
+    the child it has yet to start and its values.
     """
-    v_exp, loops, core = _simplify(crossings, near)
+    v, loops, core = _simplify(crossings, near)
+    v_exp += v
     loops += free_loops
     del crossings
     if not core:
         return _v_delta(v_exp, loops), loops  # the empty diagram is 1
-    key = _canonical(*_arc_table(core))
+    table, starts = _arc_table(core)
+    key = _canonical(table, starts)
     result = memo.get(key)
     if result is None:
-        in_end = _in_ends(core)
-        candidates, out_end, strands = _strands(core, in_end)
+        candidates, in_end, out_end, strands = _strands(table)
         if not candidates:
             result = _v_delta(-sum(cr.sign for cr in core), strands), strands
         else:
             region = _split_crossing(core, in_end, out_end, candidates)
-            # Switching keeps the cyclic order of a split crossing's arcs and
-            # smoothing splices only the arcs of the crossings it removes, so
-            # a child's new kinks and clasps all have a boundary arc among them.
-            sign, near = core[region[0]]
+            sign = core[region[0]].sign
             if len(region) == 1:
-                children = [(_switch(core, region[0]), 0, near), (_smooth(core, region[0]), 0, near)]
+                children = _children(core, region[0], in_end, out_end)
                 steps = 1
             else:
+                # Smoothing splices only the arcs of the crossings it removes,
+                # so a child's new kinks and clasps all have a boundary arc
+                # among them.
                 near = [e for ci in region for e in core[ci].ends]
-                children = [(*_smooth_all(core, region), near), (*_smooth_all(core, region[1:]), near)]
+                children = [(*_smooth_all(core, region), 0, near), (*_smooth_all(core, region[1:]), 0, near)]
                 steps = len(region) - 1
-            # While its children run, a node keeps only what it reads again.
-            del core, in_end, out_end, candidates, region
+            del core, table, starts, in_end, out_end, candidates, region
             second = yield children.pop()
             first = yield children.pop()
             for _ in range(steps):
@@ -750,7 +806,7 @@ def _eval(crossings: tuple[Crossing, ...], free_loops: int, memo: dict) -> Skein
     parent is stored last, so memo entries go in as a recursion would put
     them, and the tree's depth is not bounded by Python's recursion limit.
     """
-    stack = [_node(crossings, free_loops, {e for cr in crossings for e in cr.ends}, memo)]
+    stack = [_node(crossings, free_loops, 0, {e for cr in crossings for e in cr.ends}, memo)]
     value = None
     while True:
         try:

@@ -1,13 +1,75 @@
 """Diagram builders and readings used only by the tests: braid closures
 for the R2/R3 corpus, kink insertion, global and one-component orientation
 reversal and mirroring, the memo key of a whole diagram and the diagram a
-key encodes, writhe, component count and the parallel twist runs."""
+key encodes, writhe, component count and the parallel twist runs.  Also
+the references the skein tree's own walks are checked against: the
+in-end map, the strand walk on it, and a crossing switched or smoothed
+with no move made after it."""
 
 from __future__ import annotations
 
 import itertools
 
-from hopflinks.oracle import Crossing, PlanarDiagram, _arc_table, _canonical, _faces, _in_ends, _strands
+from hopflinks.oracle import Crossing, PlanarDiagram, _arc_table, _canonical, _faces
+
+
+def in_ends(crossings: tuple[Crossing, ...]) -> dict[int, tuple[int, int]]:
+    """Traversal map: each arc to the (crossing, position) it enters."""
+    in_end = {}
+    for ci, cr in enumerate(crossings):
+        in_end[cr.ends[0]] = (ci, 0)
+        oi = 3 if cr.sign > 0 else 1
+        in_end[cr.ends[oi]] = (ci, oi)
+    return in_end
+
+
+def walk_strands(crossings: tuple[Crossing, ...], in_end: dict) -> tuple[list[int], dict, int]:
+    """Walk every strand from its smallest arc id, in order of those ids:
+    the crossings met first on their under-strand in walk order, the
+    out-end map (each arc to the crossing and position it leaves) and the
+    number of strands."""
+    out_end = {}
+    seen_crossings: set[int] = set()
+    under_first = []
+    count = 0
+    for start in sorted(in_end):
+        if start in out_end:
+            continue
+        count += 1
+        arc = start
+        while True:
+            ci, pos = in_end[arc]
+            if ci not in seen_crossings:
+                seen_crossings.add(ci)
+                if pos == 0:
+                    under_first.append(ci)
+            sign, ends = crossings[ci]
+            out = 2 if pos == 0 else (1 if sign > 0 else 3)
+            arc = ends[out]
+            if arc in out_end:
+                break
+            out_end[arc] = (ci, out)
+    return under_first, out_end, count
+
+
+def switch(crossings: tuple[Crossing, ...], idx: int) -> tuple[Crossing, ...]:
+    """Exchange over- and under-strand at one crossing.  The incoming
+    under-strand changes, so the rotation of the end list changes with
+    the sign."""
+    sign, (a, b, c, d) = crossings[idx]
+    new = Crossing(-1, (d, a, b, c)) if sign > 0 else Crossing(1, (b, c, d, a))
+    return crossings[:idx] + (new,) + crossings[idx + 1 :]
+
+
+def smooth(crossings: tuple[Crossing, ...], idx: int) -> tuple[Crossing, ...]:
+    """Oriented smoothing of a crossing with four distinct ends, which
+    splices two pairs of distinct arcs and so closes no loop; the other
+    crossings keep their order and every arc id but the spliced ones."""
+    sign, (a, b, c, d) = crossings[idx]
+    rename = {b: a, c: d} if sign > 0 else {d: a, c: b}
+    return tuple(
+        Crossing(cr.sign, tuple(rename.get(e, e) for e in cr.ends)) for i, cr in enumerate(crossings) if i != idx
+    )
 
 
 def braid_closure(strands: int, word: list[int]) -> PlanarDiagram:
@@ -82,7 +144,7 @@ def reverse_component(diagram: PlanarDiagram, arc: int) -> PlanarDiagram:
     """Reverse the orientation of the component through `arc`.  Where it is
     the under-strand the rotation shifts by two positions; where exactly one
     strand is reversed the sign flips."""
-    in_end = _in_ends(diagram.crossings)
+    in_end = in_ends(diagram.crossings)
     arcs: set[int] = set()
     while arc not in arcs:
         arcs.add(arc)
@@ -126,7 +188,7 @@ def writhe(diagram: PlanarDiagram) -> int:
 
 
 def component_count(diagram: PlanarDiagram) -> int:
-    return _strands(diagram.crossings, _in_ends(diagram.crossings))[2] + diagram.free_loops
+    return walk_strands(diagram.crossings, in_ends(diagram.crossings))[2] + diagram.free_loops
 
 
 def parallel_twist_runs(crossings: tuple[Crossing, ...]) -> list[tuple[set[int], bool]]:

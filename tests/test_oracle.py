@@ -12,11 +12,15 @@ from diagram_tools import (
     braid_closure,
     canonical_key,
     component_count,
+    in_ends,
     key_diagram,
     mirror_diagram,
     parallel_twist_runs,
     reverse_all,
     reverse_component,
+    smooth as _smooth,
+    switch as _switch,
+    walk_strands,
     writhe,
 )
 from hypothesis import example, given, strategies as st
@@ -32,7 +36,7 @@ from hopflinks.oracle import (
     check_family_cap,
     homfly_of_diagram,
 )
-from hopflinks.oracle import _in_ends, _simplify, _smooth, _split_crossing, _strands, _switch, _twist_region
+from hopflinks.oracle import _arc_table, _children, _simplify, _split_crossing, _strands, _twist_region
 import hopflinks.oracle as oracle_module
 import hopflinks.ring as ring_module
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
@@ -586,7 +590,7 @@ def _table_diagram(table):
         assert entered == ends[pos:] + ends[:pos]
         in_end[arc] = (ci, pos)
     crossings = tuple(crossings[ci] for ci in range(len(crossings)))
-    assert in_end == oracle_module._in_ends(crossings)
+    assert in_end == in_ends(crossings)
     return crossings, in_end
 
 
@@ -877,6 +881,67 @@ def test_pending_nodes_keep_no_diagram_but_the_switched_child():
     assert peak < 1.6 * 2**20, peak
 
 
+# Crossings 0 and 1 are nugatory: two arcs join them, held the same way round
+# at both, with a trefoil tangle beyond each.  Smoothing crossing 0 kinks
+# crossing 1 at a corner that is no bigon face, and crossing 2 at a bigon.
+NUGATORY_PAIR = PlanarDiagram(tuple(Crossing(sign, ends) for sign, ends in (
+    (1, (2, 1, 3, 4)), (-1, (1, 6, 5, 2)), (1, (8, 7, 4, 3)),
+    (1, (7, 103, 102, 106)), (1, (103, 105, 104, 102)), (1, (105, 8, 106, 104)),
+    (1, (5, 203, 202, 206)), (1, (203, 205, 204, 202)), (1, (205, 6, 206, 204)),
+)))
+
+
+def _first_move(crossings, near):
+    """`_simplify` stopped after its first move."""
+    real, scans = oracle_module._reducible_face, []
+
+    def once(work, near):
+        scans.append(1)
+        return real(work, near) if len(scans) == 1 else None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_module, "_reducible_face", once)
+        return _simplify(crossings, near)
+
+
+@given(st.one_of(key_corpus, st.sampled_from([build_diagram(spec) for spec in grid_specs()])))
+@example(HOPF)  # two clasps at one neighbour; two kinks at one neighbour
+@example(braid_closure(2, [1] * 3))  # two clasps at two neighbours
+@example(antiparallel_twist(4))  # two kinks at two neighbours
+@example(NUGATORY_PAIR)
+def test_children_are_made_with_the_first_move_of_simplify(d):
+    # For every crossing of the reduced diagram, each child is the child
+    # switched or smoothed with no move made, after the first move of
+    # `_simplify` near the crossing when that move strips a clasp of the
+    # switched child or a kink of the smoothed one.  Once simplified, it has
+    # the v exponent, loop count and crossing tuple with its arc ids that
+    # child has once simplified.
+    core = _simplify_reference(d.crossings)[2]
+    _, in_end, out_end, _ = _strands(_arc_table(core)[0])
+    for i, cr in enumerate(core):
+        built = _children(core, i, in_end, out_end)
+        for (child, loops, v_exp, near), plain, corners in zip(built, (_switch(core, i), _smooth(core, i)), (2, 1)):
+            face = oracle_module._reducible_face(plain, set(cr.ends))
+            made = face is not None and len(face) == corners
+            assert (v_exp, loops, tuple(child)) == (_first_move(plain, cr.ends) if made else (0, 0, plain)), i
+            v, more, reduced = _simplify(child, near)
+            assert (v_exp + v, loops + more, reduced) == _simplify(plain, cr.ends), i
+
+
+def test_nugatory_pair_is_reduced_and_planar():
+    NUGATORY_PAIR.validate()
+    assert _simplify_reference(NUGATORY_PAIR.crossings)[2] == NUGATORY_PAIR.crossings
+
+
+@given(key_corpus)
+def test_strands_walk_the_arc_table_as_the_in_end_walk_does(d):
+    # Kinked crossings included: the walk reads each crossing's entry from
+    # the arc table.
+    under_first, in_end, out_end, count = _strands(_arc_table(d.crossings)[0])
+    assert in_end == in_ends(d.crossings)
+    assert (under_first, out_end, count) == walk_strands(d.crossings, in_end)
+
+
 @st.composite
 def relabeled_pairs(draw):
     d = draw(st.one_of(st.sampled_from([build_diagram(spec) for spec in grid_specs(1, 2)]), key_corpus))
@@ -936,7 +1001,7 @@ def test_family_cap_check_matches_the_built_diagram():
 def _under_first_reference(crossings):
     """Crossings met first on their under-strand, walking each strand from its
     least arc id in order of those ids."""
-    in_end = oracle_module._in_ends(crossings)
+    in_end = in_ends(crossings)
     seen_arcs, seen, out = set(), set(), []
     for start in sorted(in_end):
         arc = start
@@ -970,33 +1035,44 @@ def _split_reference(crossings):
 
 
 def _splits(d):
-    """(reduced diagram, split crossing) at every split node of the skein tree."""
-    splits = []
+    """(reduced diagram, split crossing) at every node of the skein tree
+    that splits one crossing, as `_split_crossing` picks it.
 
-    def recording(crossings, idx):
-        splits.append((crossings, idx))
-        return _switch(crossings, idx)
+    Each node that has children yields two, and each child is one more
+    `_node`, so the tree has (nodes - 1) / 2 such nodes.  Each of them
+    makes one pick, a crossing or a twist region: the picks recorded must
+    be exactly as many, so that no split node goes unchecked.
+    """
+    picks, nodes = [], []
+    real_node = oracle_module._node
 
-    oracle_module._switch = recording
-    try:
+    def recording(crossings, in_end, out_end, candidates):
+        region = _split_crossing(crossings, in_end, out_end, candidates)
+        picks.append((crossings, region))
+        return region
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_module, "_split_crossing", recording)
+        mp.setattr(oracle_module, "_node", lambda *args: nodes.append(1) or real_node(*args))
         homfly_of_diagram(PlanarDiagram(d.crossings), max_crossings=max(len(d.crossings), 1))
-    finally:
-        oracle_module._switch = _switch
-    return splits
+    assert 2 * len(picks) + 1 == len(nodes), (len(picks), len(nodes))
+    return [(crossings, region[0]) for crossings, region in picks if len(region) == 1]
 
 
 def _check_splits(d):
-    for crossings, idx in _splits(d):
+    splits = _splits(d)
+    for crossings, idx in splits:
         # The property that makes every branch end.
         assert idx in _under_first_reference(crossings)
         assert idx == _split_reference(crossings)
+    return len(splits)
 
 
 def test_split_crossings_on_families_and_twists():
     corpus = [build_diagram(spec) for spec in grid_specs()]
     corpus += [braid_closure(2, [1] * n) for n in range(1, 13)]
-    for d in corpus:
-        _check_splits(d)
+    # The tree splits one crossing at 299 nodes over this corpus.
+    assert sum(_check_splits(d) for d in corpus) == 299
 
 
 @given(key_corpus)
@@ -1196,8 +1272,7 @@ def _check_twist_regions(crossings, in_end, out_end, candidates):
 def test_twist_regions_are_the_maximal_parallel_runs(d):
     # At the root of the reduced diagram, and at every split of its tree.
     core = _simplify(d.crossings, {e for cr in d.crossings for e in cr.ends})[2]
-    in_end = _in_ends(core)
-    candidates, out_end, _ = _strands(core, in_end)
+    candidates, in_end, out_end, _ = _strands(_arc_table(core)[0])
     # A parallel run of three or more holds a crossing met first on its under-strand.
     assert candidates or all(len(run) - cycle < 3 for run, cycle in parallel_twist_runs(core))
     if candidates:
