@@ -159,7 +159,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except CrossingLimitError as exc:
             print(f"SKIP  {spec}: {exc}")
             continue
-        closed = homfly_general(spec)
+        try:
+            closed = homfly_general(spec)
+        except ArithmeticError as exc:
+            failures += 1
+            print(f"FAIL  {spec}: closed form {exc}")
+            continue
         if closed == brute:
             print(f"PASS  {spec}: closed form matches oracle")
         else:
@@ -167,7 +172,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"FAIL  {spec}: closed form {closed} != oracle {brute}")
 
     for spec in specs:
-        failed = [name for name, holds in check_symmetries(spec) if not holds]
+        try:
+            failed = [name for name, holds in check_symmetries(spec) if not holds]
+        except ArithmeticError as exc:
+            failures += 1
+            print(f"FAIL  {spec}: symmetry identities: closed form {exc}")
+            continue
         if not failed:
             print(f"PASS  {spec}: equivalent-link symmetries")
         else:

@@ -15,7 +15,8 @@ numerator of its plane evaluation, grouped by that evaluation's
 denominator, and the cofactor that raises each group to the lcm of them
 all.  A request then adds numerators only: per group, the products of
 the two eigenvalue powers and the weight, and each group sum times its
-cofactor, over the lcm times z^(k1 + k2).
+cofactor, over the lcm times z^(k1 + k2), and one exact division puts
+that sum over z^c, c = k1 + k2 + n1 + n2, its canonical denominator.
 Conventions are pinned so that H(1,0;1,0) is the positive Hopf link with
 value delta^2 + v^{-2} - 1.
 """
@@ -70,7 +71,9 @@ def homfly_general(spec: HopfSpec) -> SkeinScalar:
     Sums over the eigenbasis labels of the (k1, k2) family instead of the
     (n1, n2) core when it has fewer, as H(k1,k2;n1,n2) = H(n1,n2;k1,k2);
     a tie keeps the core.  The labels are counted, not built, so the
-    larger side is never enumerated.
+    larger side is never enumerated.  The value comes back in its
+    canonical form over z^(k1 + k2 + n1 + n2), checked as it is built;
+    ArithmeticError means it is not over that power (see `_core_sum`).
     """
     if label_count(spec.k1, spec.k2) < label_count(spec.n1, spec.n2):
         spec = HopfSpec(spec.n1, spec.n2, spec.k1, spec.k2)
@@ -103,8 +106,13 @@ def _core_sum(spec: HopfSpec) -> SkeinScalar:
     The term of a label is its ccw power k1 times the ccw power k2 of the
     swapped label (its cw power, as in `cw_eigenvalue`) times its weight;
     `ccw_power` gives each power as its numerator over z^k, so the sum of
-    the products is over `top` times z^(k1 + k2), the one scalar built.
-    A power 0 is the constant 1 and is not multiplied in.
+    the products is over `top` times z^(k1 + k2).  A power 0 is the
+    constant 1 and is not multiplied in.  The link has c = k1 + k2 + n1 + n2
+    components, so its canonical denominator is z^c (Lickorish and
+    Millett), and the one scalar built is stored in that form at once: the
+    sum divided once by every Phi_d(s^2) of its denominator less those of
+    z^c (`SkeinScalar._over_z`), which raises ArithmeticError when that
+    division is not exact.
     """
     k1, k2 = spec.k1, spec.k2
     top, groups = _core_weights(spec.n1, spec.n2)
@@ -121,7 +129,7 @@ def _core_sum(spec: HopfSpec) -> SkeinScalar:
             part = term if part is None else part + term
         part = part if cofactor is None else part * cofactor
         total = part if total is None else total + part
-    return SkeinScalar(total, top + ((1, k1 + k2),) if k1 + k2 else top)
+    return SkeinScalar._over_z(total, top + ((1, k1 + k2),) if k1 + k2 else top, k1 + k2 + spec.n1 + spec.n2)
 
 
 class DecorationTerm(NamedTuple):

@@ -799,7 +799,9 @@ def _node(crossings: Sequence[Crossing], free_loops: int, v_exp: int, near: Iter
 def _eval(crossings: tuple[Crossing, ...], free_loops: int, memo: dict) -> SkeinScalar:
     """Evaluate the skein tree depth-first on an explicit stack of nodes,
     with the diagram's free loops applied at its root node, and build the
-    one SkeinScalar of the root's (numerator, c) value.
+    one SkeinScalar of the root's (numerator, c) value, stored as the
+    canonical form it is as built (`SkeinScalar._over_z`, with nothing to
+    divide).
 
     A node's second child (the smoothed one, or the twist region smoothed
     down to one crossing) is finished before its first starts and the
@@ -816,7 +818,7 @@ def _eval(crossings: tuple[Crossing, ...], free_loops: int, memo: dict) -> Skein
             value = done.value
             if not stack:
                 num, c = value
-                return SkeinScalar(num, ((1, c),) if c else ())
+                return SkeinScalar._over_z(num, ((1, c),) if c else (), c)
         else:
             stack.append(_node(*child, memo))
             value = None

@@ -11,7 +11,10 @@ once, when a value is first read.  Every denominator produced by the
 eigenvalue pipeline (the unknot value, the hook-content evaluations)
 has this shape.  Those two values are canonical as built, and their
 builders store that form at once (`SkeinScalar._reduced`), each with
-its proof that no Phi_e(s^2) divides.
+its proof that no Phi_e(s^2) divides.  A link's value, from the closed
+form or the skein tree, is canonical over z^c, c its components, by
+theorem: `SkeinScalar._over_z` puts it over z^c with one division and
+stores that form at once.
 
 A polynomial is packed as rows in t = s^2, one per v-exponent and parity
 of the s-exponent: every value the skein theory builds from z = s - s^{-1},
@@ -31,11 +34,14 @@ A sum of scalars brings its factored denominators to their lcm with
 `common_denominator`, cached by the tuple of denominators; the closed
 form's per-core weight groups take theirs from it too.
 
-A Phi_e(t) is divided out on the packed rows (`LaurentPoly.exact_div_phi`):
-one integer remainder per row screens it, and one integer quotient per
-row, certified by a mask test, divides it; a quotient the test cannot
-certify is screened and certified again at the next wider slot.  It is
-the one division: s^k - s^{-k} is divided out as its Phi_e(t), e | k.
+A product of cyclotomic factors prod Phi_d(t)^m is divided out on the
+packed rows (`LaurentPoly.exact_div_phis`): one integer remainder per
+row screens it, and one integer quotient per row, certified by a mask
+test against the product's L1 norm, divides it; a quotient the test
+cannot certify is screened and certified again at the next wider slot.
+It is the one division: the canonical form divides one Phi_e(t) at a
+time, s^k - s^{-k} is divided out as the product of its Phi_e(t),
+e | k, and `_over_z` divides by all the known factors at once.
 
 Terms are read out of the rows only to serialize, format or substitute
 (`_decode`).  At the base slot width of 32 bits on a little-endian host
@@ -287,6 +293,11 @@ def _new(rows: dict[int, tuple[int, int]], w: int, cap: int, l1: int) -> "Lauren
     p = LaurentPoly.__new__(LaurentPoly)
     p._rows, p._w, p._cap, p._l1 = rows, w, cap, l1
     return p
+
+
+def _times_s(p: "LaurentPoly", m: int) -> "LaurentPoly":
+    """p * s^m: its rows `_shifted`, in the same slots and with the same bounds."""
+    return _new(_shifted(p._rows, m), p._w, p._cap, p._l1)
 
 
 class LaurentPoly:
@@ -567,43 +578,45 @@ class LaurentPoly:
         """Substitute v -> v^{-1}, s -> s^{-1} (reflection of links)."""
         return LaurentPoly({(-ev, -es): c for ev, es, c in self.terms()})
 
-    # -- division by a denominator factor -----------------------------
+    # -- division by cyclotomic factors ---------------------------------
 
     def exact_div_factor(self, k: int) -> "LaurentPoly | None":
         """Quotient by s^k - s^{-k} when exact, else None.
 
-        s^k - s^{-k} = s^{-k} prod_{e | k} Phi_e(s^2), so this divides by each
-        Phi_e(s^2) in turn (`exact_div_phi`) and multiplies by s^k.
+        s^k - s^{-k} = s^{-k} prod_{e | k} Phi_e(s^2), so this divides by
+        that product (`exact_div_phis`) and multiplies by s^k.
         """
         if k < 1:
             raise ValueError("factor index k must be >= 1")
-        q = self
-        for e in _divisors(k):
-            if (q := q.exact_div_phi(e)) is None:
-                return None
-        return _new(_shifted(q._rows, k), q._w, q._cap, q._l1)
+        q = self.exact_div_phis(tuple((e, 1) for e in _divisors(k)))
+        return None if q is None else _times_s(q, k)
 
     def exact_div_phi(self, d: int) -> "LaurentPoly | None":
-        """Quotient by the cyclotomic polynomial Phi_d(s^2) when exact, else None.
+        """Quotient by the cyclotomic polynomial Phi_d(s^2) when exact, else None."""
+        return self.exact_div_phis(((d, 1),))
 
-        A row R is P(2^w), P a polynomial in t = s^2, so m = Phi_d(2^w)
-        divides R when Phi_d(t) divides P: a nonzero R mod m on any row
-        proves that it does not.  Otherwise the slots of each R // m are
-        the quotient once a mask test bounds them so that Phi_d times them
-        stays inside the slots, where the integer identity is the
-        polynomial one.  Input the mask test cannot certify
-        (a wide quotient, or a false pass of the remainder screen) is
-        re-encoded one step up the slot widths and screened and certified
-        again.  That ends: if Phi_d divides P, its quotient's coefficients
-        are fixed, so they pass the mask once the slot is wide enough; if
-        not, P = Q Phi_d + r with r nonzero of lower degree than Phi_d, so
-        0 < |r(2^w)| < m once w is wide enough, and the screen fails.
+    def exact_div_phis(self, factors: tuple[tuple[int, int], ...]) -> "LaurentPoly | None":
+        """Quotient by prod Phi_d(s^2)^m over the (d, m) pairs when exact, else None.
+
+        A row R is P(2^w), P a polynomial in t = s^2, so M = prod Phi_d(2^w)^m
+        divides R when the product divides P: a nonzero R mod M on any row
+        proves that it does not.  Otherwise the slots of each R // M are the
+        quotient once a mask test, against the product's exact L1 norm,
+        bounds them so that the product times them stays inside the slots,
+        where the integer identity is the polynomial one.  Input the mask
+        test cannot certify (a wide quotient, or a false pass of the
+        remainder screen) is re-encoded one step up the slot widths and
+        screened and certified again.  That ends: if the product divides P,
+        its quotient's coefficients are fixed, so they pass the mask once the
+        slot is wide enough; if not, P = Q prod + r with r nonzero of lower
+        degree, so 0 < |r(2^w)| < M once w is wide enough, and the screen
+        fails.
         """
         if not self._rows:
             return LaurentPoly.zero()
         w = self._w
         while True:
-            m, bits = _phi_at(d, w)
+            w, m, bits = _product_at(factors, w)
             out = {}
             for key, (lo, row) in self._at(w).items():
                 quotient, rest = divmod(row, m)
@@ -746,15 +759,27 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
 
 
 @cache
-def _phi_at(d: int, w: int) -> tuple[int, int]:
-    """Phi_d(2^w), the packed row of Phi_d(s^2), and the slot bound b that certifies a quotient row.
+def _product_at(factors: tuple[tuple[int, int], ...], w: int) -> tuple[int, int, int]:
+    """The first slot width w' >= w with a positive bound b, prod Phi_d(2^w')^m there, and b.
 
-    With ||Phi_d||_1 < 2^n and b = w - 1 - n, Phi_d times slots in
-    [-2^(b-1), 2^(b-1)) has slots below 2^(w-2) in size, and the balanced
-    base-2^w digits of an integer are unique.
+    prod Phi_d(2^w')^m is the packed row of prod Phi_d(s^2)^m over the
+    (d, m) pairs, and b the slot bound that certifies a quotient row: with
+    the product's L1 norm below 2^n and b = w' - 1 - n, the product times
+    slots in [-2^(b-1), 2^(b-1)) has slots below 2^(w'-2) in size, and the
+    balanced base-2^w' digits of an integer are unique.
     """
-    coeffs = _cyclotomic(d)
-    return _pack(coeffs[::-1], w), w - 1 - sum(map(abs, coeffs)).bit_length()
+    coeffs = [1]  # lowest first
+    for d, m in factors:
+        phi = _cyclotomic(d)[::-1]
+        for _ in range(m):
+            out = [0] * (len(coeffs) + len(phi) - 1)
+            for i, a in enumerate(coeffs):
+                for j, b in enumerate(phi):
+                    out[i + j] += a * b
+            coeffs = out
+    n = sum(map(abs, coeffs)).bit_length()
+    w = max(w, _width(n + 1))
+    return w, _pack(coeffs, w), w - 1 - n
 
 
 class SkeinScalar:
@@ -819,7 +844,7 @@ class SkeinScalar:
                     e[d] -= 1
                 else:
                     num = num * LaurentPoly(((0, 2 * j), c) for j, c in enumerate(reversed(_cyclotomic(d))))
-        self._canon = (_new(_shifted(num._rows, shift), num._w, num._cap, num._l1), tuple(sorted(cover.items())))
+        self._canon = (_times_s(num, shift), tuple(sorted(cover.items())))
         return self._canon
 
     # -- constructors -------------------------------------------------
@@ -834,6 +859,33 @@ class SkeinScalar:
         x = cls(num, den)
         x._canon = (x._num, x._den)
         return x
+
+    @classmethod
+    def _over_z(cls, num: LaurentPoly, den: tuple[tuple[int, int], ...], c: int) -> "SkeinScalar":
+        """num / den, stored as its canonical form num' / z^c, which its builder proves.
+
+        Lickorish and Millett ("A polynomial invariant of oriented links",
+        Topology 26, 1987): a link of c components, each the unknot at 1 and
+        framed by a power of v, has the canonical denominator z^c exactly,
+        z = s - s^{-1}.  With s^k - s^{-k} = s^{-k} prod_{d | k} Phi_d(s^2)
+        and z^c = s^{-c} Phi_1(s^2)^c, num / den is (num / P) s^(K - c) / z^c,
+        where K = sum k mult over `den` and P is the product of the Phi_d(s^2)
+        of `den` less Phi_1(s^2)^c: one exact division by P
+        (`LaurentPoly.exact_div_phis`), none when P is 1.  That division
+        failing, or `den` holding fewer than c factors Phi_1(s^2), contradicts
+        the theorem, and raises ArithmeticError.
+        """
+        e: Counter = Counter()
+        for k, mult in den:
+            for d in _divisors(k):
+                e[d] += mult
+        e[1] -= c
+        if e[1] < 0:
+            raise ArithmeticError(f"not over z^{c}: only {e[1] + c} factors z in its denominator")
+        factors = tuple(sorted((d, m) for d, m in e.items() if m))
+        if factors and (num := num.exact_div_phis(factors)) is None:
+            raise ArithmeticError(f"not over z^{c}: no exact quotient by Phi_d(s^2)^m for (d, m) in {factors}")
+        return cls._reduced(_times_s(num, sum(k * mult for k, mult in den) - c), ((1, c),) if c else ())
 
     @classmethod
     def zero(cls) -> "SkeinScalar":

@@ -16,6 +16,7 @@ import hopflinks.hopf as hopf_module
 import hopflinks.oracle as oracle_module
 from hopflinks.hopf import HopfSpec, homfly_general
 from hopflinks.oracle import build_diagram
+from hopflinks.partitions import BasisLabel
 from hopflinks.render import parse_scalar, render_scalar
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
 from test_hopf import clear_caches
@@ -477,6 +478,27 @@ def test_verify_detects_injected_eigenvalue_error(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_reports_a_closed_form_not_over_z_to_the_components(capsys, monkeypatch):
+    # Doubling the powers of one label's eigenvalue leaves the Phi_2(s^2)
+    # of its hook lengths undivided: the sum over the (2, 0) core is no
+    # longer over z^c, and the division that stores it fails.  H(2,0;2,0)
+    # sums that core against the oracle, and H(1,0;2,0)'s symmetry class
+    # sums it too; each gets a FAIL line, and verify ends with exit 1.
+    healthy = hopf_module.ccw_power
+
+    def broken(label, n):
+        value = healthy(label, n)
+        return value * 2 if label == BasisLabel((), (2,)) else value
+
+    monkeypatch.setattr(hopf_module, "ccw_power", broken)
+    code, out, _ = run_cli(capsys, "verify", "--max-encircling", "2", "--max-core", "2")
+    assert code == 1
+    off = "not over z^{}: no exact quotient by Phi_d(s^2)^m for (d, m) in ((2, 1),)\n"
+    assert "FAIL  H(2,0;2,0): closed form " + off.format(4) in out
+    assert "FAIL  H(1,0;2,0): symmetry identities: closed form " + off.format(3) in out
+    assert "PASS  H(1,0;1,0): closed form matches oracle\n" in out
+
+
 def test_verify_reports_eigenvalue_collisions(capsys, monkeypatch):
     # With every clockwise eigenvalue equal, both distinctness checks fail.
     monkeypatch.setattr(cli, "cw_eigenvalue", lambda label: delta())
@@ -537,7 +559,6 @@ def test_table_contains_worked_example_row(capsys):
     by_label = {(tuple(r["label"]["neg"]), tuple(r["label"]["pos"])): r for r in rows}
     row = by_label[((2,), (1,))]
     from hopflinks.meridian import ccw_eigenvalue, cw_eigenvalue
-    from hopflinks.partitions import BasisLabel
 
     lab = BasisLabel((2,), (1,))
     assert SkeinScalar.from_json(row["t"]) == ccw_eigenvalue(lab)

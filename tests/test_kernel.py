@@ -9,6 +9,7 @@ The strategies mix small coefficients with ones beyond 2^64 and up to
 mask-test tightening and the re-encoding at a wider width.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 from functools import reduce
 
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hopflinks import ring
-from hopflinks.hopf import Decoration
+from hopflinks.cli import _grid
+from hopflinks.hopf import Decoration, HopfSpec, _core_sum, _core_weights
 from hopflinks.render import parse_scalar
-from hopflinks.ring import MAX_SLOTS, LaurentPoly, _decode, _phi_at, _pack, _unpack, _within
+from hopflinks.ring import MAX_SLOTS, LaurentPoly, SkeinScalar, _decode, _pack, _product_at, _unpack, _within
 from ring_tools import coefficient, s_inverse
 from test_ring import assert_certified, cyclotomic, poly_divmod
 
@@ -227,13 +229,14 @@ def test_exact_div_matches_reference(a, k):
 
 @contextmanager
 def division_route():
-    """Record the slot widths exact_div_phi screens at, and every product or other division it runs."""
+    """Record the slot widths a division screens at, and every product or other division it runs."""
     widths, others = [], []
-    phi_at = ring._phi_at
+    product_at = ring._product_at
 
-    def screened(d, w):
-        widths.append(w)
-        return phi_at(d, w)
+    def screened(factors, w):
+        out = product_at(factors, w)
+        widths.append(out[0])
+        return out
 
     def counted(name):
         original = getattr(LaurentPoly, name)
@@ -245,7 +248,7 @@ def division_route():
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring, "_phi_at", screened)
+        mp.setattr(ring, "_product_at", screened)
         for name in ("__mul__", "exact_div_factor"):
             mp.setattr(LaurentPoly, name, counted(name))
         yield widths, others
@@ -269,7 +272,7 @@ def test_exact_div_phi_matches_reference(a, d):
 def test_exact_div_phi_near_the_slot(d, data):
     # Quotient coefficients at the edge of what certifies at the base width
     # W: the division widens to 2W exactly when a coefficient leaves the mask.
-    _, bits = _phi_at(d, W)
+    _, _, bits = _product_at(((d, 1),), W)
     edge = 1 << (bits - 1)
     near = st.one_of(st.integers(edge - 2, edge + 2), st.integers(-edge - 2, -edge + 2), st.integers(-9, 9))
     q = data.draw(st.lists(near, min_size=1, max_size=8))
@@ -290,7 +293,7 @@ def test_exact_div_phi_near_the_slot(d, data):
 def test_exact_div_phi_runs_the_cofactor_route(d):
     # A quotient slot one past the mask bound at the base width W is not
     # certified there; it is at 2W, with no product and no other division.
-    _, bits = _phi_at(d, W)
+    _, _, bits = _product_at(((d, 1),), W)
     a = {(0, j): 1 << (bits - 1) for j in range(2 * d + 1)}
     product = LaurentPoly(dict_mul(a, phi(d)))
     assert product._w == W
@@ -310,12 +313,137 @@ def test_exact_div_phi_false_pass_of_the_screen():
         p = LaurentPoly({(0, 0): n, (0, 2): n, (0, 4): n})
         assert p._w == w
         ((_, row),) = p._rows.values()
-        assert row % _phi_at(1, w)[0] == 0
+        assert row % _product_at(((1, 1),), w)[1] == 0
         with division_route() as (widths, others):
             assert p.exact_div_phi(1) is None
         assert widths == [w, ring._width(w)]
         assert others == []
         assert ref_div_phi({(0, 0): n, (0, 2): n, (0, 4): n}, 1) is None
+
+
+# -- one division by a product of cyclotomic factors ------------------------------------
+
+
+def ref_div_phis(terms: dict, factors) -> dict | None:
+    """Quotient by prod Phi_d(s^2)^m over the (d, m) pairs when exact, else None: repeated `ref_div_phi`."""
+    for d, m in factors:
+        for _ in range(m):
+            if terms is None:
+                return None
+            terms = ref_div_phi(terms, d)
+    return terms
+
+
+def phis(factors) -> dict:
+    """prod Phi_d(s^2)^m over the (d, m) pairs, as terms."""
+    return reduce(dict_mul, [phi(d) for d, m in factors for _ in range(m)], {(0, 0): 1})
+
+
+# 1 to 8 factors Phi_d(s^2), d <= 30, repeats allowed; as sorted (d, m) pairs.
+products = st.lists(st.integers(1, 30), min_size=1, max_size=8).map(lambda ds: tuple(sorted(Counter(ds).items())))
+# Coefficients 1 to 16 bits below the 32-, 64- and 96-bit slot edges, of either sign.
+below_edges = st.builds(
+    lambda edge, j, sign: sign * ((1 << (edge - 1 - j)) - 1), st.sampled_from([W, 2 * W, 3 * W]), st.integers(1, 16),
+    st.sampled_from([1, -1]),
+)
+quotients = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-4, 4)), st.one_of(st.integers(-5, 5), below_edges), min_size=1,
+    max_size=4,
+).map(lambda d: {key: c for key, c in d.items() if c} or {(0, 0): 1})
+
+
+@given(quotients, products, st.sampled_from(["exact", "off by s", "alone"]))
+@example({(0, 0): (1 << (W - 2)) - 1, (0, 2): -((1 << (W - 2)) - 1)}, ((1, 2), (2, 1), (3, 3)), "exact")
+def test_exact_div_phis_matches_repeated_ref_div_phi(a, factors, kind):
+    # Exact (a times the product), one term off (s^1 is divisible by no
+    # Phi_d(s^2)), or a alone (mostly inexact): one division by the whole
+    # product gives the quotient of the factors divided out one at a time.
+    f = dict_mul(a, phis(factors))
+    if kind == "off by s":
+        f = dict_add(f, {(0, 1): 1})
+    elif kind == "alone":
+        f = a
+    quotient, expected = LaurentPoly(f).exact_div_phis(factors), ref_div_phis(f, factors)
+    assert (quotient is None) == (expected is None)
+    if kind == "exact":
+        assert expected == a
+    if expected is not None:
+        assert terms_of(quotient) == expected
+        assert_certified(quotient)
+
+
+@pytest.mark.parametrize("factors", [((1, 1), (2, 1)), ((1, 3), (2, 2), (3, 1), (6, 1)), ((5, 2), (7, 1), (30, 1))])
+def test_exact_div_phis_widens_one_step(factors):
+    # Quotient slots one past the mask bound of the product at the base
+    # width W: its multiple fits W, but only 2W certifies the quotient,
+    # with one screen at each width and no product or other division.
+    _, _, bits = _product_at(factors, W)
+    a = {(0, j): 1 << (bits - 1) for j in range(5)}
+    product = LaurentPoly(dict_mul(a, phis(factors)))
+    assert product._w == W
+    with division_route() as (widths, others):
+        quotient = product.exact_div_phis(factors)
+    assert terms_of(quotient) == a
+    assert quotient._w == 2 * W and widths == [W, 2 * W]
+    assert others == []
+
+
+def test_product_bound_is_the_exact_l1_norm():
+    # (t - 1)^40 has L1 norm 2^40: the product starts at the first width
+    # where the certifying bound is positive, and that bound is w - 1 - 41.
+    w, m, bits = _product_at(((1, 40),), W)
+    assert (w, bits) == (2 * W, 2 * W - 42)
+    assert m == (2**w - 1) ** 40
+    for factors in [((1, 1),), ((2, 3), (5, 1)), ((1, 2), (6, 4), (30, 1))]:
+        l1 = sum(abs(c) for c in phis(factors).values())
+        w, m, bits = _product_at(factors, W)
+        assert w == W and bits == W - 1 - l1.bit_length()
+        assert m == sum(c << (w * (es // 2)) for (_, es), c in phis(factors).items())
+
+
+def divisions(monkeypatch) -> list:
+    """Record the factors of every division the ring runs from now on."""
+    calls = []
+    real = LaurentPoly.exact_div_phis
+    monkeypatch.setattr(LaurentPoly, "exact_div_phis", lambda p, factors: calls.append(factors) or real(p, factors))
+    return calls
+
+
+def test_each_closed_form_result_divides_once_and_its_read_never(monkeypatch):
+    # A closed-form sum is divided once, by the product of every Phi_d(s^2)
+    # of its denominator less those of z^c, and stored in canonical form:
+    # reading it divides nothing.  A core whose denominator is z^(n1 + n2)
+    # alone leaves nothing to divide.  H(2,2;8,0) widens once on the way.
+    calls = divisions(monkeypatch)
+    for spec in _grid(3, 6) + [HopfSpec(2, 2, 8, 0)]:
+        n = spec.n1 + spec.n2
+        top, _ = _core_weights(spec.n1, spec.n2)
+        calls.clear()
+        value = _core_sum(spec)
+        assert len(calls) == (dict(top) != ({1: n} if n else {})), spec
+        calls.clear()
+        value.to_json(), value.num, value.den, value.format("latex"), hash(value)
+        assert calls == [], spec
+
+
+@given(quotients.filter(lambda a: ref_div_phi(a, 1) is None), st.integers(0, 5), st.integers(0, 3))
+def test_known_z_power_constructor_matches_the_generic_form(a, c, spare):
+    # den = z^(c + spare) (s^2 - s^-2)(s^3 - s^-3); in t = s^2 its factors
+    # beyond z^c are Phi_1^(spare + 2) Phi_2 Phi_3, and num is a times them.
+    # With a off Phi_1(s^2), the value is canonical over z^c, and the
+    # scalar stored so at construction is the generic one's canonical form.
+    # A numerator those factors do not divide, or fewer factors z than c,
+    # raise.
+    den = ((1, c + spare), (2, 1), (3, 1)) if c + spare else ((2, 1), (3, 1))
+    num = LaurentPoly(dict_mul(a, phis(((1, spare + 2), (2, 1), (3, 1)))))
+    x, generic = SkeinScalar._over_z(num, den, c), SkeinScalar(num, den)
+    assert x._canon is not None
+    assert x.to_json() == generic.to_json()
+    assert x.den == (((1, c),) if c else ())
+    with pytest.raises(ArithmeticError, match="no exact quotient"):
+        SkeinScalar._over_z(num + LaurentPoly.term(1, s=1), den, c)
+    with pytest.raises(ArithmeticError, match="only"):
+        SkeinScalar._over_z(num, den, c + spare + 3)
 
 
 @given(st.lists(small, min_size=12, max_size=14), st.integers(1, 3))

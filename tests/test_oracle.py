@@ -1144,7 +1144,9 @@ def check_over_z_to_the_components(d):
         entries.append((memo_scalar(entry), c))
     for x, c in entries:
         assert x._den == (((1, c),) if c else ()), (x._den, c)
-        assert x._den == x.den, (x._den, x.den)
+        # The root value is stored as canonical, so its own `den` would
+        # compare it with itself: a generic scalar finds the form again.
+        assert x._den == SkeinScalar(x._num, x._den).den, (x._den, x.den)
 
 
 def test_memo_values_are_over_z_to_the_components():
@@ -1155,6 +1157,21 @@ def test_memo_values_are_over_z_to_the_components():
 @given(key_corpus)
 def test_memo_values_are_over_z_to_the_components_on_random_diagrams(d):
     check_over_z_to_the_components(d)
+
+
+def test_root_values_are_stored_in_their_canonical_form(monkeypatch):
+    # The root builds its value over z^c as the canonical form it is, so
+    # reading it divides nothing, and its JSON is the one the generic
+    # scalar's first read finds by dividing, over the MEMO_DIGEST corpus.
+    values = [homfly_of_diagram(d) for d in memo_corpus()]
+    calls = []
+    divide = LaurentPoly.exact_div_phis
+    monkeypatch.setattr(LaurentPoly, "exact_div_phis", lambda p, factors: calls.append(factors) or divide(p, factors))
+    texts = [x.to_json() for x in values]
+    assert calls == []
+    for x, text in zip(values, texts):
+        assert SkeinScalar(x._num, x._den).to_json() == text
+    assert calls
 
 
 # -- deep skein trees --------------------------------------------------------------------------
