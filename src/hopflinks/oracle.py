@@ -44,7 +44,10 @@ oriented links", Topology 26, 1987) show that the polynomial of a
 c-component link with the unknot at 1 has a nonzero term in z^{1-c} and
 none lower; the value here is delta times it, so its lowest power is
 z^{-c}.  No numerator holds a spare z, and every value is canonical as
-built.
+built.  A skein step is one pass of the ring's addition loop over the
+packed rows, and a node frames its value by kinks and loops with row
+moves and passes of the same loop (`_node`): the tree makes no product
+of polynomials.
 """
 
 from __future__ import annotations
@@ -697,7 +700,9 @@ _Value = tuple[LaurentPoly, int]  # (numerator, c): the numerator over z^c
 def _v_delta(v_exp: int, loops: int) -> LaurentPoly:
     """The numerator of v^v_exp * delta^loops over z^loops, which is
     v^v_exp (v^{-1} - v)^loops expanded by the binomial theorem, with no
-    product; one shared immutable value per pair."""
+    product.  It is the value of a leaf of the tree, an unlink or the
+    empty diagram, as one shared immutable value per pair; frames run on
+    the rows (`_node`)."""
     return LaurentPoly({(v_exp - loops + 2 * j, 0): (-1) ** j * comb(loops, j) for j in range(loops + 1)})
 
 
@@ -707,12 +712,11 @@ def _skein_step(sign: int, switched: _Value, smoothed: _Value) -> _Value:
     The switched child has the node's c components and is over z^c; the
     smoothed child has c + 1 or c - 1 and is over z^(c+1) or z^(c-1).
     The factor z cancels one z of the smoothed child's denominator, so
-    its numerator is added as it is or, over z^(c-1), times z^2 on its
-    packed rows (`LaurentPoly.times_z2`).
+    its numerator is added as it is or, over z^(c-1), lifted by z^2, in
+    one pass over the packed rows (`LaurentPoly.plus`).
     """
     (num, c), (b, c_smoothed) = switched, smoothed
-    b = b.times_z2() if c_smoothed < c else b
-    return num + b if sign > 0 else num - b, c
+    return num.plus(b, sign, c_smoothed < c), c
 
 
 def _node(crossings: Sequence[Crossing], free_loops: int, v_exp: int, near: Iterable[int], memo: dict) -> Generator:
@@ -721,10 +725,11 @@ def _node(crossings: Sequence[Crossing], free_loops: int, v_exp: int, near: Iter
     its value, and returns the node's value (see `_eval`).  `free_loops`
     are loops beside the diagram and `v_exp` the v power of kinks already
     stripped from it: they join the loops and the kinks `_simplify`
-    strips, so the node frames its memo value by v^v_exp and all its loops
-    in one product of numerators, and adds the loops to its c.  With no
-    loop the frame is v^v_exp alone, which moves the numerator's rows
-    (`times_v`) and makes no product.
+    strips, so the node frames its memo value by v^v_exp and all its m
+    loops, and adds the loops to its c.  The frame's numerator is
+    v^v_exp (v^{-1} - v)^m = v^(v_exp - m) (1 - v^2)^m: one move of the
+    numerator's rows (`times_v`), then m passes x - x v^2 of the ring's
+    addition loop (`LaurentPoly.plus`), and no product.
 
     A node splits one crossing: P(D) = P(switched) + sign z P(smoothed),
     one skein step.  It builds each child with the move its split rule
@@ -789,10 +794,10 @@ def _node(crossings: Sequence[Crossing], free_loops: int, v_exp: int, near: Iter
             result = second
         memo[key] = result
     num, c = result
-    if loops:
-        num = num * _v_delta(v_exp, loops)
-    elif v_exp:
-        num = num.times_v(v_exp)
+    if v_exp != loops:
+        num = num.times_v(v_exp - loops)
+    for _ in range(loops):
+        num = num - num.times_v(2)
     return num, c + loops
 
 

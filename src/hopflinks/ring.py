@@ -23,10 +23,12 @@ v-degree, so a row in s would hold a zero in every other slot.
 A product of brackets [N+c] = v^{-1} s^c - v s^{-c}, the numerator of a
 plane evaluation, is built straight into rows (`LaurentPoly.brackets`),
 as is an eigenvalue's numerator from the contents of its two shapes
-(`LaurentPoly.encircling`), and a product by an int scales each row,
-one by a power of v moves the rows to other keys (`times_v`) and one by
-z^2 shifts each row by two slots and subtracts (`times_z2`): none runs
-a row-pair product.
+(`LaurentPoly.encircling`), and a product by an int scales each row
+and one by a power of v moves the rows to other keys (`times_v`): none
+runs a row-pair product.  A sum or difference is one pass over the rows
+(`LaurentPoly.plus`), which can lift its second operand by z^2 on the
+way: z^2 = t^{-1} (t - 1)^2 takes a row R to R X^2 - 2 R X + R, X one
+slot, in shifts and adds.
 Each value sits in the narrowest slot width above its carried coefficient
 bound, and the widths are the multiples of 32 bits (`_width`).
 
@@ -481,35 +483,62 @@ class LaurentPoly:
 
     # -- ring operations ---------------------------------------------
 
-    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
+    def plus(self, other: "LaurentPoly | int", sign: int = 1, lift: bool = False) -> "LaurentPoly":
+        """self + sign * other, sign 1 or -1, with other times z^2 when `lift`: one pass over the rows.
+
+        In t = s^2, z^2 = t^{-1} (t - 1)^2, so a lifted row R is
+        R (X - 1)^2, X = 2^w one slot, and its lowest t-exponent drops by
+        one.  Each lifted coefficient is c_{j-2} - 2 c_{j-1} + c_j, at most
+        4 `_cap` and 2 `_l1` in size, and sums to at most 4 `_l1`.  When
+        the carried bound of the result does not fit the slot, both
+        operands are tightened (`_fit`) and, failing that, re-encoded at
+        the width the bound asks for.  `__add__`, `__sub__` and the skein
+        tree's steps and frames all add through this loop; it never
+        multiplies.
+        """
         if isinstance(other, int):
             other = LaurentPoly.term(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
         w = max(self._w, other._w)
-        if (self._cap + other._cap).bit_length() >= w:
+        cap = self._cap + (min(4 * other._cap, 2 * other._l1) if lift else other._cap)
+        if cap.bit_length() >= w:
             self._fit()
             other._fit()
-            w = max(w, _width((self._cap + other._cap).bit_length()))
+            cap = self._cap + (min(4 * other._cap, 2 * other._l1) if lift else other._cap)
+            w = max(w, _width(cap.bit_length()))
         out = dict(self._at(w))
-        for ev, (lo, row) in other._at(w).items():
-            lo0, row0 = out.pop(ev, (lo, 0))
-            base = min(lo, lo0)
-            total = (row0 << (w * (lo0 - base))) + (row << (w * (lo - base)))
-            if total:
-                out[ev] = _trim(base, total, w)
-        return _new(out, w, self._cap + other._cap, self._l1 + other._l1)
+        first = (1 << w) - 1  # the lowest slot
+        for key, (lo, row) in other._at(w).items():
+            if lift:
+                lo, row = lo - 1, (row << 2 * w) - (row << w + 1) + row
+            if sign < 0:
+                row = -row
+            if key in out:
+                lo0, row0 = out[key]
+                if lo0 < lo:
+                    row, lo = row << w * (lo - lo0), lo0
+                elif lo < lo0:
+                    row0 <<= w * (lo0 - lo)
+                row += row0
+                if not row:
+                    del out[key]
+                    continue
+                if not row & first:
+                    lo, row = _trim(lo, row, w)
+            out[key] = lo, row  # a row of `other` alone keeps its nonzero lowest slot, lifted or not
+        return _new(out, w, cap, self._l1 + (4 * other._l1 if lift else other._l1))
 
-    __radd__ = __add__
+    __add__ = __radd__ = plus
 
     def __neg__(self) -> "LaurentPoly":
         return _new({ev: (lo, -row) for ev, (lo, row) in self._rows.items()}, self._w, self._cap, self._l1)
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return self + -other if isinstance(other, (int, LaurentPoly)) else NotImplemented
+        return self.plus(other, -1)
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly.term(other) - self if isinstance(other, int) else NotImplemented
+        return LaurentPoly.term(other).plus(self, -1) if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
@@ -554,23 +583,6 @@ class LaurentPoly:
     def times_v(self, e: int) -> "LaurentPoly":
         """self * v^e: each row moves to the key of its v-exponent plus e, with no product."""
         return _new({key + 2 * e: row for key, row in self._rows.items()}, self._w, self._cap, self._l1)
-
-    def times_z2(self) -> "LaurentPoly":
-        """self * z^2, z = s - s^{-1}, on each row where the slots allow.
-
-        In t = s^2, z^2 = t^{-1} (t - 1)^2, so a row R becomes R (X - 1)^2,
-        X = 2^w one slot, and its lowest t-exponent drops by one.  Each new
-        coefficient is c_{j-2} - 2 c_{j-1} + c_j, at most 4 `_cap` and
-        2 `_l1` in size, and a row keeps its end coefficients, so none is
-        trimmed.  When that bound does not fit the slot, this is the
-        product by z^2, which widens it.
-        """
-        cap = min(4 * self._cap, 2 * self._l1)
-        w = self._w
-        if cap.bit_length() >= w:
-            return self * _Z2
-        rows = {key: (lo - 1, (row << 2 * w) - (row << w + 1) + row) for key, (lo, row) in self._rows.items()}
-        return _new(rows, w, cap, 4 * self._l1)
 
     # -- substitutions -----------------------------------------------
 
@@ -709,7 +721,6 @@ def _s_binomial(k: int) -> LaurentPoly:
 
 
 Z = _s_binomial(1)  # z = s - s^{-1}, the factor of the crossing exchange
-_Z2 = Z * Z  # the product `times_z2` falls back on
 
 
 @cache

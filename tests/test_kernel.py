@@ -161,8 +161,8 @@ def test_product_chains_widen(factors, big):
     assert terms_of(packed) == reduce(dict_mul, factors, {(0, 0): 1})
 
 
-# The two row operations of the skein tree's frames, against the generic
-# product they replace.
+# The row operations of the skein tree's steps and frames, against the
+# generic product they replace.
 Z2 = {(0, 2): 1, (0, 0): -2, (0, -2): 1}  # z^2 = s^2 - 2 + s^-2
 
 
@@ -176,13 +176,39 @@ def test_v_shift_matches_the_product_by_a_v_power(a, e):
     assert_certified(shifted)
 
 
+@contextmanager
+def no_product():
+    """Fail on any LaurentPoly product made inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LaurentPoly, "__mul__", lambda x, y: pytest.fail(f"product {x!r} * {y!r}"))
+        yield
+
+
+@given(dicts, dicts, st.sampled_from([1, -1]), st.booleans())
+@example({(0, 0): 5}, {(0, 0): 2**30}, 1, True)  # 2 |c| reaches 2^31: the 32-bit slot is too narrow
+@example({}, {(0, 0): 2**30 - 1, (0, 2): 2**30 - 1, (1, 1): -(2**29)}, -1, True)
+@example({(0, -2): 2**30}, {(0, 0): 2**30}, -1, False)
+@example({(1, 0): 3}, {(0, 0): 2**64, (0, 1): -3, (2, -5): 10**40, (-1, 4): 7}, 1, True)
+@example({(1, 0): 2**62}, {(1, 0): 2**62, (1, 2): 2**62}, -1, True)  # past the 64-bit slot
+def test_addition_loop_matches_the_reference(a, b, sign, lift):
+    # a + sign * b, with b times z^2 when lifted, in one pass of the rows:
+    # no product, and the narrowest slot the carried bound allows.
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    with no_product():
+        result = pa.plus(pb, sign, lift)
+    b = dict_mul(b, Z2) if lift else b
+    assert terms_of(result) == dict_add(a, {key: sign * c for key, c in b.items()})
+    assert_certified(result)
+    assert result._w == max(pa._w, pb._w, ring._width(result._cap.bit_length()))
+
+
 @given(dicts)
 @example({(0, 0): 2**30})  # 2 |c| reaches 2^31: the 32-bit slot is too narrow
 @example({(0, 0): 2**30 - 1, (0, 2): 2**30 - 1, (1, 1): -(2**29)})
 @example({(0, 0): 2**64, (0, 1): -3, (2, -5): 10**40, (-1, 4): 7})
 def test_z2_lift_matches_the_product_by_z_squared(a):
     p = LaurentPoly(a)
-    lifted = p.times_z2()
+    lifted = LaurentPoly.zero().plus(p, lift=True)
     assert lifted == p * ring.Z * ring.Z
     assert terms_of(lifted) == dict_mul(a, Z2)
     assert_certified(lifted)
@@ -198,15 +224,12 @@ def test_z2_lift_matches_the_product_by_z_squared(a):
         ({(1, 0): 2**62, (1, 2): 2**62}, True),
     ],
 )
-def test_z2_lift_falls_back_on_the_product_only_past_the_slot(monkeypatch, a, widened):
-    # On the rows while min(4 _cap, 2 _l1) fits the slot; beyond it, the
-    # product by z^2, which widens the slots.
+def test_z2_lift_widens_the_slot_only_past_it(a, widened):
+    # On the rows in the same slots while min(4 _cap, 2 _l1) fits them;
+    # beyond that, re-encoded one width up.  Neither makes a product.
     p = LaurentPoly(a)
-    real = LaurentPoly.__mul__
-    calls = []
-    monkeypatch.setattr(LaurentPoly, "__mul__", lambda x, y: calls.append(y) or real(x, y))
-    lifted = p.times_z2()
-    assert len(calls) == widened
+    with no_product():
+        lifted = LaurentPoly.zero().plus(p, lift=True)
     assert (lifted._w > p._w) == widened
     assert terms_of(lifted) == dict_mul(a, Z2)
     assert_certified(lifted)

@@ -685,8 +685,8 @@ def test_encodings_start_by_the_rule_and_it_holds_every_least_first_item(d):
 
 
 def test_nodes_make_no_product_by_one(monkeypatch):
-    # None of these diagrams has a free loop, so every numerator product is
-    # made in a skein step or where a node frames its value.
+    # None of these diagrams has a free loop.  Skein steps and frames run on
+    # the packed rows, so no numerator product is made at all.
     real = LaurentPoly.__mul__
     products, by_one = [], []
 
@@ -700,7 +700,7 @@ def test_nodes_make_no_product_by_one(monkeypatch):
     for d in (braid_closure(2, [1] * 12), build_diagram(HopfSpec(2, 0, 2, 0)), build_diagram(HopfSpec(1, 1, 2, 1))):
         assert not d.free_loops
         homfly_of_diagram(d)
-    assert products
+    assert products == []
     assert by_one == []
 
 
@@ -726,31 +726,24 @@ def test_free_loops_beside_crossings_multiply_by_delta(d):
         assert homfly_of_diagram(PlanarDiagram(d.crossings, m), max_crossings=cap) == bare * delta() ** m
 
 
-def test_free_loops_are_framed_at_the_root_in_one_product(monkeypatch):
-    # The root node frames its value by v^v_exp and every loop, the
-    # diagram's free loops included, in one product of numerators, the last
-    # one made, by _v_delta(v_exp, m).  A frame by v^v_exp alone moves the
-    # numerator's rows and makes no product.
+def test_free_loops_are_framed_at_the_root_with_no_product(monkeypatch):
+    # The root node frames its memo value by v^v_exp and every loop, the
+    # diagram's free loops included, with row moves and passes of the ring's
+    # addition loop.  The framed value is the reference product by
+    # _v_delta(v_exp, m), and the tree makes no product.
     real = LaurentPoly.__mul__
     calls = []
     monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
     kinked_hopf = add_curl(HOPF, 0, 1)  # the root strips the kink: v^-1
-    bare = []
+    key, _ = canonical_key(HOPF)  # the memo key of the root's reduced core
     for d, v_exp in ((HOPF, 0), (kinked_hopf, -1)):
-        counts = []
         for m in range(4):
-            diagram = PlanarDiagram(d.crossings, m)
-            homfly_of_diagram(diagram)  # every _v_delta value it takes is built
-            calls.clear()
-            homfly_of_diagram(diagram)
-            counts.append(len(calls))
-            if m:
-                assert calls[-1][1] is oracle_module._v_delta(v_exp, m)
-        # Free loops add one product, with or without a kink.
-        assert counts == [counts[0] + (m > 0) for m in range(4)], (v_exp, counts)
-        bare.append(counts[0])
-    # The kink's bare v^-1 frame adds no product to the Hopf link's.
-    assert bare[0] == bare[1], bare
+            memo: dict = {}
+            value = homfly_of_diagram(PlanarDiagram(d.crossings, m), memo=memo)
+            assert calls == [], (v_exp, m)
+            num, c = memo[key]
+            assert value.num == real(num, oracle_module._v_delta(v_exp, m)), (v_exp, m)
+            assert value.den == ((1, c + m),)
 
 
 # -- simplification: moves near the split crossing against the full face rescan -------------
@@ -1124,6 +1117,21 @@ def memo_digest():
 
 def test_oracle_memo_keys_pinned():
     assert memo_digest() == MEMO_DIGEST
+
+
+def test_skein_trees_make_no_product(monkeypatch):
+    # Skein steps add numerators, lifted by z^2 where the smoothed child has
+    # one component fewer, and frames move rows and add: over the MEMO_DIGEST
+    # corpus, sigma1^n for n <= 40 and the antiparallel (2, 100) pin diagram,
+    # no LaurentPoly product is made.
+    pinned = json.loads((Path(__file__).parent / "pins-antiparallel-100.json").read_text(encoding="utf-8"))
+    corpus = memo_corpus() + [braid_closure(2, [1] * n) for n in range(1, 41)] + [PlanarDiagram.from_json(pinned)]
+    real = LaurentPoly.__mul__
+    calls = []
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
+    for d in corpus:
+        homfly_of_diagram(d, max_crossings=len(d.crossings) + d.free_loops)
+    assert calls == []
 
 
 # -- every value over exactly z^c -------------------------------------------------------------
