@@ -34,6 +34,20 @@ one node by the closed form of its t skein steps: two children, the
 region smoothed down to one crossing and smoothed away, folded by t - 1
 skein steps (`_node`).
 
+The root evaluates a connected sum as the product of its prime summands:
+P(D1 # D2) = P(D1) P(D2) / delta (Freyd, Yetter, Hoste, Lickorish,
+Millett and Ocneanu, Bull. AMS 12, 1985; Lickorish and Millett, Topology
+26, 1987).  The lemma follows from the same two relations.  Run D1's
+skein tree inside D1 # D2: each step and each kink is local to D1, so
+P(D1 # D2) sums the leaves of D1's tree with D2 attached, each weighted
+as in P(D1).  A leaf is a descending unlink of c components, one of
+which carries D2; D2 slides along that component into a small ball, off
+every crossing of the leaf, so the leaf is v^{-writhe} delta^(c-1) P(D2)
+where alone it is v^{-writhe} delta^c.  The root's reduced core is cut
+at every pair of arcs that border the same two faces (`_summands`), and
+each prime summand is a child.  Inner nodes do not look for cuts: a face
+pass at every node costs more than the few composite ones save.
+
 Every value the tree builds is a numerator over z^c, where z = s - s^{-1}
 and c counts the components of its diagram, free loops included: the
 unlink delta^c is, a kink's v^{-sign} keeps it, and so does a skein step,
@@ -47,11 +61,13 @@ z^{-c}.  No numerator holds a spare z, and every value is canonical as
 built.  A skein step is one pass of the ring's addition loop over the
 packed rows, and a node frames its value by kinks and loops with row
 moves and passes of the same loop (`_node`): the tree makes no product
-of polynomials.
+of polynomials but the m - 1 of the root of a connected sum of m prime
+summands, which multiplies their values.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import comb
@@ -89,6 +105,9 @@ class Crossing(NamedTuple):
 
 def _over_in(sign: int) -> int:
     return 3 if sign > 0 else 1
+
+
+_TURN = (1, 1, 1, -3)  # corner 4 c + p -> 4 c + (p + 1) % 4
 
 
 @dataclass(frozen=True)
@@ -338,6 +357,92 @@ def _twist_region(crossings: tuple[Crossing, ...], in_end: InEnd, out_end: OutEn
             region.append(y)
             x = y
     return region
+
+
+def _summands(core: tuple[Crossing, ...], in_end: InEnd, out_end: OutEnd) -> list[Child]:
+    """The prime connected summands of a connected reduced diagram, as
+    children of its node: the core alone when it is prime.
+
+    A cut is two distinct arcs that border the same two distinct faces F
+    and G.  A closed curve through F and G that crosses both meets the
+    diagram nowhere else, so it cuts the diagram in two, and each side
+    closed up is a connected summand.  When k >= 2 arcs border F and G,
+    the two faces glued along them leave k regions, each with two of the
+    arcs on its boundary and one strand through it, which runs in by one
+    and out by the other.  So the k arcs lie on one strand, and the region
+    an arc runs into is closed by giving that arc's head the id of the
+    next of them along the strand.  Every other face lies in one region,
+    so an arc that borders no cut has its two ends in one summand, and so
+    has each such splice: the prime summands are the classes of crossings
+    those two join.
+
+    The faces are traced once, on the end maps as `_faces` traces them:
+    the face of corner (c, p) runs along arc p, so an arc's two faces are
+    those of its two ends' corners.  A summand's new kinks and clasps lie
+    on the faces a splice closed, which a cut arc bounds: the cut arcs are
+    its `near`.
+    """
+    turn = [0] * (4 * len(core))  # corner 4 c + p -> the next corner of its face
+    ins, outs = [], []  # the corners of each arc's in-end and out-end, in the order of `in_end`
+    for arc, (ci, p) in in_end.items():
+        x, q = out_end[arc]
+        a = 4 * ci + p
+        b = 4 * x + q
+        turn[a] = b + _TURN[q]
+        turn[b] = a + _TURN[p]
+        ins.append(a)
+        outs.append(b)
+    face = [0] * len(turn)  # corner -> its face, numbered from 1
+    count = 0
+    for corner in range(len(turn)):
+        if not face[corner]:
+            count += 1
+            while not face[corner]:
+                face[corner] = count
+                corner = turn[corner]
+    n = count + 1  # each arc's two faces f < g as the one int f n + g
+    pairs = [face[a] * n + face[b] if face[a] < face[b] else face[b] * n + face[a] for a, b in zip(ins, outs)]
+    if len(set(pairs)) == len(pairs):
+        return [(core, 0, 0, ())]
+    counts = Counter(pairs)
+    cuts = {arc: pair for arc, pair in zip(in_end, pairs) if counts[pair] > 1}
+    # Each cut's arcs in the order their strand meets them: the region each
+    # runs into is closed by the next, and the last one's by the first.
+    spliced: dict[tuple[int, int], int] = {}  # an arc's in-end -> the id it takes
+    first: dict[int, int] = {}  # cut -> its first arc met
+    last: dict[int, int] = {}  # cut -> its last arc met
+    for start in cuts:
+        if cuts[start] in first:
+            continue
+        arc = start
+        while True:
+            pair = cuts.get(arc)
+            if pair is not None:
+                if pair in last:
+                    spliced[in_end[last[pair]]] = arc
+                else:
+                    first[pair] = arc
+                last[pair] = arc
+            ci, pos = in_end[arc]
+            arc = core[ci].ends[(pos + 2) % 4]
+            if arc == start:
+                break
+    for pair, arc in first.items():
+        spliced[in_end[last[pair]]] = arc
+    # The summands' arcs, each as the crossing it enters and its id: those
+    # that border no cut, and the splices.
+    arcs = [(ci, arc) for arc, (ci, _) in in_end.items() if arc not in cuts]
+    arcs += [(ci, arc) for (ci, _), arc in spliced.items()]
+    links: dict[int, int] = {}
+    for ci, arc in arcs:
+        if (x := _root(links, ci)) != (y := _root(links, out_end[arc][0])):
+            links[y] = x
+    parts: dict[int, list[Crossing]] = {}
+    for ci, cr in enumerate(core):
+        if (ci, 0) in spliced or (ci, _over_in(cr.sign)) in spliced:
+            cr = Crossing(cr.sign, tuple(spliced.get((ci, p), e) for p, e in enumerate(cr.ends)))
+        parts.setdefault(_root(links, ci), []).append(cr)
+    return [(part, 0, 0, cuts.keys()) for part in parts.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +824,9 @@ def _skein_step(sign: int, switched: _Value, smoothed: _Value) -> _Value:
     return num.plus(b, sign, c_smoothed < c), c
 
 
-def _node(crossings: Sequence[Crossing], free_loops: int, v_exp: int, near: Iterable[int], memo: dict) -> Generator:
+def _node(
+    crossings: Sequence[Crossing], free_loops: int, v_exp: int, near: Iterable[int], memo: dict, root: bool = False
+) -> Generator:
     """One skein-tree node: yields each child to evaluate as (diagram, its
     free loops, its v exponent, arcs next to the moves made on it), is sent
     its value, and returns the node's value (see `_eval`).  `free_loops`
@@ -755,6 +862,17 @@ def _node(crossings: Sequence[Crossing], free_loops: int, v_exp: int, near: Iter
     the split crossing has its other end at another crossing
     (`_split_crossing`), and smoothing it closes no loop.
 
+    The root node (`root`) of a connected core cuts it first into its
+    prime connected summands (`_summands`), one face pass over the end
+    maps of its strand walk.  With m >= 2 of them it splits no crossing:
+    the summands are its children, and with delta = (v^{-1} - v) / z their
+    product over delta^(m-1) is N_1 prod_{i>=2} (N_i / (v^{-1} - v)) over
+    z^c, c = sum c_i - (m - 1), as each cut joins two components in one.
+    Each quotient is exact (`LaurentPoly.div_v_delta`): a summand's value
+    is delta times a polynomial.  So the memo holds each summand and its
+    tree, and the root's own value.  A core of several pieces, and every
+    node below the root, is split at one crossing as above.
+
     The node walks the strands on the arc table its key was read from
     (`_strands`), and drops the table, the key's starts and both end
     maps before it yields: while its children run, it keeps only its key,
@@ -773,6 +891,13 @@ def _node(crossings: Sequence[Crossing], free_loops: int, v_exp: int, near: Iter
         candidates, in_end, out_end, strands = _strands(table)
         if not candidates:
             result = _v_delta(-sum(cr.sign for cr in core), strands), strands
+        elif root and len(key) == 1 and len(summands := _summands(core, in_end, out_end)) > 1:
+            del core, table, starts, in_end, out_end, candidates
+            num, c = yield summands.pop()
+            while summands:
+                b, c_b = yield summands.pop()
+                num, c = num * b.div_v_delta(), c + c_b - 1
+            result = num, c
         else:
             region = _split_crossing(core, in_end, out_end, candidates)
             sign = core[region[0]].sign
@@ -813,7 +938,7 @@ def _eval(crossings: tuple[Crossing, ...], free_loops: int, memo: dict) -> Skein
     parent is stored last, so memo entries go in as a recursion would put
     them, and the tree's depth is not bounded by Python's recursion limit.
     """
-    stack = [_node(crossings, free_loops, 0, {e for cr in crossings for e in cr.ends}, memo)]
+    stack = [_node(crossings, free_loops, 0, {e for cr in crossings for e in cr.ends}, memo, True)]
     value = None
     while True:
         try:
@@ -849,7 +974,8 @@ def homfly_of_diagram(
     `memo` may be shared across calls; it is keyed by canonical form and
     only ever maps a key to one exact value, the pair (numerator, c) of a
     numerator over z^c, so concurrent or repeated population cannot change
-    results.
+    results.  A connected sum is evaluated as the product of its prime
+    summands, so its memo holds each summand's tree and the sum's value.
 
     The cap is checked before validation traces the faces, so a diagram
     above it raises CrossingLimitError even when it is malformed.

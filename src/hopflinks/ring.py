@@ -41,9 +41,11 @@ packed rows (`LaurentPoly.exact_div_phis`): one integer remainder per
 row screens it, and one integer quotient per row, certified by a mask
 test against the product's L1 norm, divides it; a quotient the test
 cannot certify is screened and certified again at the next wider slot.
-It is the one division: the canonical form divides one Phi_e(t) at a
-time, s^k - s^{-k} is divided out as the product of its Phi_e(t),
-e | k, and `_over_z` divides by all the known factors at once.
+It is the one division by factors in s: the canonical form divides one
+Phi_e(t) at a time, s^k - s^{-k} is divided out as the product of its
+Phi_e(t), e | k, and `_over_z` divides by all the known factors at once.
+The skein tree's connected sums divide by v^{-1} - v, a running sum of
+the rows two v-exponents apart (`LaurentPoly.div_v_delta`).
 
 Terms are read out of the rows only to serialize, format or substitute
 (`_decode`).  At the base slot width of 32 bits on a little-endian host
@@ -583,6 +585,51 @@ class LaurentPoly:
     def times_v(self, e: int) -> "LaurentPoly":
         """self * v^e: each row moves to the key of its v-exponent plus e, with no product."""
         return _new({key + 2 * e: row for key, row in self._rows.items()}, self._w, self._cap, self._l1)
+
+    def div_v_delta(self) -> "LaurentPoly":
+        """The exact quotient self / (v^{-1} - v); ArithmeticError when it leaves a remainder.
+
+        Q (v^{-1} - v) = N reads N_e = Q_{e+1} - Q_{e-1} on the v-rows, so
+        Q_{e+1} = N_e + Q_{e-1}: each quotient row is the running sum of the
+        rows of N of its parity two v-exponents apart, up to one v-exponent
+        below it, and the full sum of each run is the remainder.  Every slot
+        of a run's sums adds the slots of one column of N, at most B =
+        min(`_l1`, rows * `_cap`) in size, so the rows are first brought to
+        a slot above B (`_fit`, else one width up).  A zero remainder then
+        puts each partial sum at most B / 2 in size: it is minus the sum of
+        the column's rest.
+        """
+        if not self._rows:
+            return self
+        bound = min(self._l1, len(self._rows) * self._cap)
+        if bound.bit_length() >= self._w:
+            self._fit()
+            bound = min(self._l1, len(self._rows) * self._cap)
+        w = max(self._w, _width(bound.bit_length()))
+        rows = self._at(w)
+        first = (1 << w) - 1  # the lowest slot
+        out = {}
+        for run in {key & 3 for key in rows}:  # one run per parity of v and of s
+            keys = [key for key in rows if key & 3 == run]
+            lo = total = 0
+            for key in range(min(keys), max(keys) + 1, 4):
+                if key in rows:
+                    lo2, row = rows[key]
+                    if not total:
+                        lo, total = lo2, row
+                    elif lo2 < lo:
+                        lo, total = lo2, (total << w * (lo - lo2)) + row
+                    else:
+                        total += row << w * (lo2 - lo)
+                    if total and not total & first:
+                        lo, total = _trim(lo, total, w)
+                if total:
+                    out[key + 2] = lo, total
+            if total:
+                raise ArithmeticError("v^{-1} - v does not divide the numerator")
+        q = _new(out, w, bound >> 1, 0)
+        q._l1 = q._cap * q._slots()
+        return q
 
     # -- substitutions -----------------------------------------------
 

@@ -1,5 +1,5 @@
 """Diagram builders and readings used only by the tests: braid closures
-for the R2/R3 corpus, kink insertion, global and one-component orientation
+for the R2/R3 corpus, kink insertion, connected sums, global and one-component orientation
 reversal and mirroring, the memo key of a whole diagram and the diagram a
 key encodes, writhe, component count and the parallel twist runs.  Also
 the references the skein tree's own walks are checked against: the
@@ -108,6 +108,28 @@ def braid_closure(strands: int, word: list[int]) -> PlanarDiagram:
         Crossing(c.sign, tuple(find(e) for e in c.ends)) for c in crossings
     )
     return PlanarDiagram(closed, loops)
+
+
+def enters(cr: Crossing, pos: int) -> bool:
+    """Whether the end at `pos` of a crossing is one its strands enter by."""
+    return pos == 0 or pos == (3 if cr.sign > 0 else 1)
+
+
+def connected_sum(d1: PlanarDiagram, d2: PlanarDiagram, a: int, b: int) -> PlanarDiagram:
+    """d1 # d2 at arc a of d1 and arc b of d2: both arcs are cut, and each
+    runs on into the other's head.  d2's arcs are renumbered past d1's
+    first, b with them, and the free loops of both are kept.  Any two arcs
+    give a planar diagram: the two faces on each side of a merge with two
+    faces of b, so the face count is the sum of both less two."""
+    shift = max(d1.arcs()) + 1
+    b += shift
+
+    def cross(cr: Crossing, arc: int, into: int) -> Crossing:
+        return Crossing(cr.sign, tuple(into if e == arc and enters(cr, pos) else e for pos, e in enumerate(cr.ends)))
+
+    first = [cross(cr, a, b) for cr in d1.crossings]
+    second = [cross(Crossing(cr.sign, tuple(e + shift for e in cr.ends)), b, a) for cr in d2.crossings]
+    return PlanarDiagram(tuple(first + second), d1.free_loops + d2.free_loops)
 
 
 def add_curl(diagram: PlanarDiagram, arc: int, sign: int) -> PlanarDiagram:

@@ -235,6 +235,32 @@ def test_z2_lift_widens_the_slot_only_past_it(a, widened):
     assert_certified(lifted)
 
 
+V_DELTA = {(-1, 0): 1, (1, 0): -1}  # v^-1 - v, the numerator of the loop value over z
+
+
+@given(dicts)
+@example({(0, 0): 2**30, (2, 0): 2**30, (4, 0): 2**30})  # the running sums reach 3 * 2^30
+@example({(0, 0): 2**31 - 1, (0, 2): -(2**31 - 1), (1, 1): 2**30})
+@example({(0, 0): 2**64, (0, 1): -3, (2, -5): 10**40, (-1, 4): 7})
+@example({(-6, 0): 1, (6, 0): 1})  # a v-row gap between two runs
+def test_division_by_the_loop_numerator_matches_the_reference(a):
+    # (Q (v^-1 - v)) / (v^-1 - v) is Q, by running sums of the rows: no
+    # product, and bounds that certify the quotient.
+    p = LaurentPoly(dict_mul(a, V_DELTA))
+    with no_product():
+        q = p.div_v_delta()
+    assert terms_of(q) == a
+    assert_certified(q)
+
+
+@given(dicts, st.tuples(exponents, exponents), coeffs.filter(bool))
+def test_division_by_the_loop_numerator_refuses_a_remainder(a, key, c):
+    # Q (v^-1 - v) plus one term, which v^-1 - v does not divide.
+    p = LaurentPoly(dict_add(dict_mul(a, V_DELTA), {key: c}))
+    with pytest.raises(ArithmeticError):
+        p.div_v_delta()
+
+
 @given(dicts, st.integers(1, 8))
 def test_exact_div_matches_reference(a, k):
     p = LaurentPoly(a)

@@ -4,6 +4,7 @@ import itertools
 import json
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from diagram_tools import (
     braid_closure,
     canonical_key,
     component_count,
+    connected_sum,
+    enters,
     in_ends,
     key_diagram,
     mirror_diagram,
@@ -36,7 +39,7 @@ from hopflinks.oracle import (
     check_family_cap,
     homfly_of_diagram,
 )
-from hopflinks.oracle import _arc_table, _children, _simplify, _split_crossing, _strands, _twist_region
+from hopflinks.oracle import _arc_table, _children, _simplify, _split_crossing, _strands, _summands, _twist_region
 import hopflinks.oracle as oracle_module
 import hopflinks.ring as ring_module
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
@@ -1027,14 +1030,32 @@ def _split_reference(crossings):
     return (clasps or candidates)[0]
 
 
+@contextmanager
+def root_summands(mp):
+    """Record, in the list yielded, how many prime summands each root cut
+    into more than one yields as its children (`_summands`)."""
+    counts = []
+    real = oracle_module._summands
+
+    def cutting(core, in_end, out_end):
+        summands = real(core, in_end, out_end)
+        if len(summands) > 1:
+            counts.append(len(summands))
+        return summands
+
+    mp.setattr(oracle_module, "_summands", cutting)
+    yield counts
+
+
 def _splits(d):
     """(reduced diagram, split crossing) at every node of the skein tree
     that splits one crossing, as `_split_crossing` picks it.
 
-    Each node that has children yields two, and each child is one more
-    `_node`, so the tree has (nodes - 1) / 2 such nodes.  Each of them
-    makes one pick, a crossing or a twist region: the picks recorded must
-    be exactly as many, so that no split node goes unchecked.
+    Each node that has children yields two, but a composite root, which
+    yields one per prime summand, and each child is one more `_node`, so
+    the tree has (nodes - 1 - summands) / 2 nodes that split.  Each of
+    them makes one pick, a crossing or a twist region: the picks recorded
+    must be exactly as many, so that no split node goes unchecked.
     """
     picks, nodes = [], []
     real_node = oracle_module._node
@@ -1044,11 +1065,11 @@ def _splits(d):
         picks.append((crossings, region))
         return region
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, root_summands(mp) as summands:
         mp.setattr(oracle_module, "_split_crossing", recording)
         mp.setattr(oracle_module, "_node", lambda *args: nodes.append(1) or real_node(*args))
         homfly_of_diagram(PlanarDiagram(d.crossings), max_crossings=max(len(d.crossings), 1))
-    assert 2 * len(picks) + 1 == len(nodes), (len(picks), len(nodes))
+    assert 2 * len(picks) + 1 + sum(summands) == len(nodes), (len(picks), sum(summands), len(nodes))
     return [(crossings, region[0]) for crossings, region in picks if len(region) == 1]
 
 
@@ -1064,8 +1085,9 @@ def _check_splits(d):
 def test_split_crossings_on_families_and_twists():
     corpus = [build_diagram(spec) for spec in grid_specs()]
     corpus += [braid_closure(2, [1] * n) for n in range(1, 13)]
-    # The tree splits one crossing at 299 nodes over this corpus.
-    assert sum(_check_splits(d) for d in corpus) == 299
+    # The tree splits one crossing at 279 nodes over this corpus (299 when
+    # the roots of its 20 connected sums were split like any other node).
+    assert sum(_check_splits(d) for d in corpus) == 279
 
 
 @given(key_corpus)
@@ -1085,11 +1107,12 @@ def test_split_rule_keeps_the_memo_small(spec, bound):
 
 # sha256 over canonical_key, memo keys and values in insertion order, and
 # the value JSON, on the family diagrams with k1+k2 <= 2 and n1+n2 <= 3
-# and the sigma1^n closures for n = 1..12; captured when nodes began to
-# resolve a parallel twist region in one step, which changed which
-# diagrams the tree visits.  A memo value is hashed as the JSON of the
-# scalar it stands for.
-MEMO_DIGEST = "7a673b4299029fd67d66a4595f7d1c161e066f6a974370ddf7ac4d06a38fad89"
+# and the sigma1^n closures for n = 1..12; captured when the root of a
+# connected sum began to evaluate its prime summands as its children,
+# which changed which diagrams the trees of the 20 connected sums among
+# them visit (the 72 values' JSON stayed byte-identical).  A memo value is
+# hashed as the JSON of the scalar it stands for.
+MEMO_DIGEST = "a58f0d7278b26b9979deaec573b1317a047ccfb1f65ae5b3a456b09f6e3292ca"
 
 
 def memo_scalar(entry):
@@ -1123,15 +1146,24 @@ def test_skein_trees_make_no_product(monkeypatch):
     # Skein steps add numerators, lifted by z^2 where the smoothed child has
     # one component fewer, and frames move rows and add: over the MEMO_DIGEST
     # corpus, sigma1^n for n <= 40 and the antiparallel (2, 100) pin diagram,
-    # no LaurentPoly product is made.
+    # the tree of a prime diagram makes no LaurentPoly product, and that of a
+    # connected sum of m prime summands makes the m - 1 of its root.
     pinned = json.loads((Path(__file__).parent / "pins-antiparallel-100.json").read_text(encoding="utf-8"))
     corpus = memo_corpus() + [braid_closure(2, [1] * n) for n in range(1, 41)] + [PlanarDiagram.from_json(pinned)]
     real = LaurentPoly.__mul__
     calls = []
     monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
-    for d in corpus:
-        homfly_of_diagram(d, max_crossings=len(d.crossings) + d.free_loops)
-    assert calls == []
+    composite = 0
+    with root_summands(monkeypatch) as summands:
+        for d in corpus:
+            calls.clear()
+            summands.clear()
+            homfly_of_diagram(d, max_crossings=len(d.crossings) + d.free_loops)
+            assert len(calls) == sum(m - 1 for m in summands), (d, summands)
+            composite += bool(summands)
+    # H(k1,k2;n1,n2) with one encircling string and two or three core
+    # strings, or two encircling strings and one core string.
+    assert composite == 20
 
 
 # -- every value over exactly z^c -------------------------------------------------------------
@@ -1308,3 +1340,171 @@ def test_twist_regions_are_the_maximal_parallel_runs(d):
         evaluate(d)
     for args in calls:
         _check_twist_regions(*args)
+
+
+# -- connected sums ---------------------------------------------------------------------------
+
+summable = st.one_of(kinked(unions()), kinked(braids)).filter(lambda d: d.crossings)
+
+
+@given(summable, summable, st.data())
+def test_connected_sum_is_the_product_over_delta(d1, d2, data):
+    # P(D1 # D2) delta = P(D1) P(D2), the reference in generic SkeinScalar
+    # products, which never divide by v^{-1} - v.
+    d = connected_sum(d1, d2, data.draw(st.sampled_from(d1.arcs())), data.draw(st.sampled_from(d2.arcs())))
+    d.validate()
+    assert evaluate(d) * delta() == evaluate(d1) * evaluate(d2)
+
+
+H2121 = build_diagram(HopfSpec(2, 1, 2, 1))
+
+
+def spliced_triple():
+    """Three copies of H(2,1;2,1) spliced in a chain: tests/pins-composite.json."""
+    h = H2121
+    return connected_sum(connected_sum(h, h, 0, 0), h, 41, 0)
+
+
+def test_spliced_triple_is_the_product_of_its_three_summands(monkeypatch):
+    d = spliced_triple()
+    pinned = json.loads((Path(__file__).parent / "pins-composite.json").read_text(encoding="utf-8"))
+    assert PlanarDiagram.from_json(pinned) == d
+    memo: dict = {}
+    with root_summands(monkeypatch) as summands:
+        value = homfly_of_diagram(d, max_crossings=54, memo=memo)
+    assert summands == [3]
+    assert value * delta() ** 2 == evaluate(H2121) ** 3
+    # The tree that splits the whole diagram one crossing at a time stores
+    # 14,268 entries.
+    assert len(memo) <= 100, len(memo)
+
+
+def root_cut(d):
+    """The crossings of each summand `_summands` cuts the reduced core of d into."""
+    core = _simplify(d.crossings, {e for cr in d.crossings for e in cr.ends})[2]
+    _, in_end, out_end, _ = _strands(_arc_table(core)[0])
+    return [tuple(part) for part, *_ in _summands(core, in_end, out_end)]
+
+
+def test_prime_diagrams_are_not_cut():
+    primes = [HOPF, build_diagram(HopfSpec(2, 2, 2, 2)), build_diagram(HopfSpec(4, 0, 5, 0))]
+    primes += [braid_closure(2, [1] * n) for n in range(3, 13)]
+    for d in primes:
+        assert len(root_cut(d)) == 1, d
+
+
+@pytest.mark.parametrize("spec", [HopfSpec(k, 0, 1, 0) for k in range(2, 8)] + [HopfSpec(0, 1, 3, 4)])
+def test_a_chain_of_hopf_links_is_cut_into_hopf_links(spec):
+    k = spec.k1 + spec.k2 + spec.n1 + spec.n2 - 1
+    parts = root_cut(build_diagram(spec))
+    assert len(parts) == k
+    assert {len(part) for part in parts} == {2}
+    if spec.k2 == spec.n2 == 0:
+        assert all(canonical_key(PlanarDiagram(part)) == canonical_key(HOPF) for part in parts)
+
+
+def summands_reference(crossings):
+    """The prime summands of a connected diagram one cut at a time, on the
+    traced faces: a cut is two distinct arcs e1 and e2 that border the
+    same two distinct faces; one side is the crossings reached from e1's
+    tail along every arc but e1 and e2, both sides give e2 the id e1, and
+    each side is cut again until no cut is left."""
+    parts, out = [tuple(crossings)], []
+    while parts:
+        part = parts.pop()
+        faces: dict = {}
+        for f, orbit in enumerate(oracle_module._faces(part)):
+            for ci, pos in orbit:
+                faces.setdefault(part[ci].ends[pos], set()).add(f)
+        first, cut = {}, None
+        for arc in sorted(faces):
+            pair = frozenset(faces[arc])
+            if len(pair) == 2:
+                if pair in first:
+                    cut = first[pair], arc
+                    break
+                first[pair] = arc
+        if cut is None:
+            out.append(part)
+            continue
+        e1, e2 = cut
+        tail = next(ci for ci, cr in enumerate(part) for pos, e in enumerate(cr.ends) if e == e1 and not enters(cr, pos))
+        side, todo = {tail}, [tail]
+        while todo:
+            for e in set(part[todo.pop()].ends) - {e1, e2}:
+                for cj, cr in enumerate(part):
+                    if e in cr.ends and cj not in side:
+                        side.add(cj)
+                        todo.append(cj)
+        renamed = [Crossing(cr.sign, tuple(e1 if e == e2 else e for e in cr.ends)) for cr in part]
+        parts.append(tuple(cr for ci, cr in enumerate(renamed) if ci in side))
+        parts.append(tuple(cr for ci, cr in enumerate(renamed) if ci not in side))
+    return out
+
+
+connected_pieces = st.one_of(braids, rotation_systems().filter(accepts), specs.map(build_diagram)).filter(
+    lambda d: d.crossings and len(canonical_key(d)[0]) == 1
+)
+
+
+@st.composite
+def connected_sums(draw):
+    """Two to four connected diagrams, each spliced to the sum so far at a
+    random arc: a chain, a star, or several sums across one pair of faces."""
+    parts = draw(st.lists(connected_pieces, min_size=2, max_size=4))
+    d = parts[0]
+    for part in parts[1:]:
+        d = connected_sum(d, part, draw(st.sampled_from(d.arcs())), draw(st.sampled_from(part.arcs())))
+    return PlanarDiagram(d.crossings)
+
+
+def _four_hopf_links_at_one_crossing():
+    """The figure-eight knot with a Hopf link spliced into each arc of one
+    crossing: the four arcs cut the knot's diagram in two, but that cut
+    crosses four faces, so the knot stays one prime summand."""
+    d = braid_closure(3, [1, -2, 1, -2])
+    for arc in d.crossings[0].ends:
+        d = connected_sum(d, HOPF, arc, 0)
+    return d
+
+
+@given(connected_sums())
+@example(_four_hopf_links_at_one_crossing())
+@example(spliced_triple())
+def test_summands_match_one_cut_at_a_time(d):
+    core = _simplify(d.crossings, {e for cr in d.crossings for e in cr.ends})[2]
+    if not core or len(canonical_key(PlanarDiagram(core))[0]) > 1:
+        return
+    found = root_cut(PlanarDiagram(core))
+    expected = summands_reference(core)
+    assert sorted(canonical_key(PlanarDiagram(part)) for part in found) == sorted(
+        canonical_key(PlanarDiagram(part)) for part in expected
+    )
+    for part in found:
+        PlanarDiagram(part).validate()
+
+
+def test_four_hopf_links_at_one_crossing_are_five_summands():
+    parts = root_cut(_four_hopf_links_at_one_crossing())
+    assert sorted(len(part) for part in parts) == [2, 2, 2, 2, 4]
+
+
+@pytest.mark.parametrize("loops", range(4))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_composite_root_frames_kinks_and_loops_by_row_moves(monkeypatch, loops, sign):
+    # The root strips the kink, cuts its core into three Hopf links, and
+    # frames their product by v^-sign and the loops with row moves: the two
+    # products of the summands are the only ones.
+    bare = build_diagram(HopfSpec(3, 0, 1, 0))
+    d = PlanarDiagram(add_curl(bare, 0, sign).crossings, loops)
+    expected = evaluate(bare) * SkeinScalar(mono(1, v=-sign)) * delta() ** loops
+    real = LaurentPoly.__mul__
+    calls = []
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
+    with root_summands(monkeypatch) as summands:
+        value = homfly_of_diagram(d, max_crossings=len(d.crossings))
+    assert summands == [3]
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert value == expected
+    assert json.dumps(value.to_json()) == json.dumps(expected.to_json())
