@@ -71,7 +71,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import comb
-from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
+from typing import Generator, Iterable, NamedTuple, Sequence
 
 from .hopf import HopfSpec
 from .ring import LaurentPoly, SkeinScalar, json_int, json_item, json_list
@@ -122,12 +122,13 @@ class PlanarDiagram:
 
         Checks arc matching (each arc has exactly one entering and one
         leaving end) and the genus-zero Euler count of the rotation
-        system.
+        system, on the faces `_trace_faces` traces on the end maps the
+        matching builds.
         """
         if self.free_loops < 0:
             raise MalformedDiagramError("free_loops must be nonnegative")
-        ins: dict[int, int] = {}
-        outs: dict[int, int] = {}
+        ins: InEnd = {}
+        outs: OutEnd = {}
         for ci, cr in enumerate(self.crossings):
             if cr.sign not in (1, -1):
                 raise MalformedDiagramError(f"crossing {ci} has sign {cr.sign!r}")
@@ -139,7 +140,7 @@ class PlanarDiagram:
                     raise MalformedDiagramError(
                         f"arc {arc} {'enters' if bucket is ins else 'leaves'} two crossings"
                     )
-                bucket[arc] = ci
+                bucket[arc] = ci, pos
         if set(ins) != set(outs):
             raise MalformedDiagramError("every arc needs one entering and one leaving end")
         # Each link joins two pieces of arcs, so pieces = arcs - links.
@@ -151,8 +152,7 @@ class PlanarDiagram:
                     links[other] = root
         # E = 2V in a 4-valent piece, so F <= V + 2 with equality iff its genus
         # is zero: the totals agree iff every piece is planar.
-        faces = sum(1 for _ in _faces(self.crossings))
-        if faces != len(self.crossings) + 2 * (len(ins) - len(links)):
+        if _trace_faces(ins, outs)[1] != len(self.crossings) + 2 * (len(ins) - len(links)):
             raise MalformedDiagramError("rotation system is not planar")
 
     def arcs(self) -> list[int]:
@@ -191,31 +191,35 @@ class PlanarDiagram:
 # structural helpers
 
 
-def _faces(crossings: tuple[Crossing, ...]) -> Iterator[list[tuple[int, int]]]:
-    """Orbits of the face-tracing map of the rotation system."""
-    ends: dict[int, list[tuple[int, int]]] = {}
-    for ci, cr in enumerate(crossings):
-        for pos, arc in enumerate(cr.ends):
-            ends.setdefault(arc, []).append((ci, pos))
-    visited: set[tuple[int, int]] = set()
-    for ci in range(len(crossings)):
-        for pos in range(4):
-            if (ci, pos) in visited:
-                continue
-            orbit = []
-            cur = (ci, pos)
-            while cur not in visited:
-                visited.add(cur)
-                orbit.append(cur)
-                arc = crossings[cur[0]].ends[cur[1]]
-                occ = ends[arc]
-                other = occ[1] if occ[0] == cur else occ[0]
-                cur = (other[0], (other[1] + 1) % 4)
-            yield orbit
-
-
 InEnd = dict[int, tuple[int, int]]  # arc -> (crossing, position) it enters
 OutEnd = dict[int, tuple[int, int]]  # arc -> (crossing, position) it leaves
+Corner = tuple[int, int]  # (crossing, position)
+
+
+def _trace_faces(in_end: InEnd, out_end: OutEnd) -> tuple[list[int], int]:
+    """Each corner's face, numbered from 1, and the number of faces of the
+    rotation system whose arcs enter and leave at the ends of the two maps.
+
+    Corner (c, p) is 4 c + p.  Its face runs along arc p to the arc's other
+    end (x, q) and turns to x's end q + 1, so the faces are the orbits of
+    that turn: each arc gives two of its steps, one from each end.
+    """
+    turn = [0] * (2 * len(in_end))  # corner -> the next corner of its face
+    for arc, (ci, p) in in_end.items():
+        x, q = out_end[arc]
+        a = 4 * ci + p
+        b = 4 * x + q
+        turn[a] = b + _TURN[q]
+        turn[b] = a + _TURN[p]
+    face = [0] * len(turn)
+    count = 0
+    for corner in range(len(turn)):
+        if not face[corner]:
+            count += 1
+            while not face[corner]:
+                face[corner] = count
+                corner = turn[corner]
+    return face, count
 
 
 def _strands(table: ArcTable) -> tuple[list[int], InEnd, OutEnd, int]:
@@ -263,6 +267,58 @@ def _strands(table: ArcTable) -> tuple[list[int], InEnd, OutEnd, int]:
     return under_first, in_end, out_end, count
 
 
+def _corners(
+    crossings: tuple[Crossing, ...], in_end: InEnd, out_end: OutEnd, ci: int, full: bool = True
+) -> tuple[tuple[Corner, Corner] | None, Corner | None, bool]:
+    """What switching and smoothing crossing ci of a reduced diagram leave
+    at its corners: the switched child's reducible clasp of least corner
+    pair, or None; the smoothed child's least kink (crossing, position), or
+    None; and whether a clasp is at a corner where a twist is parallel.
+    Unless `full`, only those two corners are read.
+
+    A reduced diagram has no kink and no reducible clasp, so a child's new
+    one is next to ci.  The face at corner (ci, p) runs along arc p to its
+    other end (x, q) and turns to x's end q + 1; it is a bigon when that
+    end is ci's arc p - 1.  Switching flips ci's sign and moves its end at
+    p to p + sign, so the bigon is then a reducible clasp when x has ci's
+    sign and the shared strand alternates at it now: the bigon is a twist,
+    whose corners in the switched child are (ci, p + sign) and (x, q + 1),
+    ordered as `_reducible_face` orders them.  Smoothing splices ci's arcs
+    p - 1 and p at its odd corners for sign +1 and at its even corners for
+    sign -1 (`_splices`), which kinks x where it holds both next to each
+    other: at the bigon, or at q when ci and x are nugatory and x holds
+    them the other way round.  At the other two corners both arcs enter ci
+    or both leave it, so a twist there is parallel.  Each corner reads
+    four ends: no child is built.
+    """
+    sign, ends = crossings[ci]
+    # Where each arc of ci has its other end, by ci's sign: arcs that enter
+    # ci leave x, the others enter it.
+    maps = (out_end, in_end, in_end, out_end) if sign > 0 else (out_end, out_end, in_end, in_end)
+    clasp = kink = None
+    parallel = False
+    spliced = sign > 0  # the parity of the corners the smoothing splices
+    for p in range(4) if full else (0, 2) if spliced else (1, 3):
+        x, q = maps[p][ends[p]]
+        x_sign, x_ends = crossings[x]
+        q2 = (q + 1) % 4
+        if x_ends[q2] == ends[p - 1]:
+            if x_sign == sign and p % 2 != (q2 - 1) % 2:
+                pair = ((ci, (p + sign) % 4), (x, q2)) if ci < x else ((x, q2), (ci, (p + sign) % 4))
+                if clasp is None or pair < clasp:
+                    clasp = pair
+                if p % 2 != spliced:
+                    parallel = True
+            pos = q2
+        elif x_ends[q - 1] == ends[p - 1]:
+            pos = q
+        else:
+            continue
+        if p % 2 == spliced and (kink is None or (x, pos) < kink):
+            kink = x, pos
+    return clasp, kink, parallel
+
+
 def _split_crossing(
     crossings: tuple[Crossing, ...], in_end: InEnd, out_end: OutEnd, candidates: list[int]
 ) -> list[int]:
@@ -272,21 +328,19 @@ def _split_crossing(
 
     The crossing to split is the first candidate whose switch leaves a
     reducible clasp and whose smoothing leaves a kink, else the first whose
-    switch leaves a reducible clasp, else the first.  `_children` reads the
-    chosen crossing's corners again and builds each child with that clasp
-    or that kink already stripped; `_simplify` makes the moves after it.
+    switch leaves a reducible clasp, else the first, as each candidate's
+    corners read (`_corners`).  `_children` reads the chosen crossing's
+    corners again and builds each child with that clasp or that kink
+    already stripped; `_simplify` makes the moves after it.
 
-    A reduced diagram has no kink and no reducible clasp, so a child's
-    new one comes from a bigon face at the candidate c.  The face at
-    corner (c, p) runs along arc p to its other end (x, q) and turns to
-    x's end q + 1; it is a bigon when that end is c's arc p - 1.
-    Switching flips c's sign and rotates its ends by one, so the bigon
-    is then a reducible clasp when x has c's sign and the shared strand
-    alternates at it now: the bigon is a twist.  Smoothing splices the
-    two arcs of c's odd corners for sign +1 and of its even corners for
-    sign -1, so a bigon there leaves a kink at x.  At the other two
-    corners both arcs enter c or both leave it, so a twist there is
-    parallel.  Each test reads four ends: no child is built.
+    A kink at a nugatory corner counts, but it never changes the pick: a
+    candidate with a clasp and a nugatory kink also has a kink at a bigon.
+    Its nugatory neighbour x holds two of its arcs, on a loop that x's
+    other two ends lie inside and the candidate's outside.  A clasp at a
+    corner where a twist is parallel would be a bigon with x, since that
+    corner shares an arc with each spliced one, and x would hold a third
+    arc from outside the loop, which no planar diagram allows.  So the
+    clasp is at a spliced corner, and its bigon kinks its neighbour.
 
     Every parallel twist region of three or more crossings holds a
     candidate.  The walk meets the region first along one strand, or, when
@@ -296,31 +350,14 @@ def _split_crossing(
     crossings, and one of them is met first on its under-strand.
     """
     first_both = first_clasp = None
-    # Where each arc of c has its other end, by c's sign: arcs that enter c
-    # leave x, the others enter it.
-    other = {1: (out_end, in_end, in_end, out_end), -1: (out_end, out_end, in_end, in_end)}
     for ci in candidates:
-        sign, ends = crossings[ci]
-        maps = other[sign]
-        clasp = kink = parallel = False
         # Once a crossing with both collapses is found, only a region can
-        # replace it: test just the two corners where a twist is parallel.
-        for p in range(4) if first_both is None else (0, 2) if sign > 0 else (1, 3):
-            x, q = maps[p][ends[p]]
-            x_sign, x_ends = crossings[x]
-            q2 = (q + 1) % 4
-            if x_ends[q2] != ends[p - 1]:
-                continue
-            if x_sign == sign and p % 2 != (q2 - 1) % 2:
-                clasp = True
-                if p % 2 != (sign > 0):
-                    parallel = True
-            if p % 2 == (sign > 0):
-                kink = True
+        # replace it: read just the two corners where a twist is parallel.
+        clasp, kink, parallel = _corners(crossings, in_end, out_end, ci, first_both is None)
         if parallel and len(region := _twist_region(crossings, in_end, out_end, ci)) >= 3:
             return region
-        if clasp:
-            if kink and first_both is None:
+        if clasp is not None:
+            if kink is not None and first_both is None:
                 first_both = ci
             if first_clasp is None:
                 first_clasp = ci
@@ -376,32 +413,18 @@ def _summands(core: tuple[Crossing, ...], in_end: InEnd, out_end: OutEnd) -> lis
     has each such splice: the prime summands are the classes of crossings
     those two join.
 
-    The faces are traced once, on the end maps as `_faces` traces them:
-    the face of corner (c, p) runs along arc p, so an arc's two faces are
-    those of its two ends' corners.  A summand's new kinks and clasps lie
-    on the faces a splice closed, which a cut arc bounds: the cut arcs are
-    its `near`.
+    The faces are traced once, on the end maps (`_trace_faces`): the face
+    of corner (c, p) runs along arc p, so an arc's two faces are those of
+    its two ends' corners.  A summand's new kinks and clasps lie on the
+    faces a splice closed, which a cut arc bounds: the cut arcs are its
+    `near`.
     """
-    turn = [0] * (4 * len(core))  # corner 4 c + p -> the next corner of its face
-    ins, outs = [], []  # the corners of each arc's in-end and out-end, in the order of `in_end`
+    face, count = _trace_faces(in_end, out_end)
+    pairs = []  # each arc's two faces f < g as the one int f (count + 1) + g
     for arc, (ci, p) in in_end.items():
         x, q = out_end[arc]
-        a = 4 * ci + p
-        b = 4 * x + q
-        turn[a] = b + _TURN[q]
-        turn[b] = a + _TURN[p]
-        ins.append(a)
-        outs.append(b)
-    face = [0] * len(turn)  # corner -> its face, numbered from 1
-    count = 0
-    for corner in range(len(turn)):
-        if not face[corner]:
-            count += 1
-            while not face[corner]:
-                face[corner] = count
-                corner = turn[corner]
-    n = count + 1  # each arc's two faces f < g as the one int f n + g
-    pairs = [face[a] * n + face[b] if face[a] < face[b] else face[b] * n + face[a] for a, b in zip(ins, outs)]
+        f, g = sorted((face[4 * ci + p], face[4 * x + q]))
+        pairs.append(f * (count + 1) + g)
     if len(set(pairs)) == len(pairs):
         return [(core, 0, 0, ())]
     counts = Counter(pairs)
@@ -485,13 +508,27 @@ def _apply_renames(
     return out, loops
 
 
+def _splices(sign: int, ends: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The arc pairs the oriented smoothing of a crossing splices."""
+    a, b, c, d = ends
+    return [(a, b), (d, c)] if sign > 0 else [(a, d), (b, c)]
+
+
+def _kink_pair(ends: tuple[int, ...], pos: int) -> tuple[int, int]:
+    """The arcs that stripping the kink at a crossing's position pos splices."""
+    return ends[(pos + 1) % 4], ends[(pos + 2) % 4]
+
+
+def _clasp_pairs(ends1: tuple[int, ...], p1: int, ends2: tuple[int, ...], p2: int) -> list[tuple[int, int]]:
+    """The arc pairs that stripping a reducible clasp splices, from the
+    ends of its two crossings and the positions of its two corners."""
+    return [(ends1[(p1 + 2) % 4], ends2[(p2 + 1) % 4]), (ends1[(p1 + 1) % 4], ends2[(p2 + 2) % 4])]
+
+
 def _smooth_all(crossings: tuple[Crossing, ...], indices: list[int]) -> tuple[list[Crossing], int]:
     """Oriented smoothing of several crossings: the diagram and the number
     of loops the splices close."""
-    pairs = []
-    for idx in indices:
-        sign, (a, b, c, d) = crossings[idx]
-        pairs += [(a, b), (d, c)] if sign > 0 else [(a, d), (b, c)]
+    pairs = [pair for idx in indices for pair in _splices(*crossings[idx])]
     return _apply_renames(crossings, set(indices), pairs)
 
 
@@ -505,60 +542,29 @@ def _children(crossings: tuple[Crossing, ...], ci: int, in_end: InEnd, out_end: 
     Each child is (crossings, loops, v exponent, near), `near` as
     `_simplify` would hold it after that move: ci's arcs and those of the
     crossing x the move removes.  A reduced diagram has no kink and no
-    reducible clasp, so a child's new ones are next to ci, at ci's corners
-    read as `_split_crossing` reads them: the corner (ci, p) runs along
-    arc p to its other end (x, q), and the face there is a bigon when x's
-    end q + 1 is ci's arc p - 1.
-
-    Switching flips ci's sign and moves its end at p to p + sign.  The
-    switched child's first move strips the reducible clasp (a twist
-    bigon, now of opposite signs) whose least corner is least, as
-    `_reducible_face` orders them.  Smoothing splices ci's arcs p - 1 and
-    p at two of its corners, which kinks x where it holds both next to
-    each other.  A kink comes before any clasp, so the smoothed child's
-    first move strips the kink at the least such x, at its least
-    position, for v^{-sign of x}.  Either child is then one
-    `_apply_renames` of the diagram, which drops ci and x; a child with
-    no such move is the switched or the smoothed diagram itself.
+    reducible clasp, so a child's new ones are next to ci, where ci's
+    corners read them (`_corners`).  The switched child's first move strips
+    the reducible clasp whose least corner is least, as `_reducible_face`
+    orders them.  A kink comes before any clasp, so the smoothed child's
+    first move strips the kink at the least such x, at its least position,
+    for v^{-sign of x}.  Either child is then one `_apply_renames` of the
+    diagram, which drops ci and x; a child with no such move is the
+    switched or the smoothed diagram itself.
     """
     sign, ends = crossings[ci]
     a, b, c, d = ends
     switched = (d, a, b, c) if sign > 0 else (b, c, d, a)
-    splices = [(a, b), (d, c)] if sign > 0 else [(a, d), (b, c)]
-    # Where each arc of ci has its other end, by ci's sign: arcs that enter
-    # ci leave x, the others enter it.
-    maps = (out_end, in_end, in_end, out_end) if sign > 0 else (out_end, out_end, in_end, in_end)
-    clasp = kink = None
-    for p in range(4):
-        x, q = maps[p][ends[p]]
-        x_sign, x_ends = crossings[x]
-        q2 = (q + 1) % 4
-        bigon = x_ends[q2] == ends[p - 1]
-        if bigon and x_sign == sign and p % 2 != (q2 - 1) % 2:
-            corners = ((ci, (p + sign) % 4), (x, q2))
-            if x < ci:
-                corners = corners[::-1]
-            if clasp is None or corners < clasp:
-                clasp = corners
-        if p % 2 == (sign > 0):
-            # The splice gives arcs p - 1 and p one id, so x is kinked where
-            # it holds them next to each other: at the bigon, or at q when
-            # ci and x are nugatory and x holds them the other way round.
-            pos = q2 if bigon else q if x_ends[q - 1] == ends[p - 1] else None
-            if pos is not None and (kink is None or (x, pos) < kink):
-                kink = x, pos
+    clasp, kink, _ = _corners(crossings, in_end, out_end, ci)
     if clasp is None:
         switched_child = crossings[:ci] + (Crossing(-sign, switched),) + crossings[ci + 1 :], 0, 0, ends
     else:
-        # The pairs `_simplify` splices for this clasp.
         (c1, p1), (c2, p2) = clasp
         x = c2 if c1 == ci else c1
         ends1, ends2 = (switched if k == ci else crossings[k].ends for k in (c1, c2))
-        pairs = [(ends1[(p1 + 2) % 4], ends2[(p2 + 1) % 4]), (ends1[(p1 + 1) % 4], ends2[(p2 + 2) % 4])]
-        out, loops = _apply_renames(crossings, {ci, x}, pairs)
+        out, loops = _apply_renames(crossings, {ci, x}, _clasp_pairs(ends1, p1, ends2, p2))
         switched_child = out, loops, 0, ends + crossings[x].ends
     if kink is None:
-        out, loops = _apply_renames(crossings, {ci}, splices)
+        out, loops = _apply_renames(crossings, {ci}, _splices(sign, ends))
         smoothed_child = out, loops, 0, ends
     else:
         # x's kink pair is read on its ids before the splices, which
@@ -566,13 +572,9 @@ def _children(crossings: tuple[Crossing, ...], ci: int, in_end: InEnd, out_end: 
         # `_simplify` would read.
         x, pos = kink
         x_sign, x_ends = crossings[x]
-        kink_pair = (x_ends[(pos + 1) % 4], x_ends[(pos + 2) % 4])
-        out, loops = _apply_renames(crossings, {ci, x}, splices + [kink_pair])
+        out, loops = _apply_renames(crossings, {ci, x}, _splices(sign, ends) + [_kink_pair(x_ends, pos)])
         smoothed_child = out, loops, -x_sign, ends + x_ends
     return [switched_child, smoothed_child]
-
-
-Corner = tuple[int, int]  # (crossing, position)
 
 
 def _reducible_face(work: Sequence[Crossing], near: set[int]) -> tuple[Corner, ...] | None:
@@ -636,18 +638,14 @@ def _simplify(crossings: Sequence[Crossing], near: Iterable[int]) -> tuple[int, 
     while (face := _reducible_face(work, near)) is not None:
         if len(face) == 1:
             ((ci, pos),) = face
-            cr = work[ci]
-            v_exp -= cr.sign
+            sign, ends = work[ci]
+            v_exp -= sign
             skip = {ci}
-            pairs = [(cr.ends[(pos + 1) % 4], cr.ends[(pos + 2) % 4])]
+            pairs = [_kink_pair(ends, pos)]
         else:
             (c1, p1), (c2, p2) = face
-            crA, crB = work[c1], work[c2]
             skip = {c1, c2}
-            pairs = [
-                (crA.ends[(p1 + 2) % 4], crB.ends[(p2 + 1) % 4]),
-                (crA.ends[(p1 + 1) % 4], crB.ends[(p2 + 2) % 4]),
-            ]
+            pairs = _clasp_pairs(work[c1].ends, p1, work[c2].ends, p2)
         for ci in skip:
             near.update(work[ci].ends)
         work, new_loops = _apply_renames(work, skip, pairs)

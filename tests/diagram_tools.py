@@ -3,14 +3,39 @@ for the R2/R3 corpus, kink insertion, connected sums, global and one-component o
 reversal and mirroring, the memo key of a whole diagram and the diagram a
 key encodes, writhe, component count and the parallel twist runs.  Also
 the references the skein tree's own walks are checked against: the
-in-end map, the strand walk on it, and a crossing switched or smoothed
-with no move made after it."""
+in-end map, the strand walk on it, the faces traced one orbit at a time,
+and a crossing switched or smoothed with no move made after it."""
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
-from hopflinks.oracle import Crossing, PlanarDiagram, _arc_table, _canonical, _faces
+from hopflinks.oracle import Crossing, PlanarDiagram, _arc_table, _canonical
+
+
+def face_orbits(crossings: tuple[Crossing, ...]) -> Iterator[list[tuple[int, int]]]:
+    """Orbits of the face-tracing map of the rotation system: from corner
+    (c, p) along arc p to its other end (x, q), then on to x's end q + 1."""
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for ci, cr in enumerate(crossings):
+        for pos, arc in enumerate(cr.ends):
+            ends.setdefault(arc, []).append((ci, pos))
+    visited: set[tuple[int, int]] = set()
+    for ci in range(len(crossings)):
+        for pos in range(4):
+            if (ci, pos) in visited:
+                continue
+            orbit = []
+            cur = (ci, pos)
+            while cur not in visited:
+                visited.add(cur)
+                orbit.append(cur)
+                arc = crossings[cur[0]].ends[cur[1]]
+                occ = ends[arc]
+                other = occ[1] if occ[0] == cur else occ[0]
+                cur = (other[0], (other[1] + 1) % 4)
+            yield orbit
 
 
 def in_ends(crossings: tuple[Crossing, ...]) -> dict[int, tuple[int, int]]:
@@ -223,7 +248,7 @@ def parallel_twist_runs(crossings: tuple[Crossing, ...]) -> list[tuple[set[int],
         return pos == 0 or pos == (3 if crossings[ci].sign > 0 else 1)
 
     links: dict[int, list[int]] = {}
-    for orbit in _faces(crossings):
+    for orbit in face_orbits(crossings):
         if len(orbit) != 2:
             continue
         (c1, p1), (c2, p2) = orbit

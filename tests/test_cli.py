@@ -344,9 +344,14 @@ def test_oracle_pd_beyond_cap_traces_faces_once(tmp_path, capsys, monkeypatch):
     # before it would validate the diagram a second time.
     path = tmp_path / "big.json"
     path.write_text(json.dumps(build_diagram(HopfSpec(3, 0, 6, 0)).to_json()))
-    real = oracle_module._faces
-    traces = []
-    monkeypatch.setattr(oracle_module, "_faces", lambda crossings: traces.append(len(crossings)) or real(crossings))
+    real = oracle_module._trace_faces
+    traces = []  # the crossings of each traced diagram: its in-end map holds two arcs per crossing
+
+    def tracing(in_end, out_end):
+        traces.append(len(in_end) // 2)
+        return real(in_end, out_end)
+
+    monkeypatch.setattr(oracle_module, "_trace_faces", tracing)
     code, _, err = run_cli(capsys, "oracle", "--pd", str(path), "--max-crossings", "16")
     assert code == 3
     assert err == "error: 36 crossings exceed cap 16\n"
@@ -379,6 +384,18 @@ def test_oracle_pd_non_integer_field_exits_2(tmp_path, capsys, blob):
     code, _, err = run_cli(capsys, "oracle", "--pd", str(path))
     assert code == 2
     assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("crossings,message", [
+    ([{"sign": 1, "ends": [0, 1, 2, 3]}, {"sign": 1, "ends": [0, 3, 2, 1]}], "arc 0 enters two crossings"),
+    ([{"sign": 1, "ends": [0, 1, 2, 3]}], "every arc needs one entering and one leaving end"),
+    ([{"sign": 1, "ends": [0, 1, 0, 1]}], "rotation system is not planar"),
+])
+def test_oracle_pd_structurally_malformed_exits_2(tmp_path, capsys, crossings, message):
+    # Arcs matched wrongly, or matched on a rotation system of genus one.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"crossings": crossings}))
+    assert run_cli(capsys, "oracle", "--pd", str(path)) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["oracle --pd", "eval-decoration --k1 1 --k2 0 --decoration"])

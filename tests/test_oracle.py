@@ -15,6 +15,7 @@ from diagram_tools import (
     component_count,
     connected_sum,
     enters,
+    face_orbits,
     in_ends,
     key_diagram,
     mirror_diagram,
@@ -39,7 +40,16 @@ from hopflinks.oracle import (
     check_family_cap,
     homfly_of_diagram,
 )
-from hopflinks.oracle import _arc_table, _children, _simplify, _split_crossing, _strands, _summands, _twist_region
+from hopflinks.oracle import (
+    _arc_table,
+    _children,
+    _simplify,
+    _split_crossing,
+    _strands,
+    _summands,
+    _trace_faces,
+    _twist_region,
+)
 import hopflinks.oracle as oracle_module
 import hopflinks.ring as ring_module
 from hopflinks.ring import LaurentPoly, SkeinScalar, delta
@@ -780,7 +790,7 @@ def _simplify_reference(crossings):
     while work:
         move = None
         bigon = None
-        for orbit in oracle_module._faces(tuple(work)):
+        for orbit in face_orbits(tuple(work)):
             if len(orbit) == 1:
                 move = orbit
                 break
@@ -840,14 +850,45 @@ def test_simplify_near_the_split_crossing_matches_the_full_rescan(d):
         assert _simplify(crossings, near) == _simplify_reference(crossings)
 
 
-def test_faces_are_traced_only_by_validate(monkeypatch):
-    real = oracle_module._faces
+def test_faces_are_traced_only_by_validate_and_the_root(monkeypatch):
+    # Two traces per diagram: validate's Euler count and the root's search
+    # for cuts; no node below the root traces faces, a composite root's
+    # summands included.
+    real = _trace_faces
     calls = []
-    monkeypatch.setattr(oracle_module, "_faces", lambda crossings: calls.append(1) or real(crossings))
-    for d in (build_diagram(HopfSpec(2, 0, 2, 0)), braid_closure(2, [1] * 12), add_curl(HOPF, 0, 1)):
+
+    def tracing(in_end, out_end):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(in_end, out_end)
+
+    monkeypatch.setattr(oracle_module, "_trace_faces", tracing)
+    diagrams = [build_diagram(HopfSpec(2, 0, 2, 0)), braid_closure(2, [1] * 12), add_curl(HOPF, 0, 1)]
+    for d in diagrams + [build_diagram(HopfSpec(3, 0, 1, 0))]:
         calls.clear()
         homfly_of_diagram(d)
-        assert len(calls) == 1
+        assert calls == ["validate", "_summands"], d
+
+
+def end_maps(crossings):
+    """Each arc to the (crossing, position) it enters, and to the one it leaves."""
+    ins, outs = {}, {}
+    for ci, cr in enumerate(crossings):
+        for pos, arc in enumerate(cr.ends):
+            (ins if enters(cr, pos) else outs)[arc] = ci, pos
+    return ins, outs
+
+
+@given(st.one_of(key_corpus, kinked(unions()), rotation_systems()))
+@example(add_curl(HOPF, 0, 1))
+@example(PlanarDiagram((Crossing(1, (0, 1, 0, 1)),)))  # one crossing, one face: not planar
+def test_trace_faces_matches_the_face_orbits(d):
+    face, count = _trace_faces(*end_maps(d.crossings))
+    orbits = list(face_orbits(d.crossings))
+    assert count == len(orbits)
+    # The same partition of the corners: each orbit is one face.
+    assert sorted(sorted(4 * ci + p for ci, p in orbit) for orbit in orbits) == sorted(
+        [corner for corner, f in enumerate(face) if f == g] for g in range(1, count + 1)
+    )
 
 
 def antiparallel_twist(n):
@@ -1413,7 +1454,7 @@ def summands_reference(crossings):
     while parts:
         part = parts.pop()
         faces: dict = {}
-        for f, orbit in enumerate(oracle_module._faces(part)):
+        for f, orbit in enumerate(face_orbits(part)):
             for ci, pos in orbit:
                 faces.setdefault(part[ci].ends[pos], set()).add(f)
         first, cut = {}, None
